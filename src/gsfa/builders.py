@@ -137,15 +137,15 @@ def build_clustered_graph(class_sizes):
     for size in sizes:
         members = np.arange(start, start + size)
         groups.append(members)
-        w = 1.0 / (size - 1)
-        for a in members:
-            for b in members:
-                if a != b:
-                    rows.append(a)
-                    cols.append(b)
-                    vals.append(w)
+        a, b = np.repeat(members, size), np.tile(members, size)
+        off = a != b
+        rows.append(a[off])
+        cols.append(b[off])
+        vals.append(np.full(size * (size - 1), 1.0 / (size - 1)))
         start += size
-    gamma = sp.csr_array(sp.coo_array((vals, (rows, cols)), shape=(n, n)))
+    gamma = sp.csr_array(sp.coo_array(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n)))
     structure = GraphStructure("clustered", tuple(groups))
     return TrainingGraph(np.ones(n), gamma, structure=structure)
 
@@ -195,14 +195,13 @@ def build_serial_graph(labels, k, policy="strict"):
     group_index = group_index[group_index >= 0]  # kept samples, original order
     n = group_index.shape[0]
     groups = [np.flatnonzero(group_index == g) for g in range(k)]
-    rows, cols, vals = [], [], []
-    for g in range(k - 1):
-        for a in groups[g]:
-            for b in groups[g + 1]:
-                rows.extend((a, b))
-                cols.extend((b, a))
-                vals.extend((1.0, 1.0))
-    gamma = sp.csr_array(sp.coo_array((vals, (rows, cols)), shape=(n, n)))
+    pairs = list(zip(groups, groups[1:]))
+    left = np.concatenate([np.repeat(a, b.size) for a, b in pairs])
+    right = np.concatenate([np.tile(b, a.size) for a, b in pairs])
+    rows = np.concatenate([left, right])
+    cols = np.concatenate([right, left])
+    gamma = sp.csr_array(sp.coo_array((np.ones(rows.size), (rows, cols)),
+                                      shape=(n, n)))
     v = np.full(n, 2.0)
     v[groups[0]] = 1.0
     v[groups[-1]] = 1.0

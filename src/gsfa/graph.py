@@ -35,6 +35,9 @@ DEFAULT_CONSISTENCY_RTOL = 1e-9
 GRAPH_FILE_KIND = "training-graph"
 GRAPH_FILE_VERSION = 1
 
+#: One hashed upper-triangle edge: row, column, weight.
+_TRIPLET_DTYPE = np.dtype([("i", "<i8"), ("j", "<i8"), ("g", "<f8")])
+
 
 @dataclass(frozen=True)
 class GraphStructure:
@@ -73,10 +76,13 @@ class TrainingGraph:
         Must already be exactly symmetric (use :func:`symmetrize` first
         for raw directed weights). Absent edges are zeros.
     structure : optional :class:`GraphStructure` set by builders.
+
+    Both storage forms are copied and made read-only, so the cached sums
+    and fingerprint cannot go stale.
     """
 
     __slots__ = ("vertex_weights", "_gamma", "_sparse", "n_samples",
-                 "q_sum", "r_sum", "structure")
+                 "q_sum", "r_sum", "structure", "_fingerprint")
 
     def __init__(self, vertex_weights, edge_weights, structure=None):
         v = np.asarray(vertex_weights, dtype=float).copy()
@@ -92,7 +98,10 @@ class TrainingGraph:
 
         sparse = sp.issparse(edge_weights)
         if sparse:
-            g = sp.csr_array(edge_weights, dtype=float)
+            g = sp.csr_array(edge_weights, dtype=float, copy=True)
+            # Canonical form: nothing sorts the frozen arrays later, and
+            # no edge is listed twice in triplets or graph files.
+            g.sum_duplicates()
             if g.shape != (n, n):
                 raise DimensionError(
                     f"edge matrix shape {g.shape} does not match N={n}")
@@ -101,6 +110,8 @@ class TrainingGraph:
                 raise ContractError("edge weights must be exactly symmetric")
             if not np.all(np.isfinite(g.data)):
                 raise DegenerateGraphError("edge weights must be finite")
+            for part in (g.data, g.indices, g.indptr):
+                part.setflags(write=False)
             r = float(g.sum())
         else:
             g = np.asarray(edge_weights, dtype=float).copy()
@@ -124,6 +135,7 @@ class TrainingGraph:
         self.q_sum = float(v.sum())
         self.r_sum = r
         self.structure = structure
+        self._fingerprint = None
 
     # -- storage-neutral access ------------------------------------------
 
@@ -167,27 +179,38 @@ class TrainingGraph:
             return m if full else min(m, 0.0)
         return float(self._gamma.min())
 
-    def gamma_triplets(self):
-        """Upper-triangle triplets (i, j, gamma) with i <= j, nonzero."""
+    def _triplet_arrays(self):
+        """Upper-triangle (i, j, gamma) arrays with i <= j, nonzero."""
         if self._sparse:
             coo = sp.coo_array(self._gamma)
             mask = (coo.row <= coo.col) & (coo.data != 0)
-            return list(zip(coo.row[mask].tolist(), coo.col[mask].tolist(),
-                            coo.data[mask].tolist()))
+            return coo.row[mask], coo.col[mask], coo.data[mask]
         i, j = np.nonzero(np.triu(self._gamma))
-        return list(zip(i.tolist(), j.tolist(), self._gamma[i, j].tolist()))
+        return i, j, self._gamma[i, j]
+
+    def gamma_triplets(self):
+        """Upper-triangle triplets (i, j, gamma) with i <= j, nonzero."""
+        i, j, g = self._triplet_arrays()
+        return list(zip(i.tolist(), j.tolist(), g.tolist()))
 
     def fingerprint(self):
-        """Stable identity of the graph: (n, Q, R, content checksum)."""
-        h = hashlib.sha256()
-        h.update(np.int64(self.n_samples).tobytes())
-        h.update(self.vertex_weights.tobytes())
-        for i, j, g in self.gamma_triplets():
-            h.update(np.int64(i).tobytes())
-            h.update(np.int64(j).tobytes())
-            h.update(np.float64(g).tobytes())
-        return {"n": self.n_samples, "q_sum": self.q_sum, "r_sum": self.r_sum,
-                "checksum": h.hexdigest()[:16]}
+        """Stable identity of the graph: (n, Q, R, content checksum).
+
+        The checksum hashes n, the vertex weights and the packed
+        upper-triangle triplets; it is computed once per graph.
+        """
+        if self._fingerprint is None:
+            i, j, g = self._triplet_arrays()
+            packed = np.empty(g.shape[0], dtype=_TRIPLET_DTYPE)
+            packed["i"], packed["j"], packed["g"] = i, j, g
+            h = hashlib.sha256()
+            h.update(np.int64(self.n_samples).tobytes())
+            h.update(self.vertex_weights.tobytes())
+            h.update(packed)
+            self._fingerprint = {"n": self.n_samples, "q_sum": self.q_sum,
+                                 "r_sum": self.r_sum,
+                                 "checksum": h.hexdigest()[:16]}
+        return dict(self._fingerprint)
 
     def __repr__(self):
         kind = "sparse" if self._sparse else "dense"
@@ -336,22 +359,31 @@ def load_graph(path):
     n = data["n"]
     v = np.asarray(data["vertex_weights"], dtype=float)
     rows, cols, vals = [], [], []
-    for i, j, g in data["edges"]:
-        if not 0 <= i <= j < n:
-            raise FormatError(f"edge ({i}, {j}) outside 0 <= i <= j < {n}")
-        rows.append(i)
-        cols.append(j)
-        vals.append(g)
-        if i != j:
-            rows.append(j)
-            cols.append(i)
+    try:
+        for i, j, g in data["edges"]:
+            if not 0 <= i <= j < n:
+                raise FormatError(f"edge ({i}, {j}) outside 0 <= i <= j < {n}")
+            rows.append(i)
+            cols.append(j)
             vals.append(g)
-    gamma = sp.csr_array(
-        sp.coo_array((vals, (rows, cols)), shape=(n, n), dtype=float))
+            if i != j:
+                rows.append(j)
+                cols.append(i)
+                vals.append(g)
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        if rows.size and (rows.dtype.kind != "i" or cols.dtype.kind != "i"):
+            raise FormatError("edge indices must be integers")
+        gamma = sp.coo_array((vals, (rows, cols)), shape=(n, n), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(
+            f"edges must be [i, j, gamma] number triplets: {exc}") from exc
     structure = None
     if "structure" in data:
         structure = GraphStructure(
             kind=data["structure"]["kind"],
             groups=tuple(np.asarray(grp, dtype=int)
                          for grp in data["structure"]["groups"]))
-    return TrainingGraph(v, gamma, structure=structure)
+    graph = TrainingGraph(v, gamma, structure=structure)
+    if graph.edge_weights.nnz < len(vals):
+        raise FormatError("graph file lists an edge more than once")
+    return graph

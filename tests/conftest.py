@@ -1,7 +1,10 @@
 """Shared oracles and tiny graph constructions for the test suite."""
 
+import hashlib
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gsfa import TrainingGraph
 
@@ -15,6 +18,28 @@ def delta_by_loop(graph, y):
         for b in range(n):
             total += gamma[a, b] * (y[b] - y[a]) ** 2
     return total / graph.r_sum
+
+
+def fingerprint_by_loop(graph):
+    """Independent fingerprint oracle: one sha256 update per triplet value."""
+    gamma = graph.edge_weights
+    if graph.is_sparse:
+        coo = sp.coo_array(gamma)
+        mask = (coo.row <= coo.col) & (coo.data != 0)
+        triplets = list(zip(coo.row[mask].tolist(), coo.col[mask].tolist(),
+                            coo.data[mask].tolist()))
+    else:
+        i, j = np.nonzero(np.triu(gamma))
+        triplets = list(zip(i.tolist(), j.tolist(), gamma[i, j].tolist()))
+    h = hashlib.sha256()
+    h.update(np.int64(graph.n_samples).tobytes())
+    h.update(graph.vertex_weights.tobytes())
+    for i, j, g in triplets:
+        h.update(np.int64(i).tobytes())
+        h.update(np.int64(j).tobytes())
+        h.update(np.float64(g).tobytes())
+    return {"n": graph.n_samples, "q_sum": graph.q_sum, "r_sum": graph.r_sum,
+            "checksum": h.hexdigest()[:16]}
 
 
 def dense_graph(vertex_weights, gamma):

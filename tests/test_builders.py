@@ -131,6 +131,32 @@ def test_serial_interior_weights_and_consistency():
     assert check_consistency(graph).ok
 
 
+@pytest.mark.parametrize("n, k", [(4, 2), (12, 3), (20, 5), (21, 7)])
+def test_serial_matches_pairwise_definition(n, k, rng):
+    labels = rng.permutation(n).astype(float)
+    graph = build_serial_graph(labels, k)
+    group_index, _ = serial_groups(labels, k)
+    expected = np.zeros((n, n))
+    for a in range(n):
+        for b in range(n):
+            if abs(group_index[a] - group_index[b]) == 1:
+                expected[a, b] = 1.0
+    np.testing.assert_array_equal(graph.gamma_dense(), expected)
+
+
+@pytest.mark.parametrize("sizes", [[2], [3, 2], [2, 4, 3]])
+def test_clustered_matches_pairwise_definition(sizes):
+    graph = build_clustered_graph(sizes)
+    cls = np.repeat(np.arange(len(sizes)), sizes)
+    n = cls.size
+    expected = np.zeros((n, n))
+    for a in range(n):
+        for b in range(n):
+            if a != b and cls[a] == cls[b]:
+                expected[a, b] = 1.0 / (sizes[cls[a]] - 1)
+    np.testing.assert_array_equal(graph.gamma_dense(), expected)
+
+
 def test_serial_tie_break_is_stable():
     labels = np.array([1.0, 1.0, 0.0, 0.0])
     group_index, _ = serial_groups(labels, 2)

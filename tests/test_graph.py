@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -23,7 +25,13 @@ from gsfa import (
     weighted_delta_fast,
 )
 
-from conftest import chain_graph, delta_by_loop, dense_graph, two_group_cross_graph
+from conftest import (
+    chain_graph,
+    delta_by_loop,
+    dense_graph,
+    fingerprint_by_loop,
+    two_group_cross_graph,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +65,92 @@ def test_sparse_and_dense_storage_agree():
     y = np.array([0.3, -1.0, 2.0])
     assert dense.gamma_quad(y) == pytest.approx(sparse.gamma_quad(y))
     assert dense.fingerprint() == sparse.fingerprint()
+
+
+# ---------------------------------------------------------------------------
+# fingerprint and read-only storage
+
+def _ell_graph(rng, nonnegative=False):
+    v = np.ones(14)
+    label_set = gsfa.decorrelate_labels(
+        gsfa.normalize_labels(rng.normal(size=(2, 14)), v), v)
+    return gsfa.build_ell_graph(label_set.with_eigenvalues([0.7, 0.3]), v,
+                                nonnegative=nonnegative)
+
+
+def _fingerprint_cases(rng):
+    m = rng.normal(size=(12, 12)) * (rng.random((12, 12)) < 0.3)
+    gamma = m + m.T + 0.25
+    v = rng.uniform(1.0, 2.0, 12)
+    ell = _ell_graph(rng)
+    assert ell.gamma_min() < 0
+    return {
+        "random-dense": TrainingGraph(v, gamma),
+        "random-csr": TrainingGraph(v, sp.csr_array(gamma)),
+        "linear-self-loops": gsfa.build_linear_graph(7, "self_loop_extended"),
+        "ell-negative": ell,
+        "ell-eliminated": gsfa.eliminate_negative_weights(ell),
+        "ell-nonnegative": _ell_graph(rng, nonnegative=True),
+        "serial": gsfa.build_serial_graph(rng.normal(size=15), 5),
+        "clustered": gsfa.build_clustered_graph([2, 4, 3]),
+    }
+
+
+def test_fingerprint_matches_loop_oracle(rng):
+    cases = _fingerprint_cases(rng)
+    for name, graph in cases.items():
+        assert graph.fingerprint() == fingerprint_by_loop(graph), name
+    assert (cases["random-dense"].fingerprint()
+            == cases["random-csr"].fingerprint())
+
+
+def test_fingerprint_checksum_pinned():
+    # Values of the per-triplet hash of earlier releases.
+    assert (gsfa.build_serial_graph(np.arange(12.0), 4).fingerprint()["checksum"]
+            == "5f437a2b5ea2f9cc")
+    assert (gsfa.build_clustered_graph([2, 3]).fingerprint()["checksum"]
+            == "e6e21be3f77c4da3")
+
+
+def test_fingerprint_copies_are_independent():
+    graph = gsfa.build_serial_graph(np.arange(12.0), 4)
+    first = graph.fingerprint()
+    first["checksum"] = "tampered"
+    first["n"] = -1
+    assert graph.fingerprint() == fingerprint_by_loop(graph)
+    model = gsfa.train_gsfa(np.random.default_rng(0).normal(size=(3, 12)),
+                            graph, n_features=2)
+    model.trained_on["checksum"] = "tampered"
+    assert graph.fingerprint() == fingerprint_by_loop(graph)
+
+
+@pytest.mark.parametrize("part", ["data", "indices", "indptr"])
+def test_sparse_storage_is_read_only(part):
+    gamma = sp.csr_array(two_group_cross_graph().gamma_dense())
+    graph = TrainingGraph(np.ones(4), gamma)
+    with pytest.raises(ValueError):
+        getattr(graph.edge_weights, part)[0] = 3
+    getattr(gamma, part)[0] = 3  # the caller's matrix stays its own
+    assert graph.r_sum == 8.0
+    assert graph.fingerprint() == two_group_cross_graph().fingerprint()
+
+
+def test_dense_storage_is_read_only():
+    graph = two_group_cross_graph()
+    with pytest.raises(ValueError):
+        graph.edge_weights[0, 2] = 5.0
+
+
+def test_sparse_duplicates_are_summed():
+    # Row 0 stores (0, 1) twice; row 1 stores (1, 0) twice and (1, 1).
+    raw = sp.csr_array((np.array([1.0, 2.0, 1.0, 2.0, 1.0]),
+                        np.array([1, 1, 0, 0, 1]), np.array([0, 2, 5])),
+                       shape=(2, 2))
+    v = np.array([1.0, 2.0])
+    summed = TrainingGraph(v, raw)
+    dense = TrainingGraph(v, [[0.0, 3.0], [3.0, 1.0]])
+    assert summed.edge_weights.nnz == 3
+    assert summed.fingerprint() == dense.fingerprint()
 
 
 # ---------------------------------------------------------------------------
@@ -373,4 +467,29 @@ def test_graph_file_rejects_wrong_kind(tmp_path):
     path = tmp_path / "graph.json"
     path.write_text('{"kind": "something-else", "format_version": 1}')
     with pytest.raises(FormatError, match="kind"):
+        gsfa.load_graph(path)
+
+
+def test_graph_file_round_trip_keeps_checksum(tmp_path, rng):
+    for name, graph in _fingerprint_cases(rng).items():
+        path = tmp_path / f"{name}.json"
+        gsfa.save_graph(graph, path)
+        loaded = gsfa.load_graph(path).fingerprint()
+        assert loaded["checksum"] == graph.fingerprint()["checksum"], name
+
+
+@pytest.mark.parametrize("extra, match", [
+    ([0, 2, 1.0], "more than once"),  # (0, 2) is already an edge
+    ([0.5, 1, 1.0], "integers"),
+    ([0, 1], "triplets"),
+    (["0", 1, 1.0], "triplets"),
+    ([0, 1, "heavy"], "triplets"),
+])
+def test_graph_file_rejects_bad_edge(tmp_path, extra, match):
+    path = tmp_path / "graph.json"
+    gsfa.save_graph(two_group_cross_graph(), path)
+    data = json.loads(path.read_text())
+    data["edges"].append(extra)
+    path.write_text(json.dumps(data))
+    with pytest.raises(FormatError, match=match):
         gsfa.load_graph(path)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,31 @@ def _toy_dataset(rng, n=40, shape=(4, 4)):
     images = (base + noise).T.reshape(n, *shape)
     graph = gsfa.build_serial_graph(labels, 5)
     return images, labels, graph
+
+
+def test_train_hgsfa_hashes_the_graph_once(rng, monkeypatch):
+    images, _, graph = _toy_dataset(rng, n=60)
+    specs = [
+        LayerSpec(grid=(2, 2), receptive_field=(2, 2), out_dims=3),
+        LayerSpec(grid=(1, 1), receptive_field=(2, 2), out_dims=2),
+    ]
+    hashes = []
+    sha256 = hashlib.sha256
+
+    def counting_sha256(*args):
+        hashes.append(args)
+        return sha256(*args)
+
+    monkeypatch.setattr(gsfa.graph.hashlib, "sha256", counting_sha256)
+    network = train_hgsfa(images, graph, specs)
+    trained_on = [node.gsfa.trained_on
+                  for layer in network.layers for node in layer.values()]
+    assert len(hashes) == 1
+    assert len(trained_on) == 5
+    assert all(t == graph.fingerprint() for t in trained_on)
+    assert len({id(t) for t in trained_on}) == 5
+    trained_on[0]["checksum"] = "tampered"
+    assert trained_on[1]["checksum"] == graph.fingerprint()["checksum"]
 
 
 def test_single_full_field_layer_equals_direct_gsfa(rng):
