@@ -524,15 +524,15 @@ def clustered_equivalence_check(n_classes, per_class, eigenvalues=None,
 
 def save_labels(label_set, vertex_weights, path):
     payload = {
-        "labels": np.asarray(label_set.labels).tolist(),
-        "eigenvalues": np.asarray(label_set.eigenvalues).tolist(),
-        "vertex_weights": np.asarray(vertex_weights, dtype=float).tolist(),
-        "mu_sigma": np.asarray(label_set.label_stats).tolist(),
+        "labels": np.asarray(label_set.labels),
+        "eigenvalues": np.asarray(label_set.eigenvalues),
+        "vertex_weights": np.asarray(vertex_weights, dtype=float),
+        "mu_sigma": np.asarray(label_set.label_stats),
         "normalized": bool(label_set.normalized),
         "decorrelated": bool(label_set.decorrelated),
     }
     if label_set.mixing is not None:
-        payload["mixing"] = np.asarray(label_set.mixing).tolist()
+        payload["mixing"] = np.asarray(label_set.mixing)
     write_container(path, LABELSET_FILE_KIND, LABELSET_FILE_VERSION, payload)
 
 

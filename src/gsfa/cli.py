@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 numerical or contract failure, 2 usage error.
 
 import argparse
 import csv
-import json
 import sys
 import time
 from pathlib import Path
@@ -22,6 +21,7 @@ import numpy as np
 from . import builders, datagen, estimators, hierarchy, matrixio, solver, spectrum
 from .errors import GsfaError, ParameterError
 from .graph import load_graph, save_graph
+from .serialize import write_json
 
 _REPRODUCE_NAMES = ("fig6-spectra", "ell-roundtrip", "compact-vs-clustered")
 
@@ -29,27 +29,27 @@ _REPRODUCE_NAMES = ("fig6-spectra", "ell-roundtrip", "compact-vs-clustered")
 # ---------------------------------------------------------------------------
 # small deterministic I/O helpers
 
-def _write_json(path, payload):
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
-
-
 def _echo_config(out_dir, command, params):
-    _write_json(Path(out_dir) / "config.json",
-                {"command": command, "params": params})
+    write_json(Path(out_dir) / "config.json",
+               {"command": command, "params": params})
 
 
 def _write_run_meta(out_dir, command):
-    _write_json(Path(out_dir) / "run_meta.json",
-                {"command": command, "timestamp": time.time()})
+    write_json(Path(out_dir) / "run_meta.json",
+               {"command": command, "timestamp": time.time()})
 
 
 def _read_label_file(path):
     """One float per line; '#' lines are comments."""
     values = []
-    for line in Path(path).read_text().splitlines():
+    for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
         if line and not line.startswith("#"):
-            values.append(float(line))
+            try:
+                values.append(float(line))
+            except ValueError:
+                raise ParameterError(
+                    f"{path}: line {number}: {line!r} is not a number") from None
     if not values:
         raise ParameterError(f"{path}: no label values found")
     return np.asarray(values)
@@ -122,9 +122,9 @@ def cmd_build_graph(args):
     out.parent.mkdir(parents=True, exist_ok=True)
     save_graph(graph, out)
     report = builders.graph_consistency_report(graph)
-    _write_json(out.with_suffix(out.suffix + ".report.json"), report)
-    _write_json(out.with_suffix(out.suffix + ".config.json"),
-                {"command": "build-graph", "params": _public_args(args)})
+    write_json(out.with_suffix(out.suffix + ".report.json"), report)
+    write_json(out.with_suffix(out.suffix + ".config.json"),
+               {"command": "build-graph", "params": _public_args(args)})
     print(f"wrote {out} (n={graph.n_samples}, consistent={report['consistent']}, "
           f"min edge weight={report['min_edge_weight']:.3g})")
     return 0
@@ -150,7 +150,7 @@ def cmd_spectrum(args):
         "slow_count": spec.slow_count(),
         "expected_noise_delta": spectrum.expected_noise_delta(graph),
     }
-    _write_json(out_dir / "summary.json", summary)
+    write_json(out_dir / "summary.json", summary)
     _echo_config(out_dir, "spectrum", _public_args(args))
     _write_run_meta(out_dir, "spectrum")
     print(f"responses with delta < 2: {summary['slow_count']}")
@@ -189,8 +189,8 @@ def cmd_train(args):
         report_path = out.with_suffix(out.suffix + ".report.json")
         config_path = out.with_suffix(out.suffix + ".config.json")
 
-    _write_json(report_path, {"deltas": deltas, "graph": graph.fingerprint()})
-    _write_json(config_path, {"command": "train", "params": _public_args(args)})
+    write_json(report_path, {"deltas": deltas, "graph": graph.fingerprint()})
+    write_json(config_path, {"command": "train", "params": _public_args(args)})
     print(f"wrote {out}; first deltas: "
           + ", ".join(f"{d:.4f}" for d in deltas[:5]))
     return 0
@@ -296,7 +296,7 @@ def cmd_gen_data(args):
     matrixio.save_matrix_csv(data, out_dir / "data.csv")
     matrixio.save_matrix_binary(data, out_dir / "data.bin")
     _write_label_file(out_dir / "labels.txt", labels)
-    _write_json(out_dir / "meta.json", meta)
+    write_json(out_dir / "meta.json", meta)
     _echo_config(out_dir, "gen-data", _public_args(args))
     _write_run_meta(out_dir, "gen-data")
     print(f"wrote {out_dir} (I={data.shape[0]}, N={data.shape[1]})")
@@ -474,7 +474,7 @@ def cmd_reproduce(args):
         summary = _reproduce_compact(out_dir, args.seed)
     summary["pipeline"] = args.name
     summary["seed"] = args.seed
-    _write_json(out_dir / "summary.json", summary)
+    write_json(out_dir / "summary.json", summary)
     _echo_config(out_dir, "reproduce", _public_args(args))
     _write_run_meta(out_dir, "reproduce")
     status = "pass" if summary["passed"] else "FAIL"

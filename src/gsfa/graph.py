@@ -14,6 +14,7 @@ consistent graphs and normalized features it reduces to
 
 import hashlib
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,7 +28,7 @@ from .errors import (
     IsolatedVertexError,
     UnsupportedGraphError,
 )
-from .serialize import read_container, write_container
+from .serialize import Columns, read_container, write_container
 
 #: Default consistency tolerance, relative to max(v).
 DEFAULT_CONSISTENCY_RTOL = 1e-9
@@ -188,11 +189,6 @@ class TrainingGraph:
         i, j = np.nonzero(np.triu(self._gamma))
         return i, j, self._gamma[i, j]
 
-    def gamma_triplets(self):
-        """Upper-triangle triplets (i, j, gamma) with i <= j, nonzero."""
-        i, j, g = self._triplet_arrays()
-        return list(zip(i.tolist(), j.tolist(), g.tolist()))
-
     def fingerprint(self):
         """Stable identity of the graph: (n, Q, R, content checksum).
 
@@ -343,47 +339,96 @@ def save_graph(graph, path):
     """Write the versioned graph container (JSON, upper-triangle edges)."""
     payload = {
         "n": graph.n_samples,
-        "vertex_weights": graph.vertex_weights.tolist(),
-        "edges": [[int(i), int(j), float(g)] for i, j, g in graph.gamma_triplets()],
+        "vertex_weights": graph.vertex_weights,
+        "edges": Columns(*graph._triplet_arrays()),
     }
     if graph.structure is not None:
         payload["structure"] = {
             "kind": graph.structure.kind,
-            "groups": [np.asarray(grp).tolist() for grp in graph.structure.groups],
+            "groups": [np.asarray(grp) for grp in graph.structure.groups],
         }
     write_container(path, GRAPH_FILE_KIND, GRAPH_FILE_VERSION, payload)
 
 
-def load_graph(path):
-    data = read_container(path, GRAPH_FILE_KIND, {GRAPH_FILE_VERSION})
-    n = data["n"]
-    v = np.asarray(data["vertex_weights"], dtype=float)
-    rows, cols, vals = [], [], []
+def _raise_first_bad_edge(edges, n):
+    """Raise the error of the first edge entry outside 0 <= i <= j < n.
+
+    Runs only on a rejected edge list, in file order, so the message
+    names the entry a reader meets first.
+    """
     try:
-        for i, j, g in data["edges"]:
+        for i, j, _ in edges:
             if not 0 <= i <= j < n:
                 raise FormatError(f"edge ({i}, {j}) outside 0 <= i <= j < {n}")
-            rows.append(i)
-            cols.append(j)
-            vals.append(g)
-            if i != j:
-                rows.append(j)
-                cols.append(i)
-                vals.append(g)
-        rows, cols = np.asarray(rows), np.asarray(cols)
-        if rows.size and (rows.dtype.kind != "i" or cols.dtype.kind != "i"):
-            raise FormatError("edge indices must be integers")
-        gamma = sp.coo_array((vals, (rows, cols)), shape=(n, n), dtype=float)
     except (TypeError, ValueError) as exc:
         raise FormatError(
             f"edges must be [i, j, gamma] number triplets: {exc}") from exc
+
+
+def _edge_columns(edges, n):
+    """Validated (i, j, gamma) columns of a graph file's edge list."""
+    if type(edges) is not list:
+        _raise_first_bad_edge(edges, n)
+        raise FormatError("edges must be a list of [i, j, gamma] triplets")
+    if not edges:
+        return np.zeros(0, dtype=int), np.zeros(0, dtype=int), np.zeros(0)
+    try:
+        if set(map(len, edges)) != {3}:
+            raise ValueError("not a triplet")
+        i, j = (np.asarray(list(map(itemgetter(k), edges))) for k in (0, 1))
+        in_range = (i.ndim == j.ndim == 1 and i.dtype.kind in "iuf"
+                    and j.dtype.kind in "iuf"
+                    and bool(np.all((0 <= i) & (i <= j) & (j < n))))
+    except (LookupError, TypeError, ValueError):
+        in_range = False
+    if not in_range:
+        _raise_first_bad_edge(edges, n)
+    if i.dtype.kind != "i" or j.dtype.kind != "i":
+        raise FormatError("edge indices must be integers")
+    try:
+        g = np.fromiter(map(itemgetter(2), edges), dtype=float, count=len(edges))
+    except (TypeError, ValueError) as exc:
+        raise FormatError(
+            f"edges must be [i, j, gamma] number triplets: {exc}") from exc
+    return i, j, g
+
+
+def _symmetric_csr(i, j, g, n):
+    """Canonical CSR of the symmetric matrix whose upper triangle is (i, j, g)."""
+    key = i * n + j
+    if not np.all(key[1:] > key[:-1]):
+        order = np.argsort(key, kind="stable")
+        i, j, g, key = i[order], j[order], g[order], key[order]
+        if np.any(key[1:] == key[:-1]):
+            raise FormatError("graph file lists an edge more than once")
+
+    def csr_of(part):
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(i[part], minlength=n))))
+        return sp.csr_array((g[part], j[part], indptr), shape=(n, n))
+
+    return csr_of(slice(None)) + csr_of(i != j).T
+
+
+def load_graph(path):
+    data = read_container(path, GRAPH_FILE_KIND, {GRAPH_FILE_VERSION})
+    missing = [key for key in ("n", "vertex_weights", "edges") if key not in data]
+    if missing:
+        raise FormatError(f"{path}: graph file has no {', '.join(missing)}")
+    n = data["n"]
+    if type(n) is not int or n < 1:
+        raise FormatError(f"{path}: n must be a positive integer, got {n!r}")
+    try:
+        v = np.asarray(data["vertex_weights"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: vertex_weights must be numbers: {exc}") from exc
+    if v.shape != (n,):
+        raise FormatError(
+            f"{path}: vertex_weights must list n={n} numbers, got shape {v.shape}")
+    gamma = _symmetric_csr(*_edge_columns(data["edges"], n), n)
     structure = None
     if "structure" in data:
         structure = GraphStructure(
             kind=data["structure"]["kind"],
             groups=tuple(np.asarray(grp, dtype=int)
                          for grp in data["structure"]["groups"]))
-    graph = TrainingGraph(v, gamma, structure=structure)
-    if graph.edge_weights.nnz < len(vals):
-        raise FormatError("graph file lists an edge more than once")
-    return graph
+    return TrainingGraph(v, gamma, structure=structure)

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArchitectureError, DimensionError, FormatError, GsfaError
+from .serialize import write_json
 from .solver import (
     ExpansionSpec,
     GsfaModel,
@@ -236,8 +237,7 @@ def save_network(network, directory):
         "layers": [spec.to_dict() for spec in network.specs],
         "nodes": node_files,
     }
-    (directory / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+    write_json(directory / "manifest.json", manifest)
 
 
 def load_network(directory):
@@ -261,7 +261,7 @@ def save_architecture(specs, path):
     """Write layer specs as a standalone JSON config."""
     payload = {"kind": "hgsfa-architecture", "format_version": 1,
                "layers": [spec.to_dict() for spec in specs]}
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
+    write_json(path, payload)
 
 
 def load_architecture(path):

@@ -20,10 +20,23 @@ import struct
 import numpy as np
 
 from .errors import DimensionError, FormatError
+from .serialize import format_rows
 
 MAGIC = b"GSFAMAT1"
 _DTYPES = {1: "<f8", 2: "<f4"}
 _CODES = {np.dtype("float64"): 1, np.dtype("float32"): 2}
+
+
+def write_csv(path, header, columns):
+    """Write a CSV table: the header row, then one row per column entry.
+
+    Each field is the ``repr`` of a column value's Python number, the
+    bytes ``csv.writer`` gives for rows of such strings.
+    """
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        if len(columns) and len(columns[0]):
+            fh.writelines(format_rows(columns, "", ",", "\n", "\n"))
 
 
 def save_matrix_csv(data, path, feature_names=None):
@@ -34,11 +47,7 @@ def save_matrix_csv(data, path, feature_names=None):
         feature_names = [f"x_{i}" for i in range(n_feat)]
     if len(feature_names) != n_feat:
         raise DimensionError("need one name per feature row")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(feature_names)
-        for col in data.T:
-            writer.writerow([repr(float(x)) for x in col])
+    write_csv(path, feature_names, list(data))
 
 
 def load_matrix_csv(path):
@@ -49,13 +58,22 @@ def load_matrix_csv(path):
             names = next(reader)
         except StopIteration:
             raise FormatError(f"{path}: empty CSV") from None
-        rows = [[float(x) for x in row] for row in reader if row]
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(names):
+                raise FormatError(
+                    f"{path}: row {reader.line_num} has {len(row)} values, "
+                    f"the header names {len(names)}")
+            try:
+                rows.append([float(x) for x in row])
+            except ValueError as exc:
+                raise FormatError(
+                    f"{path}: row {reader.line_num}: {exc}") from None
     if not rows:
         raise FormatError(f"{path}: CSV has a header but no data rows")
-    data = np.asarray(rows, dtype=float).T
-    if data.shape[0] != len(names):
-        raise FormatError(f"{path}: row width does not match header")
-    return data, names
+    return np.asarray(rows, dtype=float).T, names
 
 
 def save_matrix_binary(data, path, dtype="float64"):

@@ -3,20 +3,135 @@
 Every file is a JSON object carrying ``kind`` and ``format_version``
 fields; readers reject unknown kinds and versions. Writers emit sorted
 keys and a fixed layout so identical payloads produce identical bytes.
+
+:func:`write_json` is the one JSON writer. Its text is byte for byte
+``json.dumps(obj, sort_keys=True, indent=1) + "\\n"`` of the same payload
+with numpy arrays as nested lists and :class:`Columns` as a list of rows;
+``tests/conftest.py`` keeps that expression as the byte oracle. CPython
+uses its C encoder only without ``indent``, so numeric arrays and tables
+are formatted here instead, by ``repr`` joins in blocks
+(:func:`format_rows`); every other value goes through ``json.dumps``.
 """
 
 import json
 from pathlib import Path
 
+import numpy as np
+
 from .errors import FormatError
+
+#: Values formatted per text block; bounds the memory of one write.
+_BLOCK_VALUES = 1 << 16
+
+
+class Columns:
+    """A table written as a JSON list of rows, held as 1-D columns."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, *columns):
+        self.columns = [np.asarray(col) for col in columns]
+        shapes = {col.shape for col in self.columns}
+        if len(shapes) != 1 or len(shapes.pop()) != 1:
+            raise ValueError("Columns needs 1-D columns of one length")
+
+    def tolist(self):
+        """The rows as lists of Python numbers."""
+        return [list(row) for row in zip(*(col.tolist() for col in self.columns))]
+
+
+def format_rows(columns, prefix, sep, between, suffix):
+    """Yield the text of a table from its columns, in blocks.
+
+    The text is ``prefix``, then every row's ``repr`` values joined by
+    ``sep``, the rows joined by ``between``, then ``suffix``. Columns are
+    1-D arrays of one nonzero length whose ``tolist()`` values ``repr``
+    formats as wanted.
+    """
+    k = len(columns)
+    n = len(columns[0])
+    step = max(1, _BLOCK_VALUES // k)
+    yield prefix
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        fields = [map(repr, col[start:stop].tolist()) for col in columns]
+        yield between.join(map(sep.join, zip(*fields)))
+        yield between if stop < n else suffix
+
+
+def _plain_numbers(arr):
+    """True if JSON writes every value of arr as its ``repr``."""
+    kind = arr.dtype.kind
+    return kind in "iu" or (kind == "f" and bool(np.isfinite(arr).all()))
+
+
+def _json_table(columns, level):
+    """Text of a nonempty numeric table (rows of fields) at ``level``."""
+    row = "\n" + " " * (level + 1)
+    field = "\n" + " " * (level + 2)
+    return format_rows(columns, "[" + row + "[" + field, "," + field,
+                       row + "]," + row + "[" + field,
+                       row + "]\n" + " " * level + "]")
+
+
+def iter_json(obj, level=0):
+    """Yield the text of ``json.dumps(obj, sort_keys=True, indent=1)``.
+
+    ``obj`` may also hold numpy arrays (written as nested lists) and
+    :class:`Columns`; dict keys must be strings.
+    """
+    pad = "\n" + " " * level
+    inner = pad + " "
+    if isinstance(obj, Columns):
+        if len(obj.columns[0]) and all(map(_plain_numbers, obj.columns)):
+            yield from _json_table(obj.columns, level)
+        else:
+            yield from iter_json(obj.tolist(), level)
+    elif isinstance(obj, np.ndarray):
+        if obj.ndim == 1 and obj.size and _plain_numbers(obj):
+            yield from format_rows([obj], "[" + inner, "", "," + inner,
+                                   pad + "]")
+        elif obj.ndim == 2 and obj.size and _plain_numbers(obj):
+            yield from _json_table(list(obj.T), level)
+        else:
+            yield from iter_json(list(obj) if obj.ndim > 2 else obj.tolist(),
+                                 level)
+    elif isinstance(obj, dict):
+        if not obj:
+            yield "{}"
+            return
+        yield "{"
+        for index, (key, value) in enumerate(sorted(obj.items())):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+            yield ("," if index else "") + inner + json.dumps(key) + ": "
+            yield from iter_json(value, level + 1)
+        yield pad + "}"
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            yield "[]"
+            return
+        yield "["
+        for index, item in enumerate(obj):
+            yield ("," if index else "") + inner
+            yield from iter_json(item, level + 1)
+        yield pad + "]"
+    else:
+        yield json.dumps(obj)
+
+
+def write_json(path, obj):
+    """Write ``obj`` as sorted, one-space-indented JSON and a newline."""
+    with open(path, "w") as fh:
+        fh.writelines(iter_json(obj))
+        fh.write("\n")
 
 
 def write_container(path, kind, version, payload):
     data = dict(payload)
     data["kind"] = kind
     data["format_version"] = version
-    text = json.dumps(data, sort_keys=True, indent=1)
-    Path(path).write_text(text + "\n")
+    write_json(path, data)
 
 
 def read_container(path, kind, supported_versions):

@@ -380,9 +380,9 @@ def pca_reduce(data, vertex_weights, out_dims):
 
 def save_model(model, path, expansion=None, pca=None):
     payload = {
-        "weighted_mean": model.weighted_mean.tolist(),
-        "projection": model.projection.tolist(),
-        "deltas": model.deltas.tolist(),
+        "weighted_mean": model.weighted_mean,
+        "projection": model.projection,
+        "deltas": model.deltas,
         "trained_on": model.trained_on,
         "expansion": (expansion.to_dict() if expansion is not None else None),
         "pca": (pca.to_dict() if pca is not None else None),

@@ -10,12 +10,12 @@ constant pseudo-response, which violates the zero-mean constraint and
 is flagged infeasible.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, DegenerateGraphError, ParameterError
+from . import matrixio
 from .graph import check_consistency
 
 #: Counting threshold: responses with delta < 2 - SLOW_COUNT_TOL are "slow".
@@ -185,17 +185,14 @@ def export_spectrum(spectrum, csv_path, responses_path=None):
     Optionally writes the response matrix as a companion CSV with one
     column per response (header resp_0, resp_1, ...).
     """
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["j", "lambda", "delta", "feasible"])
-        for j in range(spectrum.eigenvalues.size):
-            writer.writerow([j, repr(float(spectrum.eigenvalues[j])),
-                             repr(float(spectrum.deltas[j])),
-                             int(spectrum.feasible[j])])
+    matrixio.write_csv(csv_path, ["j", "lambda", "delta", "feasible"],
+                       [np.arange(spectrum.eigenvalues.size),
+                        spectrum.eigenvalues, spectrum.deltas,
+                        spectrum.feasible.astype(int)])
     if responses_path is not None:
-        from .matrixio import save_matrix_csv
         names = [f"resp_{j}" for j in range(spectrum.responses.shape[1])]
-        save_matrix_csv(spectrum.responses.T, responses_path, feature_names=names)
+        matrixio.save_matrix_csv(spectrum.responses.T, responses_path,
+                                 feature_names=names)
 
 
 def export_edges(graph, path, percentile=None):
@@ -204,15 +201,12 @@ def export_edges(graph, path, percentile=None):
     ``percentile`` keeps only the strongest edges by |gamma|: e.g. 30.0
     keeps the top 30 percent. All edges are written by default.
     """
-    triplets = graph.gamma_triplets()
+    i, j, g = graph._triplet_arrays()
     if percentile is not None:
         if not 0 < percentile <= 100:
             raise ParameterError("percentile must be in (0, 100]")
-        mags = np.array([abs(g) for _, _, g in triplets])
+        mags = np.abs(g)
         cutoff = np.quantile(mags, 1.0 - percentile / 100.0) if mags.size else 0.0
-        triplets = [t for t in triplets if abs(t[2]) >= cutoff]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["i", "j", "gamma"])
-        for i, j, g in triplets:
-            writer.writerow([i, j, repr(float(g))])
+        keep = mags >= cutoff
+        i, j, g = i[keep], j[keep], g[keep]
+    matrixio.write_csv(path, ["i", "j", "gamma"], [i, j, g])

@@ -1,12 +1,15 @@
 """Shared oracles and tiny graph constructions for the test suite."""
 
+import csv
 import hashlib
+import json
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from gsfa import TrainingGraph
+from gsfa import FormatError, GraphStructure, TrainingGraph
+from gsfa.serialize import Columns, read_container
 
 
 def delta_by_loop(graph, y):
@@ -40,6 +43,103 @@ def fingerprint_by_loop(graph):
         h.update(np.float64(g).tobytes())
     return {"n": graph.n_samples, "q_sum": graph.q_sum, "r_sum": graph.r_sum,
             "checksum": h.hexdigest()[:16]}
+
+
+def plain_json(obj):
+    """obj with numpy arrays as nested lists and Columns as lists of rows."""
+    if isinstance(obj, (Columns, np.ndarray)):
+        return plain_json(obj.tolist())
+    if isinstance(obj, dict):
+        return {key: plain_json(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [plain_json(item) for item in obj]
+    return obj
+
+
+def json_by_dumps(obj):
+    """Byte oracle of the JSON writer: the indenting pure-Python encoder."""
+    return json.dumps(plain_json(obj), sort_keys=True, indent=1) + "\n"
+
+
+def graph_file_by_dumps(graph):
+    """Graph container text as the per-triplet payload and json.dumps make it."""
+    i, j, g = graph._triplet_arrays()
+    payload = {
+        "n": graph.n_samples,
+        "vertex_weights": graph.vertex_weights.tolist(),
+        "edges": [[int(a), int(b), float(w)]
+                  for a, b, w in zip(i.tolist(), j.tolist(), g.tolist())],
+        "kind": "training-graph",
+        "format_version": 1,
+    }
+    if graph.structure is not None:
+        payload["structure"] = {
+            "kind": graph.structure.kind,
+            "groups": [np.asarray(grp).tolist() for grp in graph.structure.groups],
+        }
+    return json_by_dumps(payload)
+
+
+def csv_by_writer(path, header, rows):
+    """Byte oracle of the CSV writers: one csv.writer row per table row."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(row)
+
+
+def matrix_csv_by_writer(data, path, feature_names):
+    csv_by_writer(path, feature_names,
+                  ([repr(float(x)) for x in col] for col in np.asarray(data).T))
+
+
+def edges_csv_by_loop(graph, path, percentile=None):
+    """Edge export as a filter over per-triplet tuples."""
+    i, j, g = graph._triplet_arrays()
+    triplets = list(zip(i.tolist(), j.tolist(), g.tolist()))
+    if percentile is not None:
+        mags = np.array([abs(w) for _, _, w in triplets])
+        cutoff = np.quantile(mags, 1.0 - percentile / 100.0) if mags.size else 0.0
+        triplets = [t for t in triplets if abs(t[2]) >= cutoff]
+    csv_by_writer(path, ["i", "j", "gamma"],
+                  ([a, b, repr(float(w))] for a, b, w in triplets))
+
+
+def load_graph_by_loop(path):
+    """Graph file reader with one Python step per edge: the rejection oracle."""
+    data = read_container(path, "training-graph", {1})
+    n = data["n"]
+    v = np.asarray(data["vertex_weights"], dtype=float)
+    rows, cols, vals = [], [], []
+    try:
+        for i, j, g in data["edges"]:
+            if not 0 <= i <= j < n:
+                raise FormatError(f"edge ({i}, {j}) outside 0 <= i <= j < {n}")
+            rows.append(i)
+            cols.append(j)
+            vals.append(g)
+            if i != j:
+                rows.append(j)
+                cols.append(i)
+                vals.append(g)
+        rows, cols = np.asarray(rows), np.asarray(cols)
+        if rows.size and (rows.dtype.kind != "i" or cols.dtype.kind != "i"):
+            raise FormatError("edge indices must be integers")
+        gamma = sp.coo_array((vals, (rows, cols)), shape=(n, n), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(
+            f"edges must be [i, j, gamma] number triplets: {exc}") from exc
+    structure = None
+    if "structure" in data:
+        structure = GraphStructure(
+            kind=data["structure"]["kind"],
+            groups=tuple(np.asarray(grp, dtype=int)
+                         for grp in data["structure"]["groups"]))
+    graph = TrainingGraph(v, gamma, structure=structure)
+    if graph.edge_weights.nnz < len(vals):
+        raise FormatError("graph file lists an edge more than once")
+    return graph
 
 
 def dense_graph(vertex_weights, gamma):

@@ -222,6 +222,50 @@ def test_spectrum_edge_percentile(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# bad input files end as "error: ..." with exit code 1
+
+def _assert_error_line(capsys, *fragments):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    for fragment in fragments:
+        assert fragment in err
+
+
+def test_label_file_with_text_line_exit_1(tmp_path, capsys):
+    labels = tmp_path / "labels.txt"
+    labels.write_text("# labels\n1.0\nseven\n3.0\n")
+    assert _run("build-graph", "--kind", "serial", "--labels", labels,
+                "--k", "2", "--out", tmp_path / "g.json") == 1
+    _assert_error_line(capsys, str(labels), "line 3", "'seven'")
+
+
+@pytest.mark.parametrize("rows, fragment", [
+    ("1.0,2.0\n3.0\n", "row 3"),
+    ("1.0,2.0\n3.0,x\n", "row 3"),
+])
+def test_train_on_malformed_data_csv_exit_1(tmp_path, capsys, rows, fragment):
+    data = tmp_path / "data.csv"
+    data.write_text("a,b\n" + rows)
+    graph = tmp_path / "g.json"
+    assert _run("build-graph", "--kind", "linear", "--n", "2", "--out", graph) == 0
+    capsys.readouterr()
+    assert _run("train", "--data", data, "--graph", graph,
+                "--out", tmp_path / "m.json") == 1
+    _assert_error_line(capsys, str(data), fragment)
+
+
+def test_spectrum_on_graph_file_without_n_exit_1(tmp_path, capsys):
+    graph = tmp_path / "g.json"
+    assert _run("build-graph", "--kind", "linear", "--n", "6", "--out", graph) == 0
+    data = json.loads(graph.read_text())
+    del data["n"]
+    graph.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert _run("spectrum", "--graph", graph, "--out-dir", tmp_path / "s") == 1
+    _assert_error_line(capsys, str(graph), "no n")
+
+
+# ---------------------------------------------------------------------------
 # reproduce
 
 def test_reproduce_unknown_name_exit_2(tmp_path):

@@ -1,0 +1,348 @@
+"""File writers and readers against their byte and rejection oracles.
+
+The JSON writer must equal ``json.dumps(..., sort_keys=True, indent=1)``
+byte for byte, the CSV writers the ``csv.writer`` row loop, and the graph
+reader must reject exactly what the per-edge loop rejected, with the same
+message (oracles in ``conftest.py``).
+"""
+
+import json
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+import gsfa
+from gsfa import FormatError, TrainingGraph
+from gsfa.serialize import Columns, iter_json, write_json
+
+from conftest import (
+    csv_by_writer,
+    edges_csv_by_loop,
+    graph_file_by_dumps,
+    json_by_dumps,
+    load_graph_by_loop,
+    matrix_csv_by_writer,
+    two_group_cross_graph,
+)
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+               -1.7976931348623157e308, 0.1, 1e16, 1e-7, 2.5]
+
+
+# ---------------------------------------------------------------------------
+# JSON writer
+
+def test_json_writer_matches_dumps_on_layouts():
+    cases = [
+        {}, [], 1.5, "text", None,
+        {"b": {}, "a": [1, 2.5, None, True, "xé\n"], "c": {"d": []}},
+        {"v": np.array(EDGE_FLOATS), "i": np.arange(4), "e": np.zeros(0)},
+        {"m": np.arange(12.0).reshape(3, 4), "cols0": np.zeros((2, 0)),
+         "rows0": np.zeros((0, 3)), "cube": np.arange(24).reshape(2, 3, 4)},
+        {"t": Columns(np.array([0, 1]), np.array([1, 3]), np.array([0.5, -0.0]))},
+        {"t": Columns(np.zeros(0, dtype=int), np.zeros(0))},
+        {"nan": np.array([1.0, np.nan, -np.inf]), "flags": np.array([True, False]),
+         "scalar": np.array(3.5), "f32": np.array([0.1, 3.0], dtype=np.float32),
+         "t": Columns(np.array([np.inf]), np.array([1]))},
+        [[np.array([1, 2]), {"k": np.array([[1.5]])}], (3, 4)],
+    ]
+    for obj in cases:
+        assert "".join(iter_json(obj)) + "\n" == json_by_dumps(obj), obj
+
+
+def test_json_writer_blocks_join_seamlessly(tmp_path):
+    rng = np.random.default_rng(3)
+    n = 70_001  # several blocks, the last one short
+    table = Columns(np.arange(n), np.arange(n) + 1, rng.normal(size=n))
+    payload = {"t": table, "v": rng.normal(size=n), "m": rng.normal(size=(900, 80))}
+    write_json(tmp_path / "big.json", payload)
+    assert (tmp_path / "big.json").read_text() == json_by_dumps(payload)
+
+
+def test_json_writer_rejects_non_string_keys():
+    with pytest.raises(TypeError):
+        "".join(iter_json({1: np.zeros(2)}))
+
+
+def _arrays(dtype, elements):
+    return hnp.arrays(dtype, hnp.array_shapes(min_dims=1, max_dims=3,
+                                              min_side=0, max_side=4),
+                      elements=elements)
+
+
+_finite = st.one_of(st.sampled_from(EDGE_FLOATS),
+                    st.floats(allow_nan=False, allow_infinity=False))
+_leaves = st.one_of(
+    _arrays(np.float64, _finite),
+    _arrays(np.float64, st.floats()),
+    _arrays(np.int64, st.integers(-2**63, 2**63 - 1)),
+    st.builds(lambda i, g: Columns(np.asarray(i[:len(g)], dtype=np.int64),
+                                   np.asarray(g[:len(i)], dtype=float)),
+              st.lists(st.integers(0, 10**9), max_size=6),
+              st.lists(_finite, max_size=6)),
+    _finite, st.integers(), st.booleans(), st.none(), st.text(max_size=4),
+)
+_payloads = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=3), inner, max_size=3)),
+    max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_payloads)
+def test_json_writer_matches_dumps_property(obj):
+    assert "".join(iter_json(obj)) + "\n" == json_by_dumps(obj)
+
+
+# ---------------------------------------------------------------------------
+# containers
+
+def _graph_cases(rng):
+    m = rng.normal(size=(9, 9)) * (rng.random((9, 9)) < 0.4)
+    gamma = m + m.T + 0.25
+    v = rng.uniform(1.0, 2.0, 9)
+    return {
+        "dense": TrainingGraph(v, gamma),
+        "csr": TrainingGraph(v, sp.csr_array(gamma)),
+        "self-loops": gsfa.build_linear_graph(7, "self_loop_extended"),
+        "serial-structure": gsfa.build_serial_graph(rng.normal(size=15), 5),
+        "clustered-structure": gsfa.build_clustered_graph([2, 4, 3]),
+    }
+
+
+def test_graph_file_matches_dumps(tmp_path, rng):
+    for name, graph in _graph_cases(rng).items():
+        path = tmp_path / f"{name}.json"
+        gsfa.save_graph(graph, path)
+        assert path.read_text() == graph_file_by_dumps(graph), name
+
+
+def test_model_file_matches_dumps(tmp_path, rng):
+    data = rng.normal(size=(3, 40))
+    graph = gsfa.build_serial_graph(np.arange(40.0), 8)
+    expansion = gsfa.ExpansionSpec("quadratic")
+    pca, reduced = gsfa.pca_reduce(data, graph.vertex_weights, 2)
+    model = gsfa.train_gsfa(gsfa.expand(reduced, expansion), graph, n_features=3)
+    gsfa.save_model(model, tmp_path / "model.json", expansion=expansion, pca=pca)
+    payload = {
+        "weighted_mean": model.weighted_mean.tolist(),
+        "projection": model.projection.tolist(),
+        "deltas": model.deltas.tolist(),
+        "trained_on": model.trained_on,
+        "expansion": expansion.to_dict(),
+        "pca": pca.to_dict(),
+        "kind": gsfa.solver.MODEL_FILE_KIND,
+        "format_version": gsfa.solver.MODEL_FILE_VERSION,
+    }
+    assert (tmp_path / "model.json").read_text() == json_by_dumps(payload)
+
+
+def test_label_set_file_matches_dumps(tmp_path, rng):
+    v = rng.uniform(0.5, 1.5, 12)
+    label_set = gsfa.decorrelate_labels(
+        gsfa.normalize_labels(rng.normal(size=(3, 12)), v), v)
+    assert label_set.mixing is not None
+    gsfa.save_labels(label_set, v, tmp_path / "labels.json")
+    payload = {
+        "labels": label_set.labels.tolist(),
+        "eigenvalues": label_set.eigenvalues.tolist(),
+        "vertex_weights": v.tolist(),
+        "mu_sigma": np.asarray(label_set.label_stats).tolist(),
+        "normalized": label_set.normalized,
+        "decorrelated": label_set.decorrelated,
+        "mixing": label_set.mixing.tolist(),
+        "kind": "label-set",
+        "format_version": 1,
+    }
+    assert (tmp_path / "labels.json").read_text() == json_by_dumps(payload)
+
+
+def test_estimator_files_match_dumps(tmp_path, rng):
+    feats = rng.normal(size=(2, 60))
+    labels = feats[0] * 2.0 + 0.1 * rng.normal(size=60)
+    for estimator in (gsfa.fit_linear_regression(feats, labels),
+                      gsfa.fit_soft_gc(feats, np.repeat([0.0, 1.0, 2.0], 20))):
+        path = tmp_path / f"{estimator.kind}.json"
+        gsfa.save_estimator(estimator, path)
+        payload = {"estimator": estimator.kind,
+                   "parameters": estimator.params(),
+                   "clip_range": list(estimator.clip_range),
+                   "kind": gsfa.estimators.ESTIMATOR_FILE_KIND,
+                   "format_version": gsfa.estimators.ESTIMATOR_FILE_VERSION}
+        assert path.read_text() == json_by_dumps(payload), estimator.kind
+
+
+def test_architecture_file_matches_dumps(tmp_path):
+    specs = [gsfa.LayerSpec(grid=(2, 2), receptive_field=(2, 2), out_dims=3),
+             gsfa.LayerSpec(grid=(1, 1), receptive_field=(2, 2), out_dims=2,
+                            pca_dims=3)]
+    gsfa.hierarchy.save_architecture(specs, tmp_path / "arch.json")
+    payload = {"kind": "hgsfa-architecture", "format_version": 1,
+               "layers": [spec.to_dict() for spec in specs]}
+    assert (tmp_path / "arch.json").read_text() == json_by_dumps(payload)
+
+
+# ---------------------------------------------------------------------------
+# CSV writers
+
+@pytest.mark.parametrize("shape", [(1, 1), (3, 5), (1, 200), (70, 3), (1500, 2)])
+def test_matrix_csv_matches_writer(tmp_path, shape):
+    rng = np.random.default_rng(sum(shape))
+    data = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+    data.flat[:len(EDGE_FLOATS)] = EDGE_FLOATS[:data.size]
+    data.flat[-1] = np.nan if data.size > 2 else data.flat[-1]
+    names = [f'f,{k}' if k % 2 else f'"q{k}"' for k in range(shape[0])]
+    gsfa.save_matrix_csv(data, tmp_path / "new.csv", feature_names=names)
+    matrix_csv_by_writer(data, tmp_path / "old.csv", names)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    if not np.isnan(data).any():
+        loaded, loaded_names = gsfa.load_matrix_csv(tmp_path / "new.csv")
+        assert loaded_names == names
+        np.testing.assert_array_equal(loaded, data)
+
+
+@pytest.mark.parametrize("percentile", [None, 30.0, 100.0, 0.5])
+def test_edge_export_matches_loop(tmp_path, rng, percentile):
+    for name, graph in _graph_cases(rng).items():
+        gsfa.export_edges(graph, tmp_path / "new.csv", percentile=percentile)
+        edges_csv_by_loop(graph, tmp_path / "old.csv", percentile=percentile)
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "old.csv").read_bytes()), name
+
+
+def test_spectrum_table_matches_writer(tmp_path):
+    spec = gsfa.optimal_free_responses(gsfa.build_serial_graph(np.arange(12.0), 4))
+    gsfa.export_spectrum(spec, tmp_path / "spectrum.csv")
+    rows = ([j, repr(float(spec.eigenvalues[j])), repr(float(spec.deltas[j])),
+             int(spec.feasible[j])] for j in range(spec.eigenvalues.size))
+    csv_by_writer(tmp_path / "old.csv", ["j", "lambda", "delta", "feasible"], rows)
+    assert ((tmp_path / "spectrum.csv").read_bytes()
+            == (tmp_path / "old.csv").read_bytes())
+
+
+# ---------------------------------------------------------------------------
+# graph file reader
+
+_EDGE_CASES = {
+    "repeated edge": lambda e: e + [[0, 2, 1.0]],
+    "repeated edge, unsorted": lambda e: [[0, 2, 1.0]] + e[::-1],
+    "fractional index": lambda e: e + [[0.5, 1, 1.0]],
+    "integral float index": lambda e: e + [[1.0, 2, 1.0]],
+    "short entry": lambda e: e + [[0, 1]],
+    "long entry": lambda e: e + [[0, 1, 2, 3]],
+    "string index": lambda e: e + [["0", 1, 1.0]],
+    "null index": lambda e: e + [[None, 1, 1.0]],
+    "list index": lambda e: e + [[[0], 1, 1.0]],
+    "string weight": lambda e: e + [[0, 1, "heavy"]],
+    "index past n": lambda e: e + [[0, 7, 1.0]],
+    "negative index": lambda e: e + [[-1, 2, 1.0]],
+    "huge index": lambda e: e + [[0, 2**64, 1.0]],
+    "i > j": lambda e: e + [[2, 1, 1.0]],
+    "number entry": lambda e: e + [5],
+    "string entry": lambda e: e + ["abc"],
+    "object entry": lambda e: e + [{"a": 1, "b": 2, "c": 3}],
+    "edges a string": lambda e: "xyz",
+    "edges a number": lambda e: 5,
+    "range error first": lambda e: [[0, 9, 1.0]] + e + [["0", 1, 1.0]],
+    "type error first": lambda e: [["0", 1, 1.0]] + e + [[0, 9, 1.0]],
+    "range before integers": lambda e: [[0.5, 1, 1.0]] + e + [[0, 9, 1.0]],
+    "no edges": lambda e: [],
+    "nan weight": lambda e: e + [[0, 1, float("nan")]],
+}
+_ACCEPTED = {
+    "unsorted": lambda e: e[::-1],
+    "numeric string weight": lambda e: e + [[0, 1, "1.5"]],
+    "zero weight": lambda e: e + [[0, 1, 0.0]],
+    "self-loops": lambda e: e + [[0, 0, 0.5], [3, 3, 2.0]],
+}
+
+
+def _edited_graph_file(tmp_path, edit):
+    path = tmp_path / "graph.json"
+    gsfa.save_graph(two_group_cross_graph(), path)
+    data = json.loads(path.read_text())
+    data["edges"] = edit(data["edges"])
+    path.write_text(json.dumps(data))
+    return path
+
+
+def _outcome(load, path):
+    try:
+        graph = load(path)
+    except gsfa.GsfaError as exc:
+        return type(exc).__name__, str(exc)
+    return graph.r_sum, graph.gamma_dense().tolist(), graph.fingerprint()
+
+
+@pytest.mark.parametrize("case", sorted(_EDGE_CASES))
+def test_graph_file_rejections_match_loop(tmp_path, case):
+    path = _edited_graph_file(tmp_path, _EDGE_CASES[case])
+    expected = _outcome(load_graph_by_loop, path)
+    assert isinstance(expected[0], str)
+    assert _outcome(gsfa.load_graph, path) == expected
+
+
+@pytest.mark.parametrize("case", sorted(_ACCEPTED))
+def test_graph_file_acceptances_match_loop(tmp_path, case):
+    path = _edited_graph_file(tmp_path, _ACCEPTED[case])
+    assert _outcome(gsfa.load_graph, path) == _outcome(load_graph_by_loop, path)
+
+
+def test_graph_file_nested_weight_rejected(tmp_path):
+    path = _edited_graph_file(tmp_path, lambda e: e + [[0, 1, [1.0]]])
+    with pytest.raises(FormatError, match="triplets"):
+        gsfa.load_graph(path)
+
+
+def test_graph_file_loads_builder_graphs_like_loop(tmp_path, rng):
+    for name, graph in _graph_cases(rng).items():
+        path = tmp_path / f"{name}.json"
+        gsfa.save_graph(graph, path)
+        new, old = gsfa.load_graph(path), load_graph_by_loop(path)
+        assert new.r_sum == old.r_sum, name
+        assert new.fingerprint() == old.fingerprint(), name
+        np.testing.assert_array_equal(new.gamma_dense(), old.gamma_dense())
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda d: d.pop("n"), "no n"),
+    (lambda d: d.pop("edges"), "no edges"),
+    (lambda d: d.pop("vertex_weights"), "no vertex_weights"),
+    (lambda d: d.update(vertex_weights=[1.0, "heavy", 1.0, 1.0]),
+     "vertex_weights must be numbers"),
+    (lambda d: d.update(vertex_weights=[1.0, 1.0, 1.0]), "n=4 numbers"),
+    (lambda d: d.update(n=0), "positive integer"),
+    (lambda d: d.update(n=4.0), "positive integer"),
+    (lambda d: d.update(n="4"), "positive integer"),
+    (lambda d: d.update(n=True), "positive integer"),
+], ids=["no-n", "no-edges", "no-vertex-weights", "text-vertex-weight",
+        "short-vertex-weights", "n-zero", "n-float", "n-string", "n-bool"])
+def test_graph_file_input_errors(tmp_path, edit, match):
+    path = tmp_path / "graph.json"
+    gsfa.save_graph(two_group_cross_graph(), path)
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    with pytest.raises(FormatError, match=match):
+        gsfa.load_graph(path)
+
+
+# ---------------------------------------------------------------------------
+# matrix CSV reader
+
+@pytest.mark.parametrize("text, match", [
+    ("a,b\n1.0,2.0\n3.0\n", r"row 3 has 1 values"),
+    ("a,b\n1.0,2.0,3.0\n", r"row 2 has 3 values"),
+    ("a,b\n1.0,2.0\n3.0,oops\n", r"row 3: could not convert string to float: 'oops'"),
+])
+def test_matrix_csv_reader_names_file_and_row(tmp_path, text, match):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=match) as exc:
+        gsfa.load_matrix_csv(path)
+    assert str(path) in str(exc.value)
