@@ -20,7 +20,6 @@ from .builders import (
     decorrelate_labels,
     deltas_from_eigenvalues,
     eigenvalues_from_deltas,
-    eliminate_negative_weights,
     load_labels,
     normalize_labels,
     save_labels,
@@ -74,9 +73,12 @@ from .estimators import (
 )
 from .graph import (
     ConsistencyReport,
+    EllFactors,
     GraphStructure,
     TrainingGraph,
     check_consistency,
+    eliminate_negative_weights,
+    ell_gamma,
     load_graph,
     markov_transition_matrix,
     normalize_feature,

@@ -31,7 +31,14 @@ from .errors import (
     RankError,
     TruncationWarning,
 )
-from .graph import GraphStructure, TrainingGraph, check_consistency
+from .graph import (
+    EllFactors,
+    GraphStructure,
+    TrainingGraph,
+    check_consistency,
+    eliminate_negative_weights,
+    ell_gamma,
+)
 from .serialize import read_container, write_container
 
 LABELSET_FILE_KIND = "label-set"
@@ -315,11 +322,8 @@ def build_ell_graph(label_set, vertex_weights, nonnegative=False,
     # columns: u_0 then one u_j per label; M = sum lambda_j u_j u_j^T
     u = np.column_stack([sqrt_v] + [sqrt_v * row for row in label_set.labels])
     u /= math.sqrt(q)
-    weights = np.concatenate([[r / q], lams])
-    m = (u * weights) @ u.T
-    gamma = sqrt_v[:, None] * m * sqrt_v[None, :]
-    gamma = (gamma + gamma.T) / 2.0
-    graph = TrainingGraph(v, gamma)
+    factors = EllFactors(u, np.concatenate([[r / q], lams]))
+    graph = TrainingGraph(v, ell_gamma(v, factors), ell=factors)
     if nonnegative:
         graph = eliminate_negative_weights(graph)
     return graph
@@ -337,30 +341,6 @@ def eigenvalues_from_deltas(deltas, q_sum, r_sum):
 def deltas_from_eigenvalues(eigenvalues, q_sum, r_sum):
     """Inverse of :func:`eigenvalues_from_deltas`."""
     return 2.0 - (2.0 * q_sum / r_sum) * np.asarray(eigenvalues, dtype=float)
-
-
-def eliminate_negative_weights(graph):
-    """Shift edge weights to be non-negative without changing solutions.
-
-    With c = max(-gamma_{n,n'} / (v_n v_n')), the new weights are
-    (gamma + c v v^T) / (1 + c Q^2 / R). R and the consistency property
-    are preserved; every delta value maps affinely through
-    delta' = (delta + 2cQ^2/R) / (1 + cQ^2/R), keeping order and the
-    fixed point delta = 2. Graphs without negative weights are returned
-    unchanged.
-    """
-    v = graph.vertex_weights
-    if np.any(v <= 0):
-        raise ContractError("elimination requires strictly positive vertex weights")
-    gamma = graph.gamma_dense()
-    c = float(np.max(-gamma / np.outer(v, v)))
-    if c <= 0:
-        return graph
-    scale = 1.0 + c * graph.q_sum ** 2 / graph.r_sum
-    shifted = (gamma + c * np.outer(v, v)) / scale
-    shifted = np.maximum(shifted, 0.0)  # clamp -0.0/rounding at the arg max
-    shifted = (shifted + shifted.T) / 2.0
-    return TrainingGraph(v, shifted, structure=graph.structure)
 
 
 def auxiliary_labels(first_label, k):

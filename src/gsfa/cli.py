@@ -7,7 +7,8 @@ outputs byte-identically. The only volatile file is ``run_meta.json``
 (wall-clock timestamp), written separately so artifact directories stay
 diffable.
 
-Exit codes: 0 success, 1 numerical or contract failure, 2 usage error.
+Exit codes: 0 success, 1 numerical or contract failure, 2 usage error or
+an operating-system error on a file (``error: <path>: <reason>``).
 """
 
 import argparse
@@ -585,6 +586,10 @@ def main(argv=None):
     except GsfaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -4,7 +4,9 @@ A training graph holds strictly positive vertex weights ``v`` over N
 samples and a symmetric edge-weight matrix ``gamma``. The normalization
 sums Q = sum(v) and R = sum(gamma) are cached at construction. Edge
 weights can be stored densely (numpy array) or sparsely (scipy CSR);
-both forms expose the same operations.
+both forms expose the same operations. An exact-label graph also keeps
+the factors it is built from (:class:`EllFactors`), and its graph file
+stores those factors instead of the N x N edges.
 
 The delta value of a feature y is the edge-weighted mean squared output
 difference, (1/R) * sum_{n,n'} gamma_{n,n'} (y(n') - y(n))^2. For
@@ -13,7 +15,7 @@ consistent graphs and normalized features it reduces to
 """
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import itemgetter
 
 import numpy as np
@@ -34,7 +36,9 @@ from .serialize import Columns, read_container, write_container
 DEFAULT_CONSISTENCY_RTOL = 1e-9
 
 GRAPH_FILE_KIND = "training-graph"
-GRAPH_FILE_VERSION = 1
+#: Version 1 lists the upper-triangle edges; version 2 holds ELL factors.
+GRAPH_FILE_VERSIONS = {1, 2}
+STRUCTURE_KINDS = ("clustered", "serial")
 
 #: One hashed upper-triangle edge: row, column, weight.
 _TRIPLET_DTYPE = np.dtype([("i", "<i8"), ("j", "<i8"), ("g", "<f8")])
@@ -51,6 +55,37 @@ class GraphStructure:
 
     kind: str
     groups: tuple
+
+
+@dataclass(frozen=True)
+class EllFactors:
+    """Factors of an exact-label graph.
+
+    gamma = Diag(sqrt v) U Diag(weights) U^T Diag(sqrt v), symmetrized
+    (:func:`ell_gamma`); U is N x k with columns u_0, u_1..u_L and
+    ``weights`` is [R/Q, lambda_1..lambda_L]. ``nonnegative`` marks a
+    graph whose negative weights were then eliminated by
+    :func:`eliminate_negative_weights`. Both arrays are copied and made
+    read-only.
+    """
+
+    u: np.ndarray
+    weights: np.ndarray
+    nonnegative: bool = False
+
+    def __post_init__(self):
+        for name in ("u", "weights"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+
+def ell_gamma(vertex_weights, factors):
+    """The symmetric N x N edge matrix of exact-label factors."""
+    sqrt_v = np.sqrt(vertex_weights)
+    m = (factors.u * factors.weights) @ factors.u.T
+    gamma = sqrt_v[:, None] * m * sqrt_v[None, :]
+    return (gamma + gamma.T) / 2.0
 
 
 @dataclass(frozen=True)
@@ -77,15 +112,18 @@ class TrainingGraph:
         Must already be exactly symmetric (use :func:`symmetrize` first
         for raw directed weights). Absent edges are zeros.
     structure : optional :class:`GraphStructure` set by builders.
+    ell : optional :class:`EllFactors` the edge weights were built from;
+        the caller vouches that they match. Graph files then store the
+        factors. Transforms other than elimination drop them.
 
     Both storage forms are copied and made read-only, so the cached sums
     and fingerprint cannot go stale.
     """
 
     __slots__ = ("vertex_weights", "_gamma", "_sparse", "n_samples",
-                 "q_sum", "r_sum", "structure", "_fingerprint")
+                 "q_sum", "r_sum", "structure", "ell", "_fingerprint")
 
-    def __init__(self, vertex_weights, edge_weights, structure=None):
+    def __init__(self, vertex_weights, edge_weights, structure=None, ell=None):
         v = np.asarray(vertex_weights, dtype=float).copy()
         if v.ndim != 1:
             raise DimensionError("vertex_weights must be a 1-D vector")
@@ -106,11 +144,11 @@ class TrainingGraph:
             if g.shape != (n, n):
                 raise DimensionError(
                     f"edge matrix shape {g.shape} does not match N={n}")
+            if not np.all(np.isfinite(g.data)):
+                raise DegenerateGraphError("edge weights must be finite")
             asym = (g - g.T)
             if asym.nnz and np.max(np.abs(asym.data)) != 0.0:
                 raise ContractError("edge weights must be exactly symmetric")
-            if not np.all(np.isfinite(g.data)):
-                raise DegenerateGraphError("edge weights must be finite")
             for part in (g.data, g.indices, g.indptr):
                 part.setflags(write=False)
             r = float(g.sum())
@@ -127,6 +165,9 @@ class TrainingGraph:
             r = float(g.sum())
         if r <= 0:
             raise DegenerateGraphError(f"sum of edge weights must be > 0, got {r}")
+        if ell is not None and ell.u.shape[0] != n:
+            raise DimensionError(
+                f"ELL factors have {ell.u.shape[0]} rows, graph has N={n}")
 
         v.setflags(write=False)
         self.vertex_weights = v
@@ -136,6 +177,7 @@ class TrainingGraph:
         self.q_sum = float(v.sum())
         self.r_sum = r
         self.structure = structure
+        self.ell = ell
         self._fingerprint = None
 
     # -- storage-neutral access ------------------------------------------
@@ -316,6 +358,31 @@ def remove_self_loops(graph):
     return TrainingGraph(graph.vertex_weights, g, structure=graph.structure)
 
 
+def eliminate_negative_weights(graph):
+    """Shift edge weights to be non-negative without changing solutions.
+
+    With c = max(-gamma_{n,n'} / (v_n v_n')), the new weights are
+    (gamma + c v v^T) / (1 + c Q^2 / R). R and the consistency property
+    are preserved; every delta value maps affinely through
+    delta' = (delta + 2cQ^2/R) / (1 + cQ^2/R), keeping order and the
+    fixed point delta = 2. Graphs without negative weights are returned
+    unchanged. ELL factors are kept, marked ``nonnegative``.
+    """
+    v = graph.vertex_weights
+    if np.any(v <= 0):
+        raise ContractError("elimination requires strictly positive vertex weights")
+    gamma = graph.gamma_dense()
+    c = float(np.max(-gamma / np.outer(v, v)))
+    if c <= 0:
+        return graph
+    scale = 1.0 + c * graph.q_sum ** 2 / graph.r_sum
+    shifted = (gamma + c * np.outer(v, v)) / scale
+    shifted = np.maximum(shifted, 0.0)  # clamp -0.0/rounding at the arg max
+    shifted = (shifted + shifted.T) / 2.0
+    ell = None if graph.ell is None else replace(graph.ell, nonnegative=True)
+    return TrainingGraph(v, shifted, structure=graph.structure, ell=ell)
+
+
 def markov_transition_matrix(graph):
     """Row-normalized edge weights, P[n, n'] = gamma_{n,n'} / sum_n' gamma.
 
@@ -336,18 +403,25 @@ def markov_transition_matrix(graph):
 
 
 def save_graph(graph, path):
-    """Write the versioned graph container (JSON, upper-triangle edges)."""
-    payload = {
-        "n": graph.n_samples,
-        "vertex_weights": graph.vertex_weights,
-        "edges": Columns(*graph._triplet_arrays()),
-    }
+    """Write the versioned graph container (JSON).
+
+    A graph with ELL factors is written as those factors (version 2),
+    any other graph as its upper-triangle edges (version 1).
+    """
+    payload = {"n": graph.n_samples, "vertex_weights": graph.vertex_weights}
+    if graph.ell is None:
+        version = 1
+        payload["edges"] = Columns(*graph._triplet_arrays())
+    else:
+        version = 2
+        payload["ell"] = {"u": graph.ell.u, "weights": graph.ell.weights,
+                          "nonnegative": graph.ell.nonnegative}
     if graph.structure is not None:
         payload["structure"] = {
             "kind": graph.structure.kind,
             "groups": [np.asarray(grp) for grp in graph.structure.groups],
         }
-    write_container(path, GRAPH_FILE_KIND, GRAPH_FILE_VERSION, payload)
+    write_container(path, GRAPH_FILE_KIND, version, payload)
 
 
 def _raise_first_bad_edge(edges, n):
@@ -393,6 +467,12 @@ def _edge_columns(edges, n):
     return i, j, g
 
 
+def _sorted_csr(i, j, g, n):
+    """CSR of the n x n entries (i, j, g), listed in row-major order."""
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(i, minlength=n))))
+    return sp.csr_array((g, j, indptr), shape=(n, n))
+
+
 def _symmetric_csr(i, j, g, n):
     """Canonical CSR of the symmetric matrix whose upper triangle is (i, j, g)."""
     key = i * n + j
@@ -401,19 +481,79 @@ def _symmetric_csr(i, j, g, n):
         i, j, g, key = i[order], j[order], g[order], key[order]
         if np.any(key[1:] == key[:-1]):
             raise FormatError("graph file lists an edge more than once")
+    off = i != j
+    return _sorted_csr(i, j, g, n) + _sorted_csr(i[off], j[off], g[off], n).T
 
-    def csr_of(part):
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(i[part], minlength=n))))
-        return sp.csr_array((g[part], j[part], indptr), shape=(n, n))
 
-    return csr_of(slice(None)) + csr_of(i != j).T
+def _ell_factors(ell, n, path):
+    """Validated factors of a version-2 graph file's ``ell`` object."""
+    if type(ell) is not dict or set(ell) != {"u", "weights", "nonnegative"}:
+        raise FormatError(
+            f"{path}: ell must be an object of u, weights and nonnegative")
+    if type(ell["nonnegative"]) is not bool:
+        raise FormatError(f"{path}: ell nonnegative must be true or false, "
+                          f"got {ell['nonnegative']!r}")
+    try:
+        u = np.asarray(ell["u"], dtype=float)
+        weights = np.asarray(ell["weights"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: ell factors must be numbers: {exc}") from exc
+    if u.ndim != 2 or u.shape[0] != n or u.shape[1] < 1:
+        raise FormatError(
+            f"{path}: ell u must be an n x k matrix with n={n}, got shape {u.shape}")
+    if weights.shape != (u.shape[1],):
+        raise FormatError(f"{path}: ell weights must list k={u.shape[1]} "
+                          f"numbers, got shape {weights.shape}")
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(weights))):
+        raise FormatError(f"{path}: ell factors must be finite")
+    return EllFactors(u, weights, ell["nonnegative"])
+
+
+def _ell_csr(v, factors):
+    """CSR edges of the graph that ELL factors describe.
+
+    Built as :func:`gsfa.builders.build_ell_graph` builds it; its nonzero
+    entries in row-major order are exactly the CSR a version-1 file of
+    that graph loads to.
+    """
+    graph = TrainingGraph(v, ell_gamma(v, factors))
+    if factors.nonnegative:
+        graph = eliminate_negative_weights(graph)
+    gamma = graph.edge_weights
+    i, j = np.nonzero(gamma)
+    return _sorted_csr(i, j, gamma[i, j], graph.n_samples)
+
+
+def _structure(spec, n, path):
+    """Validated builder structure of a graph file."""
+    kind = spec.get("kind") if type(spec) is dict else None
+    if kind not in STRUCTURE_KINDS:
+        raise FormatError(f"{path}: structure kind must be one of "
+                          f"{', '.join(STRUCTURE_KINDS)}, got {kind!r}")
+    groups = spec.get("groups")
+    if type(groups) is not list or not all(
+            type(grp) is list and all(type(i) is int for i in grp)
+            for grp in groups):
+        raise FormatError(
+            f"{path}: structure groups must be a list of integer index lists")
+    for grp in groups:
+        for i in grp:
+            if not 0 <= i < n:
+                raise FormatError(
+                    f"{path}: structure index {i} outside 0 <= i < {n}")
+    return GraphStructure(kind=kind, groups=tuple(
+        np.asarray(grp, dtype=int) for grp in groups))
 
 
 def load_graph(path):
-    data = read_container(path, GRAPH_FILE_KIND, {GRAPH_FILE_VERSION})
-    missing = [key for key in ("n", "vertex_weights", "edges") if key not in data]
+    """Read a graph file of either version; edges come back as CSR."""
+    data = read_container(path, GRAPH_FILE_KIND, GRAPH_FILE_VERSIONS)
+    edge_key = "edges" if data["format_version"] == 1 else "ell"
+    missing = [key for key in ("n", "vertex_weights", edge_key) if key not in data]
     if missing:
         raise FormatError(f"{path}: graph file has no {', '.join(missing)}")
+    if edge_key == "ell" and "edges" in data:
+        raise FormatError(f"{path}: a version-2 graph file has ell, not edges")
     n = data["n"]
     if type(n) is not int or n < 1:
         raise FormatError(f"{path}: n must be a positive integer, got {n!r}")
@@ -424,11 +564,13 @@ def load_graph(path):
     if v.shape != (n,):
         raise FormatError(
             f"{path}: vertex_weights must list n={n} numbers, got shape {v.shape}")
-    gamma = _symmetric_csr(*_edge_columns(data["edges"], n), n)
     structure = None
     if "structure" in data:
-        structure = GraphStructure(
-            kind=data["structure"]["kind"],
-            groups=tuple(np.asarray(grp, dtype=int)
-                         for grp in data["structure"]["groups"]))
-    return TrainingGraph(v, gamma, structure=structure)
+        structure = _structure(data["structure"], n, path)
+    ell = None
+    if edge_key == "edges":
+        gamma = _symmetric_csr(*_edge_columns(data["edges"], n), n)
+    else:
+        ell = _ell_factors(data["ell"], n, path)
+        gamma = _ell_csr(v, ell)
+    return TrainingGraph(v, gamma, structure=structure, ell=ell)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import gsfa
 from gsfa import FormatError, GraphStructure, TrainingGraph
 from gsfa.serialize import Columns, read_container
 
@@ -62,7 +63,11 @@ def json_by_dumps(obj):
 
 
 def graph_file_by_dumps(graph):
-    """Graph container text as the per-triplet payload and json.dumps make it."""
+    """Graph container text as the per-triplet payload and json.dumps make it.
+
+    Always version 1, also for a graph with ELL factors: the oracle its
+    version-2 file must load like.
+    """
     i, j, g = graph._triplet_arrays()
     payload = {
         "n": graph.n_samples,
@@ -140,6 +145,19 @@ def load_graph_by_loop(path):
     if graph.edge_weights.nnz < len(vals):
         raise FormatError("graph file lists an edge more than once")
     return graph
+
+
+def ell_graph_from_seed(seed, n, n_labels, nonnegative, uniform=True,
+                        target_r_sum=None):
+    """Exact-label graph over random labels and (optionally) random weights."""
+    rng = np.random.default_rng(seed)
+    v = np.ones(n) if uniform else rng.uniform(0.5, 2.0, n)
+    label_set = gsfa.decorrelate_labels(
+        gsfa.normalize_labels(rng.normal(size=(n_labels, n)), v), v)
+    lams = rng.uniform(0.1, 1.0, n_labels)
+    return gsfa.build_ell_graph(label_set.with_eigenvalues(lams / lams.sum()),
+                                v, nonnegative=nonnegative,
+                                target_r_sum=target_r_sum)
 
 
 def dense_graph(vertex_weights, gamma):

@@ -265,6 +265,33 @@ def test_spectrum_on_graph_file_without_n_exit_1(tmp_path, capsys):
     _assert_error_line(capsys, str(graph), "no n")
 
 
+def test_spectrum_on_graph_file_with_null_weight_exit_1(tmp_path, capsys):
+    graph = tmp_path / "g.json"
+    assert _run("build-graph", "--kind", "linear", "--n", "6", "--out", graph) == 0
+    data = json.loads(graph.read_text())
+    data["edges"][0][2] = None
+    graph.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert _run("spectrum", "--graph", graph, "--out-dir", tmp_path / "s") == 1
+    _assert_error_line(capsys, "finite")
+
+
+def test_spectrum_on_missing_graph_file_exit_2(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert _run("spectrum", "--graph", missing, "--out-dir", tmp_path / "s") == 2
+    _assert_error_line(capsys, f"error: {missing}: No such file or directory")
+
+
+def test_train_on_missing_data_file_exit_2(tmp_path, capsys):
+    graph = tmp_path / "g.json"
+    assert _run("build-graph", "--kind", "linear", "--n", "6", "--out", graph) == 0
+    capsys.readouterr()
+    missing = tmp_path / "missing.csv"
+    assert _run("train", "--data", missing, "--graph", graph,
+                "--out", tmp_path / "m.json") == 2
+    _assert_error_line(capsys, f"error: {missing}: No such file or directory")
+
+
 # ---------------------------------------------------------------------------
 # reproduce
 
@@ -277,6 +304,10 @@ def test_reproduce_fig6_passes(tmp_path):
     summary = json.loads((tmp_path / "r" / "summary.json").read_text())
     assert summary["passed"] is True
     assert summary["counts"] == {"reordering": 14, "serial": 6, "ell4": 4}
+    versions = {name: json.loads((tmp_path / "r" / name / "graph.json")
+                                 .read_text())["format_version"]
+                for name in summary["counts"]}
+    assert versions == {"reordering": 1, "serial": 1, "ell4": 2}
 
 
 def test_rerun_overwrites_byte_identical(tmp_path):

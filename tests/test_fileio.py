@@ -3,7 +3,8 @@
 The JSON writer must equal ``json.dumps(..., sort_keys=True, indent=1)``
 byte for byte, the CSV writers the ``csv.writer`` row loop, and the graph
 reader must reject exactly what the per-edge loop rejected, with the same
-message (oracles in ``conftest.py``).
+message (oracles in ``conftest.py``). A graph file of ELL factors
+(version 2) must load to exactly the graph its version-1 file gives.
 """
 
 import json
@@ -22,6 +23,7 @@ from gsfa.serialize import Columns, iter_json, write_json
 from conftest import (
     csv_by_writer,
     edges_csv_by_loop,
+    ell_graph_from_seed,
     graph_file_by_dumps,
     json_by_dumps,
     load_graph_by_loop,
@@ -330,6 +332,118 @@ def test_graph_file_input_errors(tmp_path, edit, match):
     path.write_text(json.dumps(data))
     with pytest.raises(FormatError, match=match):
         gsfa.load_graph(path)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda d: d["structure"].pop("kind"), "structure kind"),
+    (lambda d: d["structure"].update(kind="chain"), "structure kind"),
+    (lambda d: d.update(structure=["clustered"]), "structure kind"),
+    (lambda d: d["structure"].pop("groups"), "structure groups"),
+    (lambda d: d["structure"].update(groups=[0, 1, 2]), "structure groups"),
+    (lambda d: d["structure"].update(groups=[[0, 1.0], [2, 3]]), "structure groups"),
+    (lambda d: d["structure"].update(groups=[[0, True], [2, 3]]), "structure groups"),
+    (lambda d: d["structure"].update(groups=[[0, 1], [2, 4]]), "index 4 outside"),
+    (lambda d: d["structure"].update(groups=[[-1, 1], [2, 3]]), "index -1 outside"),
+], ids=["no-kind", "unknown-kind", "not-an-object", "no-groups",
+        "groups-not-lists", "float-index", "bool-index", "index-past-n",
+        "negative-index"])
+def test_graph_file_structure_errors(tmp_path, edit, match):
+    path = tmp_path / "graph.json"
+    gsfa.save_graph(gsfa.build_clustered_graph([2, 2]), path)
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    with pytest.raises(FormatError, match=match) as exc:
+        gsfa.load_graph(path)
+    assert str(path) in str(exc.value)
+
+
+# ---------------------------------------------------------------------------
+# graph file version 2: exact-label factors
+
+def _assert_same_loaded_graph(new, old):
+    for part in ("data", "indices", "indptr"):
+        a, b = getattr(new.edge_weights, part), getattr(old.edge_weights, part)
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+    assert (new.q_sum, new.r_sum) == (old.q_sum, old.r_sum)
+    assert new.fingerprint() == old.fingerprint()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(5, 60),
+       n_labels=st.integers(1, 4), nonnegative=st.booleans(),
+       uniform=st.booleans(),
+       target_r_sum=st.none() | st.floats(0.01, 100.0))
+def test_ell_v2_file_loads_like_v1(tmp_path_factory, seed, n, n_labels,
+                                   nonnegative, uniform, target_r_sum):
+    graph = ell_graph_from_seed(seed, n, n_labels, nonnegative=nonnegative,
+                                uniform=uniform, target_r_sum=target_r_sum)
+    tmp = tmp_path_factory.mktemp("ell")
+    v2, v1 = tmp / "v2.json", tmp / "v1.json"
+    gsfa.save_graph(graph, v2)
+    v1.write_text(graph_file_by_dumps(graph))
+    assert json.loads(v2.read_text())["format_version"] == 2
+    new, old = gsfa.load_graph(v2), gsfa.load_graph(v1)
+    _assert_same_loaded_graph(new, old)
+    assert old.ell is None
+    assert new.ell.nonnegative == graph.ell.nonnegative
+    np.testing.assert_array_equal(new.ell.u, graph.ell.u)
+    np.testing.assert_array_equal(new.ell.weights, graph.ell.weights)
+
+
+def test_ell_v2_file_layout(tmp_path):
+    graph = ell_graph_from_seed(7, 12, 2, nonnegative=True)
+    path = tmp_path / "ell.json"
+    gsfa.save_graph(graph, path)
+    assert path.read_text() == json_by_dumps({
+        "n": 12, "vertex_weights": graph.vertex_weights,
+        "ell": {"u": graph.ell.u, "weights": graph.ell.weights,
+                "nonnegative": True},
+        "kind": "training-graph", "format_version": 2})
+    # a loaded graph keeps its factors, so saving it again is the same file
+    again = tmp_path / "again.json"
+    gsfa.save_graph(gsfa.load_graph(path), again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_ell_v1_file_still_loads(tmp_path):
+    graph = ell_graph_from_seed(3, 20, 3, nonnegative=False)
+    path = tmp_path / "ell-v1.json"
+    path.write_text(graph_file_by_dumps(graph))
+    loaded = gsfa.load_graph(path)
+    assert loaded.ell is None and loaded.is_sparse
+    np.testing.assert_array_equal(loaded.gamma_dense(), graph.gamma_dense())
+    assert loaded.fingerprint()["checksum"] == graph.fingerprint()["checksum"]
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda d: d.pop("ell"), "no ell"),
+    (lambda d: d.update(edges=[[0, 1, 1.0]]), "ell, not edges"),
+    (lambda d: d.update(ell=[1.0]), "object of u, weights"),
+    (lambda d: d["ell"].pop("weights"), "object of u, weights"),
+    (lambda d: d["ell"].update(u=d["ell"]["u"][:-1]), r"n x k matrix with n=6"),
+    (lambda d: d["ell"].update(u=[row[:1] for row in d["ell"]["u"]]),
+     "must list k=1 numbers"),
+    (lambda d: d["ell"]["u"][2].pop(), "numbers"),
+    (lambda d: d["ell"].update(weights=d["ell"]["weights"][:-1]),
+     "must list k=3 numbers"),
+    (lambda d: d["ell"]["u"][1].__setitem__(0, float("nan")), "finite"),
+    (lambda d: d["ell"]["weights"].__setitem__(1, None), "finite"),
+    (lambda d: d["ell"].update(nonnegative=1), "true or false"),
+    (lambda d: d["ell"].update(nonnegative="true"), "true or false"),
+], ids=["no-ell", "ell-and-edges", "ell-not-object", "no-weights",
+        "u-short-rows", "u-narrow", "u-ragged", "weights-short", "u-nan",
+        "weight-null", "nonnegative-int", "nonnegative-string"])
+def test_ell_v2_file_errors(tmp_path, edit, match):
+    path = tmp_path / "ell.json"
+    gsfa.save_graph(ell_graph_from_seed(5, 6, 2, nonnegative=False), path)
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    with pytest.raises(FormatError, match=match) as exc:
+        gsfa.load_graph(path)
+    assert str(path) in str(exc.value)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,15 @@ def test_graph_rejects_asymmetric_edges():
         dense_graph([1.0, 1.0], [[0, 2], [0, 0]])
 
 
+@pytest.mark.parametrize("storage", [np.array, sp.csr_array],
+                         ids=["dense", "csr"])
+def test_graph_rejects_nan_edge_as_not_finite(storage):
+    # NaN != NaN, so a symmetry check run first would misreport this
+    gamma = np.array([[0.0, np.nan], [np.nan, 1.0]])
+    with pytest.raises(DegenerateGraphError, match="finite"):
+        TrainingGraph(np.ones(2), storage(gamma))
+
+
 def test_graph_rejects_nonpositive_edge_sum():
     with pytest.raises(DegenerateGraphError):
         dense_graph([1.0, 1.0], [[0, -1], [-1, 0]])
@@ -76,6 +85,22 @@ def _ell_graph(rng, nonnegative=False):
         gsfa.normalize_labels(rng.normal(size=(2, 14)), v), v)
     return gsfa.build_ell_graph(label_set.with_eigenvalues([0.7, 0.3]), v,
                                 nonnegative=nonnegative)
+
+
+def test_ell_graph_carries_its_factors(rng):
+    graph = _ell_graph(rng)
+    np.testing.assert_array_equal(
+        graph.gamma_dense(), gsfa.ell_gamma(graph.vertex_weights, graph.ell))
+    assert graph.ell.u.shape == (14, 3)
+    assert graph.ell.weights[0] == 1.0  # R/Q for the default R = Q
+    assert not graph.ell.nonnegative
+    assert not graph.ell.u.flags.writeable
+    eliminated = gsfa.eliminate_negative_weights(graph)
+    assert eliminated.ell.nonnegative
+    np.testing.assert_array_equal(eliminated.ell.u, graph.ell.u)
+    with pytest.raises(DimensionError, match="2 rows"):
+        TrainingGraph(np.ones(3), np.ones((3, 3)),
+                      ell=gsfa.EllFactors(np.ones((2, 2)), [1.0, 0.0]))
 
 
 def _fingerprint_cases(rng):
@@ -354,6 +379,12 @@ def test_remove_self_loops_definition():
     assert out.q_sum == graph.q_sum
     assert out.r_sum == pytest.approx(1.0)
     assert graph.r_sum == pytest.approx(3.0)
+
+
+def test_remove_self_loops_drops_ell_factors(rng):
+    graph = _ell_graph(rng)
+    assert graph.ell is not None
+    assert remove_self_loops(graph).ell is None
 
 
 def test_remove_self_loops_noop_on_loop_free():
