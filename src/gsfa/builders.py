@@ -38,6 +38,7 @@ from .graph import (
     check_consistency,
     eliminate_negative_weights,
     ell_gamma,
+    structure_edges,
 )
 from .serialize import read_container, write_container
 
@@ -138,23 +139,11 @@ def build_clustered_graph(class_sizes):
     if any(s < 2 for s in sizes):
         raise ParameterError(f"every class needs >= 2 samples, got {sizes}")
     n = sum(sizes)
-    rows, cols, vals = [], [], []
-    start = 0
-    groups = []
-    for size in sizes:
-        members = np.arange(start, start + size)
-        groups.append(members)
-        a, b = np.repeat(members, size), np.tile(members, size)
-        off = a != b
-        rows.append(a[off])
-        cols.append(b[off])
-        vals.append(np.full(size * (size - 1), 1.0 / (size - 1)))
-        start += size
-    gamma = sp.csr_array(sp.coo_array(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n)))
-    structure = GraphStructure("clustered", tuple(groups))
-    return TrainingGraph(np.ones(n), gamma, structure=structure)
+    starts = np.cumsum([0] + sizes[:-1])
+    structure = GraphStructure("clustered", tuple(
+        np.arange(start, start + size) for start, size in zip(starts, sizes)))
+    return TrainingGraph(np.ones(n), structure_edges(structure, n),
+                         structure=structure)
 
 
 def serial_groups(labels, k, policy="strict"):
@@ -201,19 +190,12 @@ def build_serial_graph(labels, k, policy="strict"):
     group_index, _ = serial_groups(labels, k, policy=policy)
     group_index = group_index[group_index >= 0]  # kept samples, original order
     n = group_index.shape[0]
-    groups = [np.flatnonzero(group_index == g) for g in range(k)]
-    pairs = list(zip(groups, groups[1:]))
-    left = np.concatenate([np.repeat(a, b.size) for a, b in pairs])
-    right = np.concatenate([np.tile(b, a.size) for a, b in pairs])
-    rows = np.concatenate([left, right])
-    cols = np.concatenate([right, left])
-    gamma = sp.csr_array(sp.coo_array((np.ones(rows.size), (rows, cols)),
-                                      shape=(n, n)))
+    groups = tuple(np.flatnonzero(group_index == g) for g in range(k))
     v = np.full(n, 2.0)
     v[groups[0]] = 1.0
     v[groups[-1]] = 1.0
-    structure = GraphStructure("serial", tuple(groups))
-    return TrainingGraph(v, gamma, structure=structure)
+    structure = GraphStructure("serial", groups)
+    return TrainingGraph(v, structure_edges(structure, n), structure=structure)
 
 
 # ---------------------------------------------------------------------------

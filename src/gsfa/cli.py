@@ -102,6 +102,7 @@ def _build_ell_from_flags(args):
             lams = lams / lams.sum()
         label_set = label_set.with_eigenvalues(lams)
     if args.save_label_set:
+        Path(args.save_label_set).parent.mkdir(parents=True, exist_ok=True)
         builders.save_labels(label_set, v, args.save_label_set)
     return builders.build_ell_graph(label_set, v, nonnegative=args.nonnegative)
 

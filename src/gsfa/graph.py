@@ -6,7 +6,8 @@ sums Q = sum(v) and R = sum(gamma) are cached at construction. Edge
 weights can be stored densely (numpy array) or sparsely (scipy CSR);
 both forms expose the same operations. An exact-label graph also keeps
 the factors it is built from (:class:`EllFactors`), and its graph file
-stores those factors instead of the N x N edges.
+stores those factors instead of the N x N edges. A clustered or serial
+graph keeps its sample groups, which imply its edges (:func:`group_weights`).
 
 The delta value of a feature y is the edge-weighted mean squared output
 difference, (1/R) * sum_{n,n'} gamma_{n,n'} (y(n') - y(n))^2. For
@@ -46,15 +47,55 @@ _TRIPLET_DTYPE = np.dtype([("i", "<i8"), ("j", "<i8"), ("g", "<f8")])
 
 @dataclass(frozen=True)
 class GraphStructure:
-    """Optional builder-provided structure enabling fast solver paths.
+    """Sample groups of a clustered or serial graph.
 
     ``kind`` is "clustered" or "serial"; ``groups`` lists the member
     sample indices of each cluster (clustered) or of each label group in
-    order (serial).
+    order (serial). The groups determine the edges
+    (:func:`structure_edges`).
     """
 
     kind: str
     groups: tuple
+
+
+def group_weights(structure, n):
+    """Membership B (N x K 0/1 CSR) and group weights A (K x K) of a structure.
+
+    Two different samples of groups g and h share an edge of weight
+    A[g, h]: 1/(s_g - 1) inside each clustered group of s_g >= 2
+    members, 1 between consecutive serial groups. A sample belongs to
+    one group at most; samples in none have no edges.
+    """
+    sizes = np.array([grp.size for grp in structure.groups], dtype=int)
+    members = np.concatenate([np.zeros(0, dtype=int), *structure.groups])
+    if np.bincount(members, minlength=1).max() > 1:
+        raise ContractError("a sample belongs to more than one structure group")
+    if structure.kind == "clustered" and np.any(sizes < 2):
+        raise ContractError("every clustered group needs >= 2 members")
+    group_of = np.repeat(np.arange(sizes.size), sizes)
+    membership = sp.csr_array((np.ones(members.size), (members, group_of)),
+                              shape=(n, sizes.size))
+    if structure.kind == "clustered":
+        return membership, np.diag(1.0 / (sizes - 1))
+    return membership, np.eye(sizes.size, k=1) + np.eye(sizes.size, k=-1)
+
+
+def structure_edges(structure, n):
+    """The N x N CSR edge matrix a structure implies (:func:`group_weights`)."""
+    _, weights = group_weights(structure, n)
+    empty = np.zeros(0, dtype=int)
+    rows, cols, vals = [empty], [empty], [np.zeros(0)]
+    for g, h in zip(*np.nonzero(weights)):
+        a, b = structure.groups[g], structure.groups[h]
+        r, c = np.repeat(a, b.size), np.tile(b, a.size)
+        off = r != c
+        rows.append(r[off])
+        cols.append(c[off])
+        vals.append(np.full(np.count_nonzero(off), weights[g, h]))
+    return sp.csr_array(sp.coo_array(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n)))
 
 
 @dataclass(frozen=True)
@@ -111,7 +152,8 @@ class TrainingGraph:
     edge_weights : symmetric N x N matrix, dense ndarray or scipy sparse.
         Must already be exactly symmetric (use :func:`symmetrize` first
         for raw directed weights). Absent edges are zeros.
-    structure : optional :class:`GraphStructure` set by builders.
+    structure : optional :class:`GraphStructure` set by builders; the
+        caller vouches that the edges are the ones it implies.
     ell : optional :class:`EllFactors` the edge weights were built from;
         the caller vouches that they match. Graph files then store the
         factors. Transforms other than elimination drop them.
@@ -151,7 +193,7 @@ class TrainingGraph:
                 raise ContractError("edge weights must be exactly symmetric")
             for part in (g.data, g.indices, g.indptr):
                 part.setflags(write=False)
-            r = float(g.sum())
+            r = _edge_sum(g.data)
         else:
             g = np.asarray(edge_weights, dtype=float).copy()
             if g.shape != (n, n):
@@ -162,7 +204,7 @@ class TrainingGraph:
             if not np.array_equal(g, g.T):
                 raise ContractError("edge weights must be exactly symmetric")
             g.setflags(write=False)
-            r = float(g.sum())
+            r = _edge_sum(g.ravel())
         if r <= 0:
             raise DegenerateGraphError(f"sum of edge weights must be > 0, got {r}")
         if ell is not None and ell.u.shape[0] != n:
@@ -206,12 +248,25 @@ class TrainingGraph:
             return self._gamma.diagonal()
         return np.diagonal(self._gamma).copy()
 
-    def gamma_matvec(self, y):
-        return self._gamma @ y
-
     def gamma_quad(self, y):
-        """y^T gamma y."""
-        return float(y @ (self._gamma @ y))
+        """y^T gamma y for a vector y; Y gamma Y^T for an I x N matrix Y.
+
+        A graph with a structure sums by group: with S = Y B,
+        Y gamma Y^T = S A S^T - Y Diag(a_g(n),g(n)) Y^T
+        (:func:`group_weights`).
+        """
+        y = np.asarray(y, dtype=float)
+        c = np.atleast_2d(y)
+        if self.structure is None:
+            quad = c @ (self._gamma @ c.T)
+        else:
+            membership, weights = group_weights(self.structure, self.n_samples)
+            sums = c @ membership
+            quad = sums @ weights @ sums.T
+            own = membership @ np.diagonal(weights)
+            if np.any(own):
+                quad -= (c * own) @ c.T
+        return float(quad[0, 0]) if y.ndim == 1 else quad
 
     def gamma_min(self):
         if self._sparse:
@@ -254,6 +309,12 @@ class TrainingGraph:
         kind = "sparse" if self._sparse else "dense"
         return (f"TrainingGraph(n={self.n_samples}, Q={self.q_sum:g}, "
                 f"R={self.r_sum:g}, {kind})")
+
+
+def _edge_sum(values):
+    """Sum of the nonzeros in row-major order: the same bits dense and as CSR."""
+    nonzero = values != 0
+    return float((values if nonzero.all() else values[nonzero]).sum())
 
 
 def symmetrize(gamma_raw):
@@ -376,11 +437,12 @@ def eliminate_negative_weights(graph):
     if c <= 0:
         return graph
     scale = 1.0 + c * graph.q_sum ** 2 / graph.r_sum
-    shifted = (gamma + c * np.outer(v, v)) / scale
-    shifted = np.maximum(shifted, 0.0)  # clamp -0.0/rounding at the arg max
-    shifted = (shifted + shifted.T) / 2.0
+    # each step rebinds gamma, so one N x N array fewer stays alive
+    gamma = (gamma + c * np.outer(v, v)) / scale
+    gamma = np.maximum(gamma, 0.0)  # clamp -0.0/rounding at the arg max
+    gamma = (gamma + gamma.T) / 2.0
     ell = None if graph.ell is None else replace(graph.ell, nonnegative=True)
-    return TrainingGraph(v, shifted, structure=graph.structure, ell=ell)
+    return TrainingGraph(v, gamma, ell=ell)
 
 
 def markov_transition_matrix(graph):
@@ -524,8 +586,9 @@ def _ell_csr(v, factors):
     return _sorted_csr(i, j, gamma[i, j], graph.n_samples)
 
 
-def _structure(spec, n, path):
-    """Validated builder structure of a graph file."""
+def _structure(spec, gamma, path):
+    """Validated builder structure of a graph file with edges ``gamma``."""
+    n = gamma.shape[0]
     kind = spec.get("kind") if type(spec) is dict else None
     if kind not in STRUCTURE_KINDS:
         raise FormatError(f"{path}: structure kind must be one of "
@@ -541,8 +604,16 @@ def _structure(spec, n, path):
             if not 0 <= i < n:
                 raise FormatError(
                     f"{path}: structure index {i} outside 0 <= i < {n}")
-    return GraphStructure(kind=kind, groups=tuple(
+    structure = GraphStructure(kind=kind, groups=tuple(
         np.asarray(grp, dtype=int) for grp in groups))
+    try:
+        implied = structure_edges(structure, n)
+    except ContractError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    if (implied != gamma).nnz:
+        raise FormatError(
+            f"{path}: the edges are not the ones the {kind} structure implies")
+    return structure
 
 
 def load_graph(path):
@@ -564,13 +635,13 @@ def load_graph(path):
     if v.shape != (n,):
         raise FormatError(
             f"{path}: vertex_weights must list n={n} numbers, got shape {v.shape}")
-    structure = None
-    if "structure" in data:
-        structure = _structure(data["structure"], n, path)
     ell = None
     if edge_key == "edges":
         gamma = _symmetric_csr(*_edge_columns(data["edges"], n), n)
     else:
         ell = _ell_factors(data["ell"], n, path)
         gamma = _ell_csr(v, ell)
+    structure = None
+    if "structure" in data:
+        structure = _structure(data["structure"], gamma, path)
     return TrainingGraph(v, gamma, structure=structure, ell=ell)

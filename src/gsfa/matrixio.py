@@ -39,6 +39,16 @@ def write_csv(path, header, columns):
             fh.writelines(format_rows(columns, "", ",", "\n", "\n"))
 
 
+def _finite(data, path):
+    """The I x N matrix read from ``path``, unless a value is NaN or infinite."""
+    bad = np.argwhere(~np.isfinite(data.T))
+    if bad.size:
+        n, i = bad[0]
+        raise FormatError(f"{path}: values must be finite, sample {n} "
+                          f"feature {i} is {data[i, n]}")
+    return data
+
+
 def save_matrix_csv(data, path, feature_names=None):
     """Write an I x N matrix as CSV (header = feature names, rows = samples)."""
     data = np.atleast_2d(np.asarray(data, dtype=float))
@@ -73,7 +83,7 @@ def load_matrix_csv(path):
                     f"{path}: row {reader.line_num}: {exc}") from None
     if not rows:
         raise FormatError(f"{path}: CSV has a header but no data rows")
-    return np.asarray(rows, dtype=float).T, names
+    return _finite(np.asarray(rows, dtype=float).T, path), names
 
 
 def save_matrix_binary(data, path, dtype="float64"):
@@ -101,7 +111,7 @@ def load_matrix_binary(path):
         raise FormatError(f"{path}: payload size mismatch "
                           f"({len(blob)} bytes, expected {expect})")
     data = np.frombuffer(blob[25:], dtype=_DTYPES[code]).reshape(n_rows, n_cols)
-    return np.asarray(data, dtype=float)
+    return _finite(np.asarray(data, dtype=float), path)
 
 
 def load_matrix(path):

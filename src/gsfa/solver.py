@@ -17,10 +17,8 @@ from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
-    ContractError,
     DimensionError,
     InconsistentGraphWarning,
     ParameterError,
@@ -121,89 +119,22 @@ def sample_covariance(data, vertex_weights):
     return (cov + cov.T) / 2.0
 
 
-def derivative_covariance(data, graph, path="pairwise"):
+def derivative_covariance(data, graph):
     """Edge-weighted second moment of sample differences.
 
-    (1/R) * sum_{n,n'} gamma_{n,n'} (x(n') - x(n)) (x(n') - x(n))^T.
-
-    path "pairwise" evaluates the sum edge by edge (works for any
-    graph); "consistent_form" uses
-    (2/Q) X Diag(v) X^T - (2/R) X gamma X^T, valid only on consistent
-    graphs; "structured" uses group sums, valid only for graphs built
-    with clustered or serial structure.
+    (1/R) * sum_{n,n'} gamma_{n,n'} (x(n') - x(n)) (x(n') - x(n))^T,
+    evaluated for every symmetric gamma, consistent or not, as
+    (2/R) (C Diag(gamma 1) C^T - C gamma C^T) on the data C centered by
+    the weighted mean (the sum does not depend on the shift; centering
+    keeps the subtraction accurate).
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
     if data.shape[1] != graph.n_samples:
         raise DimensionError("data columns and graph size differ")
-    if path == "pairwise":
-        return _dcov_pairwise(data, graph)
-    if path == "consistent_form":
-        report = check_consistency(graph)
-        if not report.ok:
-            raise ContractError(
-                "consistent_form path requires a consistent graph "
-                f"(max residual {report.max_residual:.3e})")
-        return _dcov_consistent(data, graph)
-    if path == "structured":
-        return _dcov_structured(data, graph)
-    raise ParameterError(f"unknown derivative-covariance path {path!r}")
-
-
-def _dcov_pairwise(data, graph):
-    gamma = graph.edge_weights
-    coo = sp.coo_array(gamma) if graph.is_sparse else None
-    if coo is not None:
-        diffs = data[:, coo.col] - data[:, coo.row]
-        dcov = (diffs * coo.data) @ diffs.T
-    else:
-        dcov = np.zeros((data.shape[0], data.shape[0]))
-        dense = graph.edge_weights
-        for n in range(graph.n_samples):
-            row = dense[n]
-            nz = np.flatnonzero(row)
-            if nz.size == 0:
-                continue
-            diffs = data[:, nz] - data[:, n:n + 1]
-            dcov += (diffs * row[nz]) @ diffs.T
-    dcov /= graph.r_sum
-    return (dcov + dcov.T) / 2.0
-
-
-def _dcov_consistent(data, graph):
-    v = graph.vertex_weights
-    centered = data - weighted_mean(data, v)[:, None]
-    part_v = (centered * v) @ centered.T * (2.0 / graph.q_sum)
-    part_g = centered @ (graph.edge_weights @ centered.T) * (2.0 / graph.r_sum)
-    dcov = part_v - part_g
-    return (dcov + dcov.T) / 2.0
-
-
-def _dcov_structured(data, graph):
-    structure = graph.structure
-    if structure is None or structure.kind not in ("clustered", "serial"):
-        raise ContractError(
-            "structured path requires a graph built with clustered or "
-            "serial structure")
-    n_feat = data.shape[0]
-    dcov = np.zeros((n_feat, n_feat))
-    if structure.kind == "clustered":
-        for members in structure.groups:
-            block = data[:, members]
-            size = members.shape[0]
-            w = 1.0 / (size - 1)
-            psum = block @ block.T
-            ssum = block.sum(axis=1)
-            dcov += w * (2.0 * size * psum - 2.0 * np.outer(ssum, ssum))
-    else:
-        groups = structure.groups
-        psums = [data[:, g] @ data[:, g].T for g in groups]
-        ssums = [data[:, g].sum(axis=1) for g in groups]
-        sizes = [g.shape[0] for g in groups]
-        for g in range(len(groups) - 1):
-            cross = np.outer(ssums[g], ssums[g + 1])
-            dcov += 2.0 * (sizes[g + 1] * psums[g] + sizes[g] * psums[g + 1]
-                           - cross - cross.T)
-    dcov /= graph.r_sum
+    centered = data - weighted_mean(data, graph.vertex_weights)[:, None]
+    dcov = (centered * graph.gamma_row_sums()) @ centered.T
+    dcov -= graph.gamma_quad(centered)
+    dcov *= 2.0 / graph.r_sum
     return (dcov + dcov.T) / 2.0
 
 
@@ -242,15 +173,15 @@ def _sign_fix_columns(w, tol_factor=1e-8):
     return w
 
 
-def train_gsfa(data, graph, n_features=None, regularization=None,
-               dcov_path="auto"):
+def train_gsfa(data, graph, n_features=None, regularization=None):
     """Train linear GSFA on an I x N matrix with a training graph.
 
     Sphering directions with covariance eigenvalues below the
     regularization floor are dropped (their count capping the number of
     extractable features); requesting more raises
     :class:`SingularityError`. Inconsistent graphs are allowed with a
-    warning, forcing the pairwise difference-covariance path.
+    warning: the deltas keep their edge-sum meaning, but the fast delta
+    form and the free-response analysis do not apply to them.
 
     Returns a :class:`GsfaModel` with features ordered by ascending
     delta; the model deltas are the diagonal of the rotated sphered
@@ -262,23 +193,15 @@ def train_gsfa(data, graph, n_features=None, regularization=None,
         raise DimensionError(
             f"data has {n_samples} samples but graph has {graph.n_samples}")
 
-    consistent = bool(check_consistency(graph))
-    if dcov_path == "auto":
-        if graph.structure is not None and consistent:
-            dcov_path = "structured"
-        elif consistent:
-            dcov_path = "consistent_form"
-        else:
-            dcov_path = "pairwise"
-    if not consistent:
-        warnings.warn("training on an inconsistent graph; using the pairwise "
-                      "difference-covariance path", InconsistentGraphWarning,
+    if not check_consistency(graph):
+        warnings.warn("training on an inconsistent graph; the deltas are edge "
+                      "sums, but the fast delta form and the free-response "
+                      "spectrum do not apply", InconsistentGraphWarning,
                       stacklevel=2)
-        dcov_path = "pairwise"
 
     mean = weighted_mean(data, graph.vertex_weights)
     cov = sample_covariance(data, graph.vertex_weights)
-    dcov = derivative_covariance(data, graph, path=dcov_path)
+    dcov = derivative_covariance(data, graph)
 
     if regularization is None:
         regularization = 1e-10 * float(np.trace(cov)) / n_in
@@ -296,6 +219,10 @@ def train_gsfa(data, graph, n_features=None, regularization=None,
                                null_dim=n_in)
     if n_features is None:
         n_features = rank
+    if n_features > n_in:
+        raise SingularityError(
+            f"requested {n_features} features but the input has only {n_in} "
+            f"dimensions", null_dim=n_in - rank)
     if n_features > rank:
         raise SingularityError(
             f"requested {n_features} features but covariance rank is {rank} "

@@ -24,6 +24,31 @@ def delta_by_loop(graph, y):
     return total / graph.r_sum
 
 
+def dcov_by_edge_sum(data, graph):
+    """Independent difference-covariance oracle: the literal edge sum.
+
+    (1/R) * sum_{n,n'} gamma_{n,n'} (x(n') - x(n)) (x(n') - x(n))^T,
+    one dense row (or all CSR triplets) at a time.
+    """
+    data = np.atleast_2d(np.asarray(data, dtype=float))
+    if graph.is_sparse:
+        coo = sp.coo_array(graph.edge_weights)
+        diffs = data[:, coo.col] - data[:, coo.row]
+        dcov = (diffs * coo.data) @ diffs.T
+    else:
+        dcov = np.zeros((data.shape[0], data.shape[0]))
+        dense = graph.edge_weights
+        for n in range(graph.n_samples):
+            row = dense[n]
+            nz = np.flatnonzero(row)
+            if nz.size == 0:
+                continue
+            diffs = data[:, nz] - data[:, n:n + 1]
+            dcov += (diffs * row[nz]) @ diffs.T
+    dcov /= graph.r_sum
+    return (dcov + dcov.T) / 2.0
+
+
 def fingerprint_by_loop(graph):
     """Independent fingerprint oracle: one sha256 update per triplet value."""
     gamma = graph.edge_weights

@@ -16,9 +16,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 import gsfa
 from gsfa import cli
+
+from conftest import chain_graph, dcov_by_edge_sum, ell_graph_from_seed
 
 
 def _verdict(name, ok, detail=""):
@@ -299,27 +302,45 @@ def test_a8_same_subspace():
 
 
 # ---------------------------------------------------------------------------
-# A9: derivative-covariance path agreement
+# A9: the difference-covariance formula equals the literal edge sum
 
-def test_a9_dcov_path_agreement():
+def _a9_cases():
+    """One graph per builder and storage form, negative and inconsistent too."""
     rng = np.random.default_rng(5)
-    ok = True
-    worst = 0.0
-    cases = [
-        ("serial", gsfa.build_serial_graph(rng.normal(size=200), 10),
-         rng.normal(size=(16, 200))),
-        ("clustered", gsfa.build_clustered_graph([25, 25, 25, 25, 25, 25, 25, 25]),
-         rng.normal(size=(16, 200))),
-    ]
-    for name, graph, data in cases:
-        reference = gsfa.derivative_covariance(data, graph, path="pairwise")
-        scale = max(1.0, float(np.max(np.abs(reference))))
-        for path in ("consistent_form", "structured"):
+    m = rng.normal(size=(60, 60)) * (rng.random((60, 60)) < 0.2)
+    gamma = m + m.T  # negative weights, inconsistent for these v
+    v = rng.uniform(0.5, 2.0, 60)
+    ell = ell_graph_from_seed(9, 120, 3, nonnegative=False, uniform=False)
+    assert ell.gamma_min() < 0
+    return {
+        "linear-self-loops": gsfa.build_linear_graph(150),
+        "linear-halved": gsfa.build_linear_graph(
+            150, variant="endpoint_halved_vertex_weights"),
+        "serial": gsfa.build_serial_graph(rng.normal(size=200), 10),
+        "clustered": gsfa.build_clustered_graph([25, 30, 20, 25, 35, 25, 15, 25]),
+        "ell-negative": ell,
+        "ell-eliminated": gsfa.eliminate_negative_weights(ell),
+        "random-dense": gsfa.TrainingGraph(v, gamma),
+        "random-csr": gsfa.TrainingGraph(v, scipy.sparse.csr_array(gamma)),
+        "chain-inconsistent": chain_graph(80),
+    }
+
+
+def test_a9_dcov_formula_matches_edge_sum():
+    rng = np.random.default_rng(6)
+    worst, worst_case = 0.0, None
+    for name, graph in _a9_cases().items():
+        data = rng.normal(size=(16, graph.n_samples))
+        for offset in (0.0, 1e3):
+            reference = dcov_by_edge_sum(data + offset, graph)
             diff = float(np.max(np.abs(
-                gsfa.derivative_covariance(data, graph, path=path) - reference)))
-            worst = max(worst, diff / scale)
-            ok = ok and diff <= 1e-9 * scale
-    assert _verdict("A9 dcov-path-agreement", ok, f"worst rel diff={worst:.1e}")
+                gsfa.derivative_covariance(data + offset, graph) - reference)))
+            rel = diff / float(np.max(np.abs(reference)))
+            if rel >= worst:
+                worst, worst_case = rel, f"{name}, offset {offset:g}"
+    ok = worst <= 1e-12
+    assert _verdict("A9 dcov-formula-equals-edge-sum", ok,
+                    f"worst rel diff={worst:.1e} on {worst_case}")
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,16 @@ def test_build_graph_ell_label_set_round_trip(tmp_path):
     np.testing.assert_allclose(g2.gamma_dense(), g1.gamma_dense(), atol=1e-15)
 
 
+def test_build_graph_save_label_set_creates_its_directory(tmp_path):
+    labels = tmp_path / "labels.txt"
+    _write_labels(labels, np.linspace(-1, 1, 12))
+    ls_path = tmp_path / "new" / "deeper" / "ls.json"
+    assert _run("build-graph", "--kind", "ell", "--labels", labels,
+                "--save-label-set", ls_path, "--out", tmp_path / "g.json") == 0
+    label_set, v = gsfa.load_labels(ls_path)
+    assert label_set.n_samples == 12 and v.shape == (12,)
+
+
 def test_build_graph_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         _run("build-graph", "--kind", "bogus", "--out", "x.json")
@@ -252,6 +262,33 @@ def test_train_on_malformed_data_csv_exit_1(tmp_path, capsys, rows, fragment):
     assert _run("train", "--data", data, "--graph", graph,
                 "--out", tmp_path / "m.json") == 1
     _assert_error_line(capsys, str(data), fragment)
+
+
+def test_train_on_non_finite_data_exit_1(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("a,b\n1.0,2.0\n3.0,nan\n0.5,1.5\n")
+    graph = tmp_path / "g.json"
+    assert _run("build-graph", "--kind", "linear", "--n", "3", "--out", graph) == 0
+    capsys.readouterr()
+    assert _run("train", "--data", data, "--graph", graph,
+                "--out", tmp_path / "m.json") == 1
+    _assert_error_line(capsys, str(data), "finite", "sample 1 feature 1 is nan")
+
+
+def test_train_on_graph_with_mismatched_structure_exit_1(tmp_path, capsys):
+    graph = tmp_path / "g.json"
+    assert _run("build-graph", "--kind", "clustered", "--class-sizes", "3,3",
+                "--out", graph) == 0
+    data = json.loads(graph.read_text())
+    data["structure"]["groups"] = [[0, 1, 3], [2, 4, 5]]
+    graph.write_text(json.dumps(data))
+    matrix = tmp_path / "data.csv"
+    gsfa.save_matrix_csv(np.random.default_rng(0).normal(size=(2, 6)), matrix)
+    capsys.readouterr()
+    assert _run("train", "--data", matrix, "--graph", graph,
+                "--out", tmp_path / "m.json") == 1
+    _assert_error_line(capsys, str(graph), "not the ones the clustered structure")
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_spectrum_on_graph_file_without_n_exit_1(tmp_path, capsys):

@@ -344,9 +344,15 @@ def test_graph_file_input_errors(tmp_path, edit, match):
     (lambda d: d["structure"].update(groups=[[0, True], [2, 3]]), "structure groups"),
     (lambda d: d["structure"].update(groups=[[0, 1], [2, 4]]), "index 4 outside"),
     (lambda d: d["structure"].update(groups=[[-1, 1], [2, 3]]), "index -1 outside"),
+    (lambda d: d["structure"].update(groups=[[0, 2], [1, 3]]), "not the ones"),
+    (lambda d: d["structure"].update(kind="serial"), "not the ones the serial"),
+    (lambda d: d["structure"].update(groups=[[0, 1]]), "not the ones"),
+    (lambda d: d["structure"].update(groups=[[0, 1], [1, 2, 3]]), "more than one"),
+    (lambda d: d["structure"].update(groups=[[0, 1], [2], [3]]), ">= 2 members"),
 ], ids=["no-kind", "unknown-kind", "not-an-object", "no-groups",
         "groups-not-lists", "float-index", "bool-index", "index-past-n",
-        "negative-index"])
+        "negative-index", "groups-permuted", "kind-swapped", "group-missing",
+        "groups-overlap", "singleton-cluster"])
 def test_graph_file_structure_errors(tmp_path, edit, match):
     path = tmp_path / "graph.json"
     gsfa.save_graph(gsfa.build_clustered_graph([2, 2]), path)
@@ -459,4 +465,21 @@ def test_matrix_csv_reader_names_file_and_row(tmp_path, text, match):
     path.write_text(text)
     with pytest.raises(FormatError, match=match) as exc:
         gsfa.load_matrix_csv(path)
+    assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("save, load, name", [
+    (gsfa.save_matrix_csv, gsfa.load_matrix_csv, "m.csv"),
+    (gsfa.save_matrix_binary, gsfa.load_matrix_binary, "m.bin"),
+], ids=["csv", "binary"])
+def test_matrix_readers_reject_non_finite_values(tmp_path, save, load, name,
+                                                 value):
+    data = np.arange(12.0).reshape(3, 4)
+    data[1, 2] = value
+    path = tmp_path / name
+    save(data, path)
+    with pytest.raises(FormatError,
+                       match=f"finite, sample 2 feature 1 is {value}") as exc:
+        load(path)
     assert str(path) in str(exc.value)

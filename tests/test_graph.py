@@ -13,6 +13,7 @@ from gsfa import (
     DegenerateGraphError,
     DimensionError,
     FormatError,
+    GraphStructure,
     IsolatedVertexError,
     TrainingGraph,
     UnsupportedGraphError,
@@ -24,6 +25,7 @@ from gsfa import (
     weighted_delta,
     weighted_delta_fast,
 )
+from gsfa.graph import group_weights, structure_edges
 
 from conftest import (
     chain_graph,
@@ -74,6 +76,43 @@ def test_sparse_and_dense_storage_agree():
     y = np.array([0.3, -1.0, 2.0])
     assert dense.gamma_quad(y) == pytest.approx(sparse.gamma_quad(y))
     assert dense.fingerprint() == sparse.fingerprint()
+
+
+@pytest.mark.parametrize("make_graph", [
+    lambda rng: gsfa.build_serial_graph(rng.normal(size=30), 6),
+    lambda rng: gsfa.build_clustered_graph([4, 2, 7, 5]),
+    lambda rng: gsfa.build_linear_graph(9),
+    lambda rng: _ell_graph(rng),
+], ids=["serial", "clustered", "linear-csr", "ell-dense"])
+def test_gamma_quad_of_a_matrix_is_the_dense_product(make_graph, rng):
+    graph = make_graph(rng)
+    data = rng.normal(size=(3, graph.n_samples))
+    expected = data @ graph.gamma_dense() @ data.T
+    np.testing.assert_allclose(graph.gamma_quad(data), expected,
+                               rtol=1e-13, atol=1e-13 * np.abs(expected).max())
+    quad = graph.gamma_quad(data[1])
+    assert type(quad) is float
+    assert quad == pytest.approx(expected[1, 1], rel=1e-13)
+
+
+def test_structure_edges_follow_group_weights():
+    structure = GraphStructure("serial", (np.array([3, 0]), np.array([1]),
+                                          np.array([4, 2])))
+    membership, weights = group_weights(structure, 6)
+    np.testing.assert_array_equal(membership.toarray().sum(axis=1),
+                                  [1, 1, 1, 1, 1, 0])
+    np.testing.assert_array_equal(weights, np.eye(3, k=1) + np.eye(3, k=-1))
+    expected = np.zeros((6, 6))
+    for a, b in [(3, 1), (0, 1), (1, 4), (1, 2)]:
+        expected[a, b] = expected[b, a] = 1.0
+    np.testing.assert_array_equal(structure_edges(structure, 6).toarray(),
+                                  expected)
+    clustered = GraphStructure("clustered", (np.array([0, 2, 5]),))
+    expected = np.zeros((6, 6))
+    expected[np.ix_([0, 2, 5], [0, 2, 5])] = 0.5
+    np.fill_diagonal(expected, 0.0)
+    np.testing.assert_array_equal(structure_edges(clustered, 6).toarray(),
+                                  expected)
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +544,16 @@ def test_graph_file_round_trip_keeps_checksum(tmp_path, rng):
     for name, graph in _fingerprint_cases(rng).items():
         path = tmp_path / f"{name}.json"
         gsfa.save_graph(graph, path)
-        loaded = gsfa.load_graph(path).fingerprint()
-        assert loaded["checksum"] == graph.fingerprint()["checksum"], name
+        assert gsfa.load_graph(path).fingerprint() == graph.fingerprint(), name
+
+
+def test_r_sum_does_not_depend_on_storage():
+    for seed in range(40):
+        for name, graph in _fingerprint_cases(np.random.default_rng(seed)).items():
+            v, gamma = graph.vertex_weights, graph.gamma_dense()
+            dense = TrainingGraph(v, gamma)
+            sparse = TrainingGraph(v, sp.csr_array(gamma))
+            assert dense.fingerprint() == sparse.fingerprint(), (seed, name)
 
 
 @pytest.mark.parametrize("extra, match", [

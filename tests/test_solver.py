@@ -3,13 +3,13 @@ import pytest
 
 import gsfa
 from gsfa import (
-    ContractError,
     DimensionError,
     ExpansionSpec,
     FormatError,
     InconsistentGraphWarning,
     ParameterError,
     SingularityError,
+    TrainingGraph,
     derivative_covariance,
     expand,
     extract_features,
@@ -21,7 +21,7 @@ from gsfa import (
     weighted_mean,
 )
 
-from conftest import chain_graph, dense_graph
+from conftest import chain_graph, dcov_by_edge_sum, dense_graph
 
 
 # ---------------------------------------------------------------------------
@@ -72,44 +72,27 @@ def test_dcov_two_sample_chain():
     data = np.column_stack([a, b])
     graph = dense_graph(np.ones(2), [[0.0, 1.0], [1.0, 0.0]])
     expected = np.outer(a - b, a - b)
-    np.testing.assert_allclose(
-        derivative_covariance(data, graph, path="pairwise"), expected)
+    np.testing.assert_allclose(derivative_covariance(data, graph), expected)
 
 
-def test_dcov_pairwise_vs_consistent_serial(rng):
-    data = rng.normal(size=(5, 40))
-    graph = gsfa.build_serial_graph(rng.normal(size=40), 8)
-    pw = derivative_covariance(data, graph, path="pairwise")
-    cf = derivative_covariance(data, graph, path="consistent_form")
-    assert np.max(np.abs(pw - cf)) <= 1e-9 * max(1.0, np.max(np.abs(pw)))
+def _assert_matches_edge_sum(data, graph):
+    reference = dcov_by_edge_sum(data, graph)
+    diff = np.max(np.abs(derivative_covariance(data, graph) - reference))
+    assert diff <= 1e-12 * np.max(np.abs(reference))
 
 
 def test_dcov_structured_vs_pairwise_clustered(rng):
-    data = rng.normal(size=(4, 20))
-    graph = gsfa.build_clustered_graph([5, 5, 5, 5])
-    pw = derivative_covariance(data, graph, path="pairwise")
-    st = derivative_covariance(data, graph, path="structured")
-    assert np.max(np.abs(pw - st)) <= 1e-9 * max(1.0, np.max(np.abs(pw)))
+    graph = gsfa.build_clustered_graph([5, 3, 7, 5])
+    _assert_matches_edge_sum(rng.normal(size=(4, 20)), graph)
 
 
 def test_dcov_structured_vs_pairwise_serial(rng):
-    data = rng.normal(size=(4, 24))
     graph = gsfa.build_serial_graph(rng.normal(size=24), 6)
-    pw = derivative_covariance(data, graph, path="pairwise")
-    st = derivative_covariance(data, graph, path="structured")
-    assert np.max(np.abs(pw - st)) <= 1e-9 * max(1.0, np.max(np.abs(pw)))
-
-
-def test_dcov_structured_requires_structure(rng):
-    graph = dense_graph(np.ones(2), [[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(ContractError):
-        derivative_covariance(rng.normal(size=(2, 2)), graph, path="structured")
-
-
-def test_dcov_consistent_form_requires_consistency(rng):
-    with pytest.raises(ContractError):
-        derivative_covariance(rng.normal(size=(2, 4)), chain_graph(4),
-                              path="consistent_form")
+    _assert_matches_edge_sum(rng.normal(size=(4, 24)) - 50.0, graph)
+    # the same edges without the groups: the stored-product evaluation
+    _assert_matches_edge_sum(rng.normal(size=(4, 24)),
+                             TrainingGraph(graph.vertex_weights,
+                                           graph.edge_weights))
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +225,21 @@ def test_rank_deficiency_error_names_null_dim(rng):
     graph = gsfa.build_serial_graph(rng.normal(size=12), 4)
     base = rng.normal(size=(2, 12))
     data = np.vstack([base, base.sum(axis=0, keepdims=True)])  # rank 2
-    with pytest.raises(SingularityError) as err:
+    with pytest.raises(SingularityError, match="covariance rank is 2 "
+                       r"\(null-space dimension 1\)") as err:
         train_gsfa(data, graph, n_features=3)
     assert err.value.null_dim == 1
     model = train_gsfa(data, graph, n_features=2)
     assert model.n_features == 2
+
+
+def test_too_many_features_error_names_input_dimension(rng):
+    graph = gsfa.build_serial_graph(rng.normal(size=12), 4)
+    with pytest.raises(SingularityError,
+                       match="requested 6 features but the input has only 5 "
+                       "dimensions") as err:
+        train_gsfa(rng.normal(size=(5, 12)), graph, n_features=6)
+    assert err.value.null_dim == 0
 
 
 def test_dimension_gates(rng):
