@@ -37,8 +37,6 @@ from .graph import (
     TrainingGraph,
     check_consistency,
     eliminate_negative_weights,
-    ell_gamma,
-    structure_edges,
 )
 from .serialize import read_container, write_container
 
@@ -142,8 +140,7 @@ def build_clustered_graph(class_sizes):
     starts = np.cumsum([0] + sizes[:-1])
     structure = GraphStructure("clustered", tuple(
         np.arange(start, start + size) for start, size in zip(starts, sizes)))
-    return TrainingGraph(np.ones(n), structure_edges(structure, n),
-                         structure=structure)
+    return TrainingGraph(np.ones(n), structure=structure)
 
 
 def serial_groups(labels, k, policy="strict"):
@@ -195,7 +192,7 @@ def build_serial_graph(labels, k, policy="strict"):
     v[groups[0]] = 1.0
     v[groups[-1]] = 1.0
     structure = GraphStructure("serial", groups)
-    return TrainingGraph(v, structure_edges(structure, n), structure=structure)
+    return TrainingGraph(v, structure=structure)
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +301,8 @@ def build_ell_graph(label_set, vertex_weights, nonnegative=False,
     # columns: u_0 then one u_j per label; M = sum lambda_j u_j u_j^T
     u = np.column_stack([sqrt_v] + [sqrt_v * row for row in label_set.labels])
     u /= math.sqrt(q)
-    factors = EllFactors(u, np.concatenate([[r / q], lams]))
-    graph = TrainingGraph(v, ell_gamma(v, factors), ell=factors)
-    if nonnegative:
-        graph = eliminate_negative_weights(graph)
-    return graph
+    factors = EllFactors(u, np.concatenate([[r / q], lams]), bool(nonnegative))
+    return TrainingGraph(v, ell=factors)
 
 
 def eigenvalues_from_deltas(deltas, q_sum, r_sum):

@@ -383,9 +383,9 @@ def _roundtrip_trial(label_set, v):
             order_ok = False
         affine_err = max(affine_err,
                          abs(deltas2[j] - (deltas[j] + 2 * k) / (1 + k)))
-    return {"max_label_err": label_err, "max_delta_err": delta_err,
+    return {"max_label_err": label_err, "max_delta_err": float(delta_err),
             "min_weight_after": min_weight, "r_rel_change": r_change,
-            "order_preserved": order_ok, "max_affine_err": affine_err}
+            "order_preserved": order_ok, "max_affine_err": float(affine_err)}
 
 
 def _reproduce_roundtrip(out_dir, seed):

@@ -4,10 +4,10 @@ A training graph holds strictly positive vertex weights ``v`` over N
 samples and a symmetric edge-weight matrix ``gamma``. The normalization
 sums Q = sum(v) and R = sum(gamma) are cached at construction. Edge
 weights can be stored densely (numpy array) or sparsely (scipy CSR);
-both forms expose the same operations. An exact-label graph also keeps
-the factors it is built from (:class:`EllFactors`), and its graph file
-stores those factors instead of the N x N edges. A clustered or serial
-graph keeps its sample groups, which imply its edges (:func:`group_weights`).
+both forms expose the same operations. A graph is built from its edges,
+or derives them from what it keeps: the sample groups of a clustered or
+serial graph (:class:`GraphStructure`) or the factors of an exact-label
+graph (:class:`EllFactors`), which its graph file stores instead.
 
 The delta value of a feature y is the edge-weighted mean squared output
 difference, (1/R) * sum_{n,n'} gamma_{n,n'} (y(n') - y(n))^2. For
@@ -69,6 +69,9 @@ def group_weights(structure, n):
     """
     sizes = np.array([grp.size for grp in structure.groups], dtype=int)
     members = np.concatenate([np.zeros(0, dtype=int), *structure.groups])
+    outside = members[(members < 0) | (members >= n)]
+    if outside.size:
+        raise ContractError(f"structure index {outside[0]} outside 0 <= i < {n}")
     if np.bincount(members, minlength=1).max() > 1:
         raise ContractError("a sample belongs to more than one structure group")
     if structure.kind == "clustered" and np.any(sizes < 2):
@@ -149,14 +152,15 @@ class TrainingGraph:
     Parameters
     ----------
     vertex_weights : array of N strictly positive reals.
-    edge_weights : symmetric N x N matrix, dense ndarray or scipy sparse.
-        Must already be exactly symmetric (use :func:`symmetrize` first
-        for raw directed weights). Absent edges are zeros.
-    structure : optional :class:`GraphStructure` set by builders; the
-        caller vouches that the edges are the ones it implies.
-    ell : optional :class:`EllFactors` the edge weights were built from;
-        the caller vouches that they match. Graph files then store the
-        factors. Transforms other than elimination drop them.
+    edge_weights, structure, ell : exactly one description of the edges.
+        ``edge_weights`` is an exactly symmetric N x N matrix, dense
+        ndarray or scipy sparse (use :func:`symmetrize` first for raw
+        directed weights); absent edges are zeros. A
+        :class:`GraphStructure` gives the CSR edges it implies
+        (:func:`structure_edges`), :class:`EllFactors` the dense
+        :func:`ell_gamma`, eliminated (:func:`eliminate_negative_weights`)
+        if marked ``nonnegative`` (unmarked if no weight was negative).
+        Transforms other than elimination drop structure and factors.
 
     Both storage forms are copied and made read-only, so the cached sums
     and fingerprint cannot go stale.
@@ -165,7 +169,8 @@ class TrainingGraph:
     __slots__ = ("vertex_weights", "_gamma", "_sparse", "n_samples",
                  "q_sum", "r_sum", "structure", "ell", "_fingerprint")
 
-    def __init__(self, vertex_weights, edge_weights, structure=None, ell=None):
+    def __init__(self, vertex_weights, edge_weights=None, *, structure=None,
+                 ell=None):
         v = np.asarray(vertex_weights, dtype=float).copy()
         if v.ndim != 1:
             raise DimensionError("vertex_weights must be a 1-D vector")
@@ -176,6 +181,19 @@ class TrainingGraph:
             raise DegenerateGraphError("vertex weights must be finite")
         if np.any(v <= 0):
             raise DegenerateGraphError("all vertex weights must be > 0")
+        if sum(d is not None for d in (edge_weights, structure, ell)) != 1:
+            raise ContractError("a training graph takes exactly one of "
+                                "edge_weights, structure and ell")
+        if structure is not None:
+            edge_weights = structure_edges(structure, n)
+        elif ell is not None:
+            if ell.u.shape[0] != n:
+                raise DimensionError(
+                    f"ELL factors have {ell.u.shape[0]} rows, graph has N={n}")
+            gamma = ell_gamma(v, ell)
+            edge_weights = _shift_nonnegative(v, gamma) if ell.nonnegative else gamma
+            if edge_weights is gamma:
+                ell = replace(ell, nonnegative=False)
 
         sparse = sp.issparse(edge_weights)
         if sparse:
@@ -207,9 +225,6 @@ class TrainingGraph:
             r = _edge_sum(g.ravel())
         if r <= 0:
             raise DegenerateGraphError(f"sum of edge weights must be > 0, got {r}")
-        if ell is not None and ell.u.shape[0] != n:
-            raise DimensionError(
-                f"ELL factors have {ell.u.shape[0]} rows, graph has N={n}")
 
         v.setflags(write=False)
         self.vertex_weights = v
@@ -416,7 +431,7 @@ def remove_self_loops(graph):
     else:
         g = graph.gamma_dense()
         np.fill_diagonal(g, 0.0)
-    return TrainingGraph(graph.vertex_weights, g, structure=graph.structure)
+    return TrainingGraph(graph.vertex_weights, g)
 
 
 def eliminate_negative_weights(graph):
@@ -427,22 +442,31 @@ def eliminate_negative_weights(graph):
     are preserved; every delta value maps affinely through
     delta' = (delta + 2cQ^2/R) / (1 + cQ^2/R), keeping order and the
     fixed point delta = 2. Graphs without negative weights are returned
-    unchanged. ELL factors are kept, marked ``nonnegative``.
+    unchanged. An exact-label graph is rebuilt from its factors, marked
+    ``nonnegative``.
     """
     v = graph.vertex_weights
-    if np.any(v <= 0):
-        raise ContractError("elimination requires strictly positive vertex weights")
+    if graph.ell is not None and not graph.ell.nonnegative:
+        shifted = TrainingGraph(v, ell=replace(graph.ell, nonnegative=True))
+        return shifted if shifted.ell.nonnegative else graph
     gamma = graph.gamma_dense()
+    shifted = _shift_nonnegative(v, gamma)
+    return graph if shifted is gamma else TrainingGraph(v, shifted)
+
+
+def _shift_nonnegative(v, gamma):
+    """Edges of :func:`eliminate_negative_weights`; ``gamma`` if none is < 0."""
     c = float(np.max(-gamma / np.outer(v, v)))
     if c <= 0:
-        return graph
-    scale = 1.0 + c * graph.q_sum ** 2 / graph.r_sum
+        return gamma
+    r = _edge_sum(gamma.ravel())
+    if r <= 0:
+        raise DegenerateGraphError(f"sum of edge weights must be > 0, got {r}")
+    scale = 1.0 + c * float(v.sum()) ** 2 / r
     # each step rebinds gamma, so one N x N array fewer stays alive
     gamma = (gamma + c * np.outer(v, v)) / scale
     gamma = np.maximum(gamma, 0.0)  # clamp -0.0/rounding at the arg max
-    gamma = (gamma + gamma.T) / 2.0
-    ell = None if graph.ell is None else replace(graph.ell, nonnegative=True)
-    return TrainingGraph(v, gamma, ell=ell)
+    return (gamma + gamma.T) / 2.0
 
 
 def markov_transition_matrix(graph):
@@ -571,24 +595,8 @@ def _ell_factors(ell, n, path):
     return EllFactors(u, weights, ell["nonnegative"])
 
 
-def _ell_csr(v, factors):
-    """CSR edges of the graph that ELL factors describe.
-
-    Built as :func:`gsfa.builders.build_ell_graph` builds it; its nonzero
-    entries in row-major order are exactly the CSR a version-1 file of
-    that graph loads to.
-    """
-    graph = TrainingGraph(v, ell_gamma(v, factors))
-    if factors.nonnegative:
-        graph = eliminate_negative_weights(graph)
-    gamma = graph.edge_weights
-    i, j = np.nonzero(gamma)
-    return _sorted_csr(i, j, gamma[i, j], graph.n_samples)
-
-
-def _structure(spec, gamma, path):
-    """Validated builder structure of a graph file with edges ``gamma``."""
-    n = gamma.shape[0]
+def _structured_graph(v, spec, gamma, path):
+    """The graph of a version-1 file's structure, whose edges are ``gamma``."""
     kind = spec.get("kind") if type(spec) is dict else None
     if kind not in STRUCTURE_KINDS:
         raise FormatError(f"{path}: structure kind must be one of "
@@ -599,32 +607,28 @@ def _structure(spec, gamma, path):
             for grp in groups):
         raise FormatError(
             f"{path}: structure groups must be a list of integer index lists")
-    for grp in groups:
-        for i in grp:
-            if not 0 <= i < n:
-                raise FormatError(
-                    f"{path}: structure index {i} outside 0 <= i < {n}")
     structure = GraphStructure(kind=kind, groups=tuple(
         np.asarray(grp, dtype=int) for grp in groups))
     try:
-        implied = structure_edges(structure, n)
+        graph = TrainingGraph(v, structure=structure)
     except ContractError as exc:
         raise FormatError(f"{path}: {exc}") from None
-    if (implied != gamma).nnz:
+    if (graph.edge_weights != gamma).nnz:
         raise FormatError(
             f"{path}: the edges are not the ones the {kind} structure implies")
-    return structure
+    return graph
 
 
 def load_graph(path):
-    """Read a graph file of either version; edges come back as CSR."""
+    """Read a graph file; version 2 loads as the builder's dense graph."""
     data = read_container(path, GRAPH_FILE_KIND, GRAPH_FILE_VERSIONS)
     edge_key = "edges" if data["format_version"] == 1 else "ell"
     missing = [key for key in ("n", "vertex_weights", edge_key) if key not in data]
     if missing:
         raise FormatError(f"{path}: graph file has no {', '.join(missing)}")
-    if edge_key == "ell" and "edges" in data:
-        raise FormatError(f"{path}: a version-2 graph file has ell, not edges")
+    if edge_key == "ell" and ("edges" in data or "structure" in data):
+        raise FormatError(
+            f"{path}: a version-2 graph file has ell, not edges or structure")
     n = data["n"]
     if type(n) is not int or n < 1:
         raise FormatError(f"{path}: n must be a positive integer, got {n!r}")
@@ -635,13 +639,9 @@ def load_graph(path):
     if v.shape != (n,):
         raise FormatError(
             f"{path}: vertex_weights must list n={n} numbers, got shape {v.shape}")
-    ell = None
-    if edge_key == "edges":
-        gamma = _symmetric_csr(*_edge_columns(data["edges"], n), n)
-    else:
-        ell = _ell_factors(data["ell"], n, path)
-        gamma = _ell_csr(v, ell)
-    structure = None
+    if edge_key == "ell":
+        return TrainingGraph(v, ell=_ell_factors(data["ell"], n, path))
+    gamma = _symmetric_csr(*_edge_columns(data["edges"], n), n)
     if "structure" in data:
-        structure = _structure(data["structure"], gamma, path)
-    return TrainingGraph(v, gamma, structure=structure, ell=ell)
+        return _structured_graph(v, data["structure"], gamma, path)
+    return TrainingGraph(v, gamma)

@@ -8,14 +8,15 @@ concatenated outputs of the layer-k nodes they cover. Receptive fields
 must tile their input grid exactly; anything else is rejected.
 """
 
-import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import index
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ArchitectureError, DimensionError, FormatError, GsfaError
-from .serialize import write_json
+from .serialize import read_container, write_container
 from .solver import (
     ExpansionSpec,
     GsfaModel,
@@ -56,11 +57,17 @@ class LayerSpec:
 
     @classmethod
     def from_dict(cls, data):
-        return cls(grid=tuple(data["grid"]),
-                   receptive_field=tuple(data["receptive_field"]),
+        pca_dims = data.get("pca_dims")
+        return cls(grid=_int_pair(data["grid"]),
+                   receptive_field=_int_pair(data["receptive_field"]),
                    expansion=ExpansionSpec.from_dict(data["expansion"]),
-                   out_dims=data["out_dims"],
-                   pca_dims=data.get("pca_dims"))
+                   out_dims=index(data["out_dims"]),
+                   pca_dims=None if pca_dims is None else index(pca_dims))
+
+
+def _int_pair(values):
+    first, second = map(index, values)
+    return first, second
 
 
 @dataclass
@@ -149,28 +156,26 @@ def _first_layer_input(images, spec, row, col):
 def _check_images(images, input_shape):
     images = np.asarray(images, dtype=float)
     if images.ndim != 3 or images.shape[1:] != tuple(input_shape):
-        raise DimensionError(
-            f"expected images shaped (N, {input_shape[0]}, {input_shape[1]}), "
-            f"got {images.shape}")
+        raise DimensionError(f"expected (N, H, W) images with (H, W) = "
+                             f"{tuple(input_shape)}, got {images.shape}")
     return images
 
 
-def train_hgsfa(images, graph, specs, input_shape=None):
+def train_hgsfa(images, graph, specs):
     """Train the network bottom-up on (N, H, W) images.
 
     Every node trains on its own receptive-field data with the shared
     graph. Solver errors are re-raised annotated with the node's layer
     and grid coordinates.
     """
-    if input_shape is None:
-        input_shape = np.asarray(images).shape[1:]
+    input_shape = np.shape(images)[1:]
     images = _check_images(images, input_shape)
     if images.shape[0] != graph.n_samples:
         raise DimensionError(
             f"{images.shape[0]} images but graph has {graph.n_samples} vertices")
     validate_architecture(specs, input_shape)
 
-    network = HgsfaNetwork(list(specs), tuple(input_shape), [])
+    network = HgsfaNetwork(list(specs), input_shape, [])
     outputs = None
     for k, spec in enumerate(specs):
         nodes = {}
@@ -230,42 +235,51 @@ def save_network(network, directory):
             save_model(node.gsfa, directory / name, expansion=spec.expansion,
                        pca=node.pca)
             node_files.append({"layer": k, "row": row, "col": col, "file": name})
-    manifest = {
-        "kind": NETWORK_MANIFEST_KIND,
-        "format_version": NETWORK_MANIFEST_VERSION,
-        "input_shape": list(network.input_shape),
-        "layers": [spec.to_dict() for spec in network.specs],
-        "nodes": node_files,
-    }
-    write_json(directory / "manifest.json", manifest)
+    write_container(directory / "manifest.json", NETWORK_MANIFEST_KIND,
+                    NETWORK_MANIFEST_VERSION,
+                    {"input_shape": list(network.input_shape),
+                     "layers": [spec.to_dict() for spec in network.specs],
+                     "nodes": node_files})
+
+
+@contextmanager
+def _entries_of(path):
+    """Raise a missing or malformed entry of file ``path`` as FormatError."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: missing or malformed entry "
+                          f"({type(exc).__name__}: {exc})") from None
 
 
 def load_network(directory):
     directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    if manifest.get("kind") != NETWORK_MANIFEST_KIND:
-        raise FormatError(f"{directory}: not a network directory")
-    if manifest.get("format_version") != NETWORK_MANIFEST_VERSION:
-        raise FormatError(
-            f"{directory}: unknown network format version "
-            f"{manifest.get('format_version')!r}")
-    specs = [LayerSpec.from_dict(d) for d in manifest["layers"]]
+    path = directory / "manifest.json"
+    manifest = read_container(path, NETWORK_MANIFEST_KIND,
+                              {NETWORK_MANIFEST_VERSION})
+    with _entries_of(path):
+        specs = [LayerSpec.from_dict(d) for d in manifest["layers"]]
+        input_shape = _int_pair(manifest["input_shape"])
+        files = {(e["layer"], e["row"], e["col"]): directory / e["file"]
+                 for e in manifest["nodes"]}
+    nodes = [(k, row, col) for k, spec in enumerate(specs)
+             for row in range(spec.grid[0]) for col in range(spec.grid[1])]
+    if len(files) != len(manifest["nodes"]) or set(files) != set(nodes):
+        raise FormatError(f"{path}: nodes must list every node of the layers once")
     layers = [dict() for _ in specs]
-    for entry in manifest["nodes"]:
-        model, _, pca = load_model(directory / entry["file"])
-        layers[entry["layer"]][(entry["row"], entry["col"])] = NodeModel(pca, model)
-    return HgsfaNetwork(specs, tuple(manifest["input_shape"]), layers)
+    for k, row, col in nodes:
+        model, _, pca = load_model(files[k, row, col])
+        layers[k][(row, col)] = NodeModel(pca, model)
+    return HgsfaNetwork(specs, input_shape, layers)
 
 
 def save_architecture(specs, path):
     """Write layer specs as a standalone JSON config."""
-    payload = {"kind": "hgsfa-architecture", "format_version": 1,
-               "layers": [spec.to_dict() for spec in specs]}
-    write_json(path, payload)
+    write_container(path, "hgsfa-architecture", 1,
+                    {"layers": [spec.to_dict() for spec in specs]})
 
 
 def load_architecture(path):
-    data = json.loads(Path(path).read_text())
-    if data.get("kind") != "hgsfa-architecture" or data.get("format_version") != 1:
-        raise FormatError(f"{path}: not a supported architecture config")
-    return [LayerSpec.from_dict(d) for d in data["layers"]]
+    data = read_container(path, "hgsfa-architecture", {1})
+    with _entries_of(path):
+        return [LayerSpec.from_dict(d) for d in data["layers"]]

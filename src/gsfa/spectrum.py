@@ -17,9 +17,12 @@ import numpy as np
 from .errors import ContractError, DegenerateGraphError, ParameterError
 from . import matrixio
 from .graph import check_consistency
+from .solver import _sign_fix_columns
 
 #: Counting threshold: responses with delta < 2 - SLOW_COUNT_TOL are "slow".
 SLOW_COUNT_TOL = 1e-9
+#: Eigenvalues closer than this, relative to max(1, max |lambda|), are tied.
+TIE_RTOL = 1e-9
 
 
 @dataclass
@@ -66,9 +69,9 @@ def build_m_matrix(graph):
     return (m + m.T) / 2.0
 
 
-def _degenerate_blocks(eigenvalues, tie_rtol):
+def _degenerate_blocks(eigenvalues):
     """(start, stop) ranges of eigenvalues closer than the tie threshold."""
-    thresh = tie_rtol * max(1.0, float(np.max(np.abs(eigenvalues))))
+    thresh = TIE_RTOL * max(1.0, float(np.max(np.abs(eigenvalues))))
     blocks = []
     start = 0
     for i in range(1, eigenvalues.size + 1):
@@ -101,19 +104,7 @@ def _rotate_u0_into_block(u_block, u0):
     return u_block @ rot
 
 
-def _apply_sign_rule(y, tol_factor=1e-8):
-    """Flip sign so the first significantly nonzero entry is negative."""
-    scale = np.max(np.abs(y))
-    if scale == 0:
-        return y
-    idx = np.flatnonzero(np.abs(y) > tol_factor * scale)
-    if idx.size and y[idx[0]] > 0:
-        return -y
-    return y
-
-
-def optimal_free_responses(graph, consistency_tol=None, tie_rtol=1e-9,
-                           max_n=4096):
+def optimal_free_responses(graph, max_n=4096):
     """Full eigendecomposition of M, rescaled to response vectors.
 
     Requires a consistent graph (the analysis relies on v^{1/2} being an
@@ -127,7 +118,7 @@ def optimal_free_responses(graph, consistency_tol=None, tie_rtol=1e-9,
     if n > max_n:
         raise ParameterError(
             f"dense spectrum capped at N={max_n}; got N={n}")
-    report = check_consistency(graph, tol=consistency_tol)
+    report = check_consistency(graph)
     if not report.ok:
         raise ContractError(
             "free responses need a consistent graph "
@@ -140,7 +131,7 @@ def optimal_free_responses(graph, consistency_tol=None, tie_rtol=1e-9,
     v = graph.vertex_weights
     q = graph.q_sum
     u0 = np.sqrt(v) / np.sqrt(q)
-    blocks = _degenerate_blocks(eigenvalues, tie_rtol)
+    blocks = _degenerate_blocks(eigenvalues)
 
     # locate the block holding the u0 direction and canonicalize it
     proj = [float(np.linalg.norm(u[:, s:e].T @ u0)) for s, e in blocks]
@@ -161,9 +152,8 @@ def optimal_free_responses(graph, consistency_tol=None, tie_rtol=1e-9,
     feasible[s] = False
 
     deltas = 2.0 - (2.0 * q / graph.r_sum) * eigenvalues
-    responses = np.sqrt(q) * (u / np.sqrt(v)[:, None])
-    for j in range(n):
-        responses[:, j] = _apply_sign_rule(responses[:, j])
+    # negative at the first significantly nonzero sample
+    responses = -_sign_fix_columns(-np.sqrt(q) * (u / np.sqrt(v)[:, None]))
     return FreeResponseSpectrum(eigenvalues, deltas, responses, feasible,
                                 blocks, q, graph.r_sum)
 

@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 
 import gsfa
-from gsfa import FormatError, GraphStructure, TrainingGraph
+from gsfa import FormatError, TrainingGraph
 from gsfa.serialize import Columns, read_container
 
 
@@ -160,13 +160,7 @@ def load_graph_by_loop(path):
     except (TypeError, ValueError) as exc:
         raise FormatError(
             f"edges must be [i, j, gamma] number triplets: {exc}") from exc
-    structure = None
-    if "structure" in data:
-        structure = GraphStructure(
-            kind=data["structure"]["kind"],
-            groups=tuple(np.asarray(grp, dtype=int)
-                         for grp in data["structure"]["groups"]))
-    graph = TrainingGraph(v, gamma, structure=structure)
+    graph = TrainingGraph(v, gamma)
     if graph.edge_weights.nnz < len(vals):
         raise FormatError("graph file lists an edge more than once")
     return graph

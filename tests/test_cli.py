@@ -220,6 +220,42 @@ def test_train_hierarchy_network_dir(tmp_path, rng=np.random.default_rng(0)):
     assert feats.shape == (3, n)
 
 
+@pytest.mark.parametrize("text, match", [
+    ("{not json", "not valid JSON"),
+    ('{"kind": "hgsfa-architecture", "format_version": 1}',
+     "malformed entry (KeyError: 'layers')"),
+    ('{"kind": "hgsfa-architecture", "format_version": 1, "layers": 3}',
+     "malformed entry (TypeError"),
+    ('{"kind": "hgsfa-architecture", "format_version": 1, "layers": [{}]}',
+     "malformed entry (KeyError: 'grid')"),
+    ('{"kind": "hgsfa-architecture", "format_version": 1, "layers": [{"grid": '
+     '"22", "receptive_field": [4, 4], "expansion": {"kind": "identity"}, '
+     '"out_dims": 1}]}', "malformed entry (TypeError"),
+    ('{"kind": "hgsfa-architecture", "format_version": 1, "layers": [{"grid": '
+     '[1, 1, 1], "receptive_field": [4, 4], "expansion": {"kind": '
+     '"identity"}, "out_dims": 1}]}', "malformed entry (ValueError"),
+    ('{"kind": "hgsfa-network", "format_version": 1, "layers": []}',
+     "expected kind 'hgsfa-architecture'"),
+], ids=["bad-json", "no-layers", "layers-not-list", "empty-layer",
+        "text-grid", "three-grid", "wrong-kind"])
+def test_train_hierarchy_malformed_architecture_exit_1(tmp_path, capsys, text,
+                                                       match):
+    data_path = tmp_path / "data.csv"
+    gsfa.save_matrix_csv(np.random.default_rng(0).normal(size=(16, 8)),
+                         data_path)
+    graph_path = tmp_path / "g.json"
+    assert _run("build-graph", "--kind", "linear", "--n", "8",
+                "--out", graph_path) == 0
+    arch_path = tmp_path / "arch.json"
+    arch_path.write_text(text)
+    capsys.readouterr()
+    assert _run("train", "--data", data_path, "--graph", graph_path,
+                "--hierarchy", arch_path, "--image-shape", "4x4",
+                "--out", tmp_path / "net") == 1
+    _assert_error_line(capsys, str(arch_path), match)
+    assert not (tmp_path / "net").exists()
+
+
 def test_spectrum_edge_percentile(tmp_path):
     labels = tmp_path / "labels.txt"
     _write_labels(labels, np.linspace(0, 1, 20))
@@ -237,6 +273,7 @@ def test_spectrum_edge_percentile(tmp_path):
 def _assert_error_line(capsys, *fragments):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert err.count("\n") == 1
     for fragment in fragments:
         assert fragment in err
 
@@ -345,6 +382,16 @@ def test_reproduce_fig6_passes(tmp_path):
                                  .read_text())["format_version"]
                 for name in summary["counts"]}
     assert versions == {"reordering": 1, "serial": 1, "ell4": 2}
+
+
+def test_reproduce_roundtrip_fields_are_numbers(tmp_path):
+    assert _run("reproduce", "ell-roundtrip", "--out-dir", tmp_path / "r") == 0
+    with open(tmp_path / "r" / "roundtrip.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert len(rows) == 20 and all(len(row) == len(header) for row in rows)
+    for row in rows:
+        for value in row:
+            float(value)
 
 
 def test_rerun_overwrites_byte_identical(tmp_path):

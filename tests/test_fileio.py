@@ -368,10 +368,7 @@ def test_graph_file_structure_errors(tmp_path, edit, match):
 # graph file version 2: exact-label factors
 
 def _assert_same_loaded_graph(new, old):
-    for part in ("data", "indices", "indptr"):
-        a, b = getattr(new.edge_weights, part), getattr(old.edge_weights, part)
-        assert a.dtype == b.dtype
-        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(new.gamma_dense(), old.gamma_dense())
     assert (new.q_sum, new.r_sum) == (old.q_sum, old.r_sum)
     assert new.fingerprint() == old.fingerprint()
 
@@ -396,6 +393,43 @@ def test_ell_v2_file_loads_like_v1(tmp_path_factory, seed, n, n_labels,
     assert new.ell.nonnegative == graph.ell.nonnegative
     np.testing.assert_array_equal(new.ell.u, graph.ell.u)
     np.testing.assert_array_equal(new.ell.weights, graph.ell.weights)
+
+
+def _built_graph(kind, seed, n):
+    rng = np.random.default_rng(seed)
+    if kind == "linear":
+        return gsfa.build_linear_graph(n, "self_loop_extended")
+    if kind == "linear-halved":
+        return gsfa.build_linear_graph(n, "endpoint_halved_vertex_weights")
+    if kind == "clustered":
+        c = int(rng.integers(1, n // 2 + 1))
+        return gsfa.build_clustered_graph(
+            2 + rng.multinomial(n - 2 * c, np.full(c, 1.0 / c)))
+    if kind == "serial":
+        k = rng.choice([d for d in range(2, n + 1) if n % d == 0])
+        return gsfa.build_serial_graph(rng.normal(size=n), int(k))
+    return ell_graph_from_seed(seed, n, int(rng.integers(1, 4)),
+                               nonnegative=kind == "ell-nonnegative",
+                               uniform=bool(rng.integers(2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["linear", "linear-halved", "clustered", "serial",
+                             "ell", "ell-nonnegative"]),
+       seed=st.integers(0, 2**32 - 1), n=st.integers(12, 60))
+def test_loaded_graph_trains_the_built_graphs_model(tmp_path_factory, kind,
+                                                    seed, n):
+    graph = _built_graph(kind, seed, n)
+    path = tmp_path_factory.mktemp("graph") / "graph.json"
+    gsfa.save_graph(graph, path)
+    loaded = gsfa.load_graph(path)
+    data = np.random.default_rng(seed).normal(size=(4, n))
+    built = gsfa.train_gsfa(data, graph, n_features=3)
+    again = gsfa.train_gsfa(data, loaded, n_features=3)
+    for name in ("weighted_mean", "projection", "deltas"):
+        np.testing.assert_array_equal(getattr(again, name),
+                                      getattr(built, name), err_msg=name)
+    assert again.trained_on == built.trained_on
 
 
 def test_ell_v2_file_layout(tmp_path):
@@ -426,6 +460,9 @@ def test_ell_v1_file_still_loads(tmp_path):
 @pytest.mark.parametrize("edit, match", [
     (lambda d: d.pop("ell"), "no ell"),
     (lambda d: d.update(edges=[[0, 1, 1.0]]), "ell, not edges"),
+    (lambda d: d.update(structure={"kind": "clustered",
+                                   "groups": [[0, 1, 2], [3, 4, 5]]}),
+     "not edges or structure"),
     (lambda d: d.update(ell=[1.0]), "object of u, weights"),
     (lambda d: d["ell"].pop("weights"), "object of u, weights"),
     (lambda d: d["ell"].update(u=d["ell"]["u"][:-1]), r"n x k matrix with n=6"),
@@ -438,7 +475,7 @@ def test_ell_v1_file_still_loads(tmp_path):
     (lambda d: d["ell"]["weights"].__setitem__(1, None), "finite"),
     (lambda d: d["ell"].update(nonnegative=1), "true or false"),
     (lambda d: d["ell"].update(nonnegative="true"), "true or false"),
-], ids=["no-ell", "ell-and-edges", "ell-not-object", "no-weights",
+], ids=["no-ell", "ell-and-edges", "ell-and-structure", "ell-not-object", "no-weights",
         "u-short-rows", "u-narrow", "u-ragged", "weights-short", "u-nan",
         "weight-null", "nonnegative-int", "nonnegative-string"])
 def test_ell_v2_file_errors(tmp_path, edit, match):

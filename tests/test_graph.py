@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,6 +48,62 @@ def test_graph_rejects_nonpositive_vertex_weights():
 def test_graph_rejects_asymmetric_edges():
     with pytest.raises(ContractError):
         dense_graph([1.0, 1.0], [[0, 2], [0, 0]])
+
+
+def test_graph_takes_exactly_one_edge_description():
+    structure = GraphStructure("clustered", (np.arange(2), np.arange(2, 4)))
+    factors = gsfa.EllFactors(np.full((4, 1), 0.5), [1.0])
+    gamma = structure_edges(structure, 4)
+    for kwargs in ({}, {"edge_weights": gamma, "structure": structure},
+                   {"edge_weights": gamma, "ell": factors},
+                   {"structure": structure, "ell": factors},
+                   {"edge_weights": gamma, "structure": structure,
+                    "ell": factors}):
+        with pytest.raises(ContractError, match="exactly one"):
+            TrainingGraph(np.ones(4), **kwargs)
+
+
+def test_graph_derives_edges_from_its_description(rng):
+    structure = GraphStructure("serial", (np.array([3, 0]), np.array([1, 5]),
+                                          np.array([2, 4])))
+    graph = TrainingGraph(np.ones(6), structure=structure)
+    assert graph.structure is structure and graph.is_sparse
+    assert (graph.edge_weights != structure_edges(structure, 6)).nnz == 0
+    factors = _ell_graph(rng).ell
+    graph = TrainingGraph(np.ones(14), ell=factors)
+    assert not graph.is_sparse
+    np.testing.assert_array_equal(graph.gamma_dense(),
+                                  gsfa.ell_gamma(np.ones(14), factors))
+
+
+def test_ell_description_eliminates_like_the_edges(rng):
+    # the nonnegative flag applies the shift eliminate_negative_weights
+    # applies to the same edges given directly, bit for bit
+    for v in (np.ones(14), rng.uniform(0.5, 2.0, 14)):
+        label_set = gsfa.decorrelate_labels(
+            gsfa.normalize_labels(rng.normal(size=(3, 14)), v), v)
+        factors = gsfa.build_ell_graph(
+            label_set.with_eigenvalues([0.5, 0.3, 0.2]), v).ell
+        marked = TrainingGraph(v, ell=replace(factors, nonnegative=True))
+        edges = gsfa.eliminate_negative_weights(
+            TrainingGraph(v, gsfa.ell_gamma(v, factors)))
+        assert marked.ell.nonnegative and marked.gamma_min() >= 0
+        np.testing.assert_array_equal(marked.gamma_dense(), edges.gamma_dense())
+        assert (marked.q_sum, marked.r_sum) == (edges.q_sum, edges.r_sum)
+
+
+def test_ell_description_without_negative_weights_stays_unmarked():
+    # one constant factor column gives a uniform, nonnegative graph
+    graph = TrainingGraph(np.ones(4), ell=gsfa.EllFactors(
+        np.full((4, 1), 0.5), [1.0], nonnegative=True))
+    assert graph.ell.nonnegative is False
+    np.testing.assert_array_equal(graph.gamma_dense(), np.full((4, 4), 0.25))
+
+
+def test_structure_index_outside_graph_rejected():
+    structure = GraphStructure("clustered", (np.array([0, 1]), np.array([2, 4])))
+    with pytest.raises(ContractError, match="index 4 outside"):
+        TrainingGraph(np.ones(4), structure=structure)
 
 
 @pytest.mark.parametrize("storage", [np.array, sp.csr_array],
@@ -138,8 +195,7 @@ def test_ell_graph_carries_its_factors(rng):
     assert eliminated.ell.nonnegative
     np.testing.assert_array_equal(eliminated.ell.u, graph.ell.u)
     with pytest.raises(DimensionError, match="2 rows"):
-        TrainingGraph(np.ones(3), np.ones((3, 3)),
-                      ell=gsfa.EllFactors(np.ones((2, 2)), [1.0, 0.0]))
+        TrainingGraph(np.ones(3), ell=gsfa.EllFactors(np.ones((2, 2)), [1.0, 0.0]))
 
 
 def _fingerprint_cases(rng):
@@ -424,6 +480,13 @@ def test_remove_self_loops_drops_ell_factors(rng):
     graph = _ell_graph(rng)
     assert graph.ell is not None
     assert remove_self_loops(graph).ell is None
+
+
+def test_remove_self_loops_drops_structure():
+    graph = gsfa.build_serial_graph(np.arange(8.0), 4)
+    out = remove_self_loops(graph)
+    assert graph.structure is not None and out.structure is None
+    assert (out.edge_weights != graph.edge_weights).nnz == 0
 
 
 def test_remove_self_loops_noop_on_loop_free():

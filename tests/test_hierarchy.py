@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import gsfa
 from gsfa import (
     ArchitectureError,
     ExpansionSpec,
+    FormatError,
     LayerSpec,
     extract_features,
     network_extract,
@@ -14,6 +16,8 @@ from gsfa import (
     train_hgsfa,
     validate_architecture,
 )
+
+from conftest import json_by_dumps
 
 
 def _table_style_specs():
@@ -192,6 +196,52 @@ def test_network_save_load_round_trip(tmp_path, rng):
     loaded = gsfa.load_network(tmp_path / "net")
     np.testing.assert_allclose(network_extract(loaded, images),
                                network_extract(network, images), atol=1e-12)
+
+
+def _saved_toy_network(rng, directory):
+    images, _, graph = _toy_dataset(rng, n=40)
+    specs = [LayerSpec(grid=(2, 2), receptive_field=(2, 2), out_dims=2),
+             LayerSpec(grid=(1, 1), receptive_field=(2, 2), out_dims=2)]
+    gsfa.save_network(train_hgsfa(images, graph, specs), directory)
+    return specs
+
+
+def test_network_manifest_layout(tmp_path, rng):
+    specs = _saved_toy_network(rng, tmp_path / "net")
+    nodes = [{"layer": 0, "row": r, "col": c, "file": f"node_L0_r{r}_c{c}.json"}
+             for r in range(2) for c in range(2)]
+    nodes.append({"layer": 1, "row": 0, "col": 0, "file": "node_L1_r0_c0.json"})
+    assert (tmp_path / "net" / "manifest.json").read_text() == json_by_dumps({
+        "kind": "hgsfa-network", "format_version": 1, "input_shape": [4, 4],
+        "layers": [spec.to_dict() for spec in specs], "nodes": nodes})
+
+
+@pytest.mark.parametrize("edit, match", [
+    (None, "not valid JSON"),
+    (lambda d: d.update(kind="hgsfa-architecture"), "expected kind"),
+    (lambda d: d.pop("layers"), "malformed entry"),
+    (lambda d: d["layers"][0].pop("grid"), "malformed entry"),
+    (lambda d: d["layers"][1].update(out_dims=2.0), "malformed entry"),
+    (lambda d: d.update(input_shape=[4]), "malformed entry"),
+    (lambda d: d.pop("nodes"), "malformed entry"),
+    (lambda d: d["nodes"][0].pop("file"), "malformed entry"),
+    (lambda d: d["nodes"][0].update(layer="0"), "every node of the layers once"),
+    (lambda d: d["nodes"].pop(), "every node of the layers once"),
+    (lambda d: d["nodes"][1].update(col=0), "every node of the layers once"),
+], ids=["bad-json", "wrong-kind", "no-layers", "layer-without-grid",
+        "float-out-dims", "short-input-shape", "no-nodes", "node-without-file",
+        "text-layer",
+        "node-missing", "node-twice"])
+def test_load_network_rejects_malformed_manifest(tmp_path, rng, edit, match):
+    _saved_toy_network(rng, tmp_path / "net")
+    path = tmp_path / "net" / "manifest.json"
+    data = json.loads(path.read_text())
+    if edit is not None:
+        edit(data)
+    path.write_text("{not json" if edit is None else json.dumps(data))
+    with pytest.raises(FormatError, match=match) as exc:
+        gsfa.load_network(tmp_path / "net")
+    assert str(path) in str(exc.value)
 
 
 def test_network_features_drive_label_estimation(rng):
