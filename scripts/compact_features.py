@@ -23,7 +23,7 @@ import gsfa
 class Config:
     n_classes: int = 16
     per_class: int = 30
-    input_dim: int = 12
+    input_dim: int = 16
     spread: float = 3.0
     noise: float = 1.5
     seed: int = 0

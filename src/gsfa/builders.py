@@ -38,13 +38,15 @@ from .graph import (
     check_consistency,
     eliminate_negative_weights,
 )
-from .serialize import read_container, write_container
+from .serialize import entries_of, read_container, write_container
 
 LABELSET_FILE_KIND = "label-set"
 LABELSET_FILE_VERSION = 1
 
 #: Tolerance used to verify normalization/decorrelation contracts.
 LABEL_CONTRACT_TOL = 1e-9
+#: Largest unit-sum edge difference :func:`clustered_equivalence_check` accepts.
+EQUIVALENCE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -433,8 +435,7 @@ class EquivalenceReport:
     tol: float
 
 
-def clustered_equivalence_check(n_classes, per_class, eigenvalues=None,
-                                tol=1e-10):
+def clustered_equivalence_check(n_classes, per_class, eigenvalues=None):
     """Test that compact+(C-1) with equal eigenvalues is the clustered graph.
 
     Builds the exact-label graph from all C-1 binary codes with
@@ -472,7 +473,8 @@ def clustered_equivalence_check(n_classes, per_class, eigenvalues=None,
     max_diff = float(np.max(np.abs(gamma_n - clustered_n)))
     max_inter = float(np.max(np.abs(inter)))
     return EquivalenceReport(n_classes, per_class, max_diff, max_inter,
-                             equivalent=max_diff <= tol, tol=tol)
+                             equivalent=max_diff <= EQUIVALENCE_TOL,
+                             tol=EQUIVALENCE_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -495,21 +497,25 @@ def save_labels(label_set, vertex_weights, path):
 def load_labels(path):
     """Read a label-set container; returns (LabelSet, vertex_weights)."""
     data = read_container(path, LABELSET_FILE_KIND, {LABELSET_FILE_VERSION})
-    mixing = np.asarray(data["mixing"]) if "mixing" in data else None
-    label_set = LabelSet(
-        np.asarray(data["labels"], dtype=float),
-        np.asarray(data["eigenvalues"], dtype=float),
-        normalized=data["normalized"],
-        decorrelated=data["decorrelated"],
-        label_stats=np.asarray(data["mu_sigma"], dtype=float),
-        mixing=mixing,
-    )
-    return label_set, np.asarray(data["vertex_weights"], dtype=float)
+    with entries_of(path):
+        if not all(type(data[key]) is bool
+                   for key in ("normalized", "decorrelated")):
+            raise TypeError("normalized and decorrelated must be true or false")
+        mixing = np.asarray(data["mixing"]) if "mixing" in data else None
+        label_set = LabelSet(
+            np.asarray(data["labels"], dtype=float),
+            np.asarray(data["eigenvalues"], dtype=float),
+            normalized=data["normalized"],
+            decorrelated=data["decorrelated"],
+            label_stats=np.asarray(data["mu_sigma"], dtype=float),
+            mixing=mixing,
+        )
+        return label_set, np.asarray(data["vertex_weights"], dtype=float)
 
 
-def graph_consistency_report(graph, tol=None):
+def graph_consistency_report(graph):
     """Consistency summary dict for reports written next to graph files."""
-    report = check_consistency(graph, tol=tol)
+    report = check_consistency(graph)
     return {
         "consistent": report.ok,
         "max_residual": report.max_residual,

@@ -20,7 +20,7 @@ from .errors import (
     ParameterError,
     RegularizationWarning,
 )
-from .serialize import read_container, write_container
+from .serialize import entries_of, read_container, write_container
 
 ESTIMATOR_FILE_KIND = "label-estimator"
 ESTIMATOR_FILE_VERSION = 1
@@ -127,19 +127,17 @@ class CentroidClassifier:
     class_ids: np.ndarray
 
 
-def fit_linear_scaling(first_feature, labels, vertex_weights=None,
-                       clip_range=None):
+def fit_linear_scaling(first_feature, labels):
     """Fit the sign and the (mu, sigma) inversion of label normalization.
 
     The sign is chosen to minimize training RMSE; predictions are
-    clipped to the training label range unless ``clip_range`` is given.
+    clipped to the training label range.
     """
     y = np.asarray(first_feature, dtype=float).ravel()
     labels = np.asarray(labels, dtype=float).ravel()
     if y.shape != labels.shape:
         raise DimensionError("feature and labels differ in length")
-    v = (np.ones_like(labels) if vertex_weights is None
-         else np.asarray(vertex_weights, dtype=float))
+    v = np.ones_like(labels)
     q = v.sum()
     mu = float(v @ labels) / q
     centered = labels - mu
@@ -147,8 +145,7 @@ def fit_linear_scaling(first_feature, labels, vertex_weights=None,
     if var <= 0:
         raise DegenerateLabelError("labels are constant")
     sigma = float(np.sqrt(var))
-    if clip_range is None:
-        clip_range = (float(labels.min()), float(labels.max()))
+    clip_range = (float(labels.min()), float(labels.max()))
     best = None
     for sign in (1.0, -1.0):
         pred = _clip(sign * y * sigma + mu, clip_range)
@@ -221,13 +218,12 @@ def default_soft_gc_classes(labels):
     return max(2, min(distinct, labels.shape[0] // 10))
 
 
-def fit_soft_gc(features, labels, n_classes=None, ridge_factor=1e-6,
-                priors="equal"):
+def fit_soft_gc(features, labels, n_classes=None):
     """Per-class Gaussians on the features; soft label estimation.
 
-    Classes come from equal-frequency binning of the labels. The
-    covariance ridge defaults to 1e-6 * trace / dim per class. Priors
-    are equal by default ("empirical" uses bin frequencies).
+    Classes come from equal-frequency binning of the labels and get
+    equal priors. Each class covariance gets a ridge of
+    1e-6 * trace / dim.
     """
     y = np.atleast_2d(np.asarray(features, dtype=float))
     labels = np.asarray(labels, dtype=float).ravel()
@@ -240,7 +236,6 @@ def fit_soft_gc(features, labels, n_classes=None, ridge_factor=1e-6,
     means = np.empty((n_classes, d))
     covs = np.empty((n_classes, d, d))
     class_labels = np.empty(n_classes)
-    counts = np.empty(n_classes)
     for c in range(n_classes):
         members = np.flatnonzero(ids == c)
         if members.size < 2:
@@ -249,19 +244,13 @@ def fit_soft_gc(features, labels, n_classes=None, ridge_factor=1e-6,
         means[c] = block.mean(axis=1)
         centered = block - means[c][:, None]
         cov = centered @ centered.T / members.size
-        cov += ridge_factor * max(float(np.trace(cov)) / d, 1e-300) * np.eye(d)
+        cov += 1e-6 * max(float(np.trace(cov)) / d, 1e-300) * np.eye(d)
         if float(np.trace(cov)) <= 0:
             cov = np.eye(d) * 1e-12
         covs[c] = cov
         class_labels[c] = labels[members].mean()
-        counts[c] = members.size
-    if priors == "equal":
-        prior = np.full(n_classes, 1.0 / n_classes)
-    elif priors == "empirical":
-        prior = counts / counts.sum()
-    else:
-        raise ParameterError(f"unknown priors {priors!r}")
-    return SoftGcEstimator(means, covs, class_labels, prior)
+    return SoftGcEstimator(means, covs, class_labels,
+                           np.full(n_classes, 1.0 / n_classes))
 
 
 def fit_nearest_centroid(features, class_ids):
@@ -336,18 +325,19 @@ def save_estimator(estimator, path):
 
 def load_estimator(path):
     data = read_container(path, ESTIMATOR_FILE_KIND, {ESTIMATOR_FILE_VERSION})
-    kind = data["estimator"]
-    params = data["parameters"]
-    clip_range = tuple(data["clip_range"])
-    if kind == "linear_scaling":
-        return LinearScalingEstimator(params["sign"], params["mu"],
-                                      params["sigma"], clip_range)
-    if kind == "linear_regression":
-        return LinearRegressionEstimator(np.asarray(params["weights"]),
-                                         params["intercept"], clip_range)
-    if kind == "soft_gc":
-        return SoftGcEstimator(np.asarray(params["class_means"]),
-                               np.asarray(params["class_covs"]),
-                               np.asarray(params["class_labels"]),
-                               np.asarray(params["priors"]))
+    with entries_of(path):
+        kind = data["estimator"]
+        params = data["parameters"]
+        clip_range = tuple(data["clip_range"])
+        if kind == "linear_scaling":
+            return LinearScalingEstimator(params["sign"], params["mu"],
+                                          params["sigma"], clip_range)
+        if kind == "linear_regression":
+            return LinearRegressionEstimator(np.asarray(params["weights"]),
+                                             params["intercept"], clip_range)
+        if kind == "soft_gc":
+            return SoftGcEstimator(np.asarray(params["class_means"]),
+                                   np.asarray(params["class_covs"]),
+                                   np.asarray(params["class_labels"]),
+                                   np.asarray(params["priors"]))
     raise FormatError(f"{path}: unknown estimator kind {kind!r}")

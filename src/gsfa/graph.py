@@ -163,7 +163,9 @@ class TrainingGraph:
         Transforms other than elimination drop structure and factors.
 
     Both storage forms are copied and made read-only, so the cached sums
-    and fingerprint cannot go stale.
+    and fingerprint cannot go stale. Edges a caller passes are checked
+    for shape, finiteness and exact symmetry; derived edges, symmetric
+    by construction, for finiteness only.
     """
 
     __slots__ = ("vertex_weights", "_gamma", "_sparse", "n_samples",
@@ -184,6 +186,10 @@ class TrainingGraph:
         if sum(d is not None for d in (edge_weights, structure, ell)) != 1:
             raise ContractError("a training graph takes exactly one of "
                                 "edge_weights, structure and ell")
+        # derived edges are exactly symmetric: structure_edges lists both
+        # orders of every pair, ell_gamma and the shift end in
+        # (gamma + gamma^T) / 2
+        derived = edge_weights is None
         if structure is not None:
             edge_weights = structure_edges(structure, n)
         elif ell is not None:
@@ -201,28 +207,19 @@ class TrainingGraph:
             # Canonical form: nothing sorts the frozen arrays later, and
             # no edge is listed twice in triplets or graph files.
             g.sum_duplicates()
-            if g.shape != (n, n):
-                raise DimensionError(
-                    f"edge matrix shape {g.shape} does not match N={n}")
-            if not np.all(np.isfinite(g.data)):
-                raise DegenerateGraphError("edge weights must be finite")
-            asym = (g - g.T)
-            if asym.nnz and np.max(np.abs(asym.data)) != 0.0:
-                raise ContractError("edge weights must be exactly symmetric")
-            for part in (g.data, g.indices, g.indptr):
-                part.setflags(write=False)
-            r = _edge_sum(g.data)
         else:
-            g = np.asarray(edge_weights, dtype=float).copy()
-            if g.shape != (n, n):
-                raise DimensionError(
-                    f"edge matrix shape {g.shape} does not match N={n}")
-            if not np.all(np.isfinite(g)):
-                raise DegenerateGraphError("edge weights must be finite")
-            if not np.array_equal(g, g.T):
-                raise ContractError("edge weights must be exactly symmetric")
-            g.setflags(write=False)
-            r = _edge_sum(g.ravel())
+            g = np.array(edge_weights, dtype=float)
+        if g.shape != (n, n):
+            raise DimensionError(
+                f"edge matrix shape {g.shape} does not match N={n}")
+        values = g.data if sparse else g.ravel()
+        if not np.all(np.isfinite(values)):
+            raise DegenerateGraphError("edge weights must be finite")
+        if not derived and (g != g.T).sum():
+            raise ContractError("edge weights must be exactly symmetric")
+        for part in (g.data, g.indices, g.indptr) if sparse else (g,):
+            part.setflags(write=False)
+        r = _edge_sum(values)
         if r <= 0:
             raise DegenerateGraphError(f"sum of edge weights must be > 0, got {r}")
 
@@ -254,14 +251,10 @@ class TrainingGraph:
         return np.array(self._gamma)
 
     def gamma_row_sums(self):
-        if self._sparse:
-            return np.asarray(self._gamma.sum(axis=1)).ravel()
         return self._gamma.sum(axis=1)
 
     def gamma_diagonal(self):
-        if self._sparse:
-            return self._gamma.diagonal()
-        return np.diagonal(self._gamma).copy()
+        return np.array(self._gamma.diagonal())
 
     def gamma_quad(self, y):
         """y^T gamma y for a vector y; Y gamma Y^T for an I x N matrix Y.
@@ -284,12 +277,6 @@ class TrainingGraph:
         return float(quad[0, 0]) if y.ndim == 1 else quad
 
     def gamma_min(self):
-        if self._sparse:
-            if self._gamma.nnz == 0:
-                return 0.0
-            m = float(self._gamma.data.min())
-            full = self._gamma.nnz >= self.n_samples * self.n_samples
-            return m if full else min(m, 0.0)
         return float(self._gamma.min())
 
     def _triplet_arrays(self):
@@ -353,8 +340,6 @@ def check_consistency(graph, tol=None):
     """
     if tol is None:
         tol = DEFAULT_CONSISTENCY_RTOL * float(np.max(graph.vertex_weights))
-    if graph.r_sum == 0:
-        raise DegenerateGraphError("R = 0: consistency undefined")
     residual = graph.vertex_weights - (graph.q_sum / graph.r_sum) * graph.gamma_row_sums()
     ok = bool(np.max(np.abs(residual)) <= tol)
     return ConsistencyReport(ok, residual, float(tol))

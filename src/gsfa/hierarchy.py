@@ -8,7 +8,6 @@ concatenated outputs of the layer-k nodes they cover. Receptive fields
 must tile their input grid exactly; anything else is rejected.
 """
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import index
 from pathlib import Path
@@ -16,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArchitectureError, DimensionError, FormatError, GsfaError
-from .serialize import read_container, write_container
+from .serialize import entries_of, read_container, write_container
 from .solver import (
     ExpansionSpec,
     GsfaModel,
@@ -242,22 +241,12 @@ def save_network(network, directory):
                      "nodes": node_files})
 
 
-@contextmanager
-def _entries_of(path):
-    """Raise a missing or malformed entry of file ``path`` as FormatError."""
-    try:
-        yield
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: missing or malformed entry "
-                          f"({type(exc).__name__}: {exc})") from None
-
-
 def load_network(directory):
     directory = Path(directory)
     path = directory / "manifest.json"
     manifest = read_container(path, NETWORK_MANIFEST_KIND,
                               {NETWORK_MANIFEST_VERSION})
-    with _entries_of(path):
+    with entries_of(path):
         specs = [LayerSpec.from_dict(d) for d in manifest["layers"]]
         input_shape = _int_pair(manifest["input_shape"])
         files = {(e["layer"], e["row"], e["col"]): directory / e["file"]
@@ -281,5 +270,5 @@ def save_architecture(specs, path):
 
 def load_architecture(path):
     data = read_container(path, "hgsfa-architecture", {1})
-    with _entries_of(path):
+    with entries_of(path):
         return [LayerSpec.from_dict(d) for d in data["layers"]]

@@ -24,7 +24,6 @@ from .serialize import format_rows
 
 MAGIC = b"GSFAMAT1"
 _DTYPES = {1: "<f8", 2: "<f4"}
-_CODES = {np.dtype("float64"): 1, np.dtype("float32"): 2}
 
 
 def write_csv(path, header, columns):
@@ -86,13 +85,13 @@ def load_matrix_csv(path):
     return _finite(np.asarray(rows, dtype=float).T, path), names
 
 
-def save_matrix_binary(data, path, dtype="float64"):
+def save_matrix_binary(data, path):
+    """Write an I x N matrix in the binary layout, as float64."""
     data = np.atleast_2d(np.asarray(data))
-    code = _CODES[np.dtype(dtype)]
-    payload = np.ascontiguousarray(data, dtype=_DTYPES[code])
+    payload = np.ascontiguousarray(data, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
-        fh.write(struct.pack("<B", code))
+        fh.write(struct.pack("<B", 1))
         fh.write(struct.pack("<QQ", data.shape[0], data.shape[1]))
         fh.write(payload.tobytes())
 

@@ -14,6 +14,7 @@ are formatted here instead, by ``repr`` joins in blocks
 """
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +133,16 @@ def write_container(path, kind, version, payload):
     data["kind"] = kind
     data["format_version"] = version
     write_json(path, data)
+
+
+@contextmanager
+def entries_of(path):
+    """Raise a missing or malformed entry of file ``path`` as FormatError."""
+    try:
+        yield
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: missing or malformed entry "
+                          f"({type(exc).__name__}: {exc})") from None
 
 
 def read_container(path, kind, supported_versions):

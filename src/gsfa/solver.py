@@ -25,7 +25,7 @@ from .errors import (
     SingularityError,
 )
 from .graph import check_consistency
-from .serialize import read_container, write_container
+from .serialize import entries_of, read_container, write_container
 
 MODEL_FILE_KIND = "gsfa-model"
 MODEL_FILE_VERSION = 1
@@ -159,29 +159,30 @@ class GsfaModel:
         return self.projection.shape[1]
 
 
-def _sign_fix_columns(w, tol_factor=1e-8):
-    """First significantly nonzero coordinate of each column positive."""
+def _sign_fix_columns(w):
+    """First coordinate above 1e-8 * max |column| of each column positive."""
     w = w.copy()
     for j in range(w.shape[1]):
         col = w[:, j]
         scale = np.max(np.abs(col))
         if scale == 0:
             continue
-        idx = np.flatnonzero(np.abs(col) > tol_factor * scale)
+        idx = np.flatnonzero(np.abs(col) > 1e-8 * scale)
         if idx.size and col[idx[0]] < 0:
             w[:, j] = -col
     return w
 
 
-def train_gsfa(data, graph, n_features=None, regularization=None):
+def train_gsfa(data, graph, n_features=None):
     """Train linear GSFA on an I x N matrix with a training graph.
 
-    Sphering directions with covariance eigenvalues below the
-    regularization floor are dropped (their count capping the number of
-    extractable features); requesting more raises
-    :class:`SingularityError`. Inconsistent graphs are allowed with a
-    warning: the deltas keep their edge-sum meaning, but the fast delta
-    form and the free-response analysis do not apply to them.
+    The covariance gets a ridge of 1e-10 * trace / I. Sphering
+    directions whose eigenvalues do not clear twice the ridge are
+    dropped (their count capping the number of extractable features);
+    requesting more raises :class:`SingularityError`. Inconsistent
+    graphs are allowed with a warning: the deltas keep their edge-sum
+    meaning, but the fast delta form and the free-response analysis do
+    not apply to them.
 
     Returns a :class:`GsfaModel` with features ordered by ascending
     delta; the model deltas are the diagonal of the rotated sphered
@@ -203,10 +204,8 @@ def train_gsfa(data, graph, n_features=None, regularization=None):
     cov = sample_covariance(data, graph.vertex_weights)
     dcov = derivative_covariance(data, graph)
 
-    if regularization is None:
-        regularization = 1e-10 * float(np.trace(cov)) / n_in
-    if regularization > 0:
-        cov = cov + regularization * np.eye(n_in)
+    regularization = 1e-10 * float(np.trace(cov)) / n_in
+    cov = cov + regularization * np.eye(n_in)
 
     eigval, eigvec = np.linalg.eigh(cov)
     # ridge-only directions sit at ~regularization; genuinely informative
@@ -320,13 +319,19 @@ def save_model(model, path, expansion=None, pca=None):
 def load_model(path):
     """Read a model container; returns (GsfaModel, ExpansionSpec|None, PcaModel|None)."""
     data = read_container(path, MODEL_FILE_KIND, {MODEL_FILE_VERSION})
-    model = GsfaModel(
-        np.asarray(data["weighted_mean"], dtype=float),
-        np.asarray(data["projection"], dtype=float),
-        np.asarray(data["deltas"], dtype=float),
-        trained_on=data.get("trained_on", {}),
-    )
-    expansion = (ExpansionSpec.from_dict(data["expansion"])
-                 if data.get("expansion") else None)
-    pca = PcaModel.from_dict(data["pca"]) if data.get("pca") else None
+    with entries_of(path):
+        model = GsfaModel(
+            np.asarray(data["weighted_mean"], dtype=float),
+            np.asarray(data["projection"], dtype=float),
+            np.asarray(data["deltas"], dtype=float),
+            trained_on=data.get("trained_on", {}),
+        )
+        if (model.projection.ndim != 2
+                or model.weighted_mean.shape != (model.input_dim,)
+                or model.deltas.shape != (model.n_features,)):
+            raise ValueError("projection must be an I x J matrix, "
+                             "weighted_mean list I and deltas J numbers")
+        expansion = (ExpansionSpec.from_dict(data["expansion"])
+                     if data.get("expansion") else None)
+        pca = PcaModel.from_dict(data["pca"]) if data.get("pca") else None
     return model, expansion, pca

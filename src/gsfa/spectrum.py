@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DegenerateGraphError, ParameterError
+from .errors import ContractError, ParameterError
 from . import matrixio
 from .graph import check_consistency
 from .solver import _sign_fix_columns
@@ -54,17 +54,14 @@ class FreeResponseSpectrum:
         order = idx[np.argsort(self.deltas[idx], kind="stable")]
         return self.responses[:, order], self.deltas[order]
 
-    def slow_count(self, threshold=2.0, tol=SLOW_COUNT_TOL):
-        """Number of feasible responses with delta strictly below threshold."""
-        return int(np.sum(self.feasible & (self.deltas < threshold - tol)))
+    def slow_count(self):
+        """Number of feasible responses with delta < 2 - SLOW_COUNT_TOL."""
+        return int(np.sum(self.feasible & (self.deltas < 2.0 - SLOW_COUNT_TOL)))
 
 
 def build_m_matrix(graph):
     """M = Diag(v^{-1/2}) gamma Diag(v^{-1/2}), symmetric."""
-    v = graph.vertex_weights
-    if np.any(v <= 0):
-        raise ContractError("vertex weights must be strictly positive")
-    inv_sqrt = 1.0 / np.sqrt(v)
+    inv_sqrt = 1.0 / np.sqrt(graph.vertex_weights)
     m = graph.gamma_dense() * np.outer(inv_sqrt, inv_sqrt)
     return (m + m.T) / 2.0
 
@@ -164,8 +161,6 @@ def expected_noise_delta(graph):
     Closed form 2 (R - trace(gamma)) / R: exactly 2 whenever the graph
     has no self-loops.
     """
-    if graph.r_sum == 0:
-        raise DegenerateGraphError("R = 0: expected delta undefined")
     return 2.0 * (graph.r_sum - float(np.sum(graph.gamma_diagonal()))) / graph.r_sum
 
 

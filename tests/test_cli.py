@@ -256,6 +256,63 @@ def test_train_hierarchy_malformed_architecture_exit_1(tmp_path, capsys, text,
     assert not (tmp_path / "net").exists()
 
 
+def _rewrite_json(path, edit):
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda d: d.pop("projection"), "(KeyError: 'projection')"),
+    (lambda d: d.update(projection="x"), "(ValueError"),
+    (lambda d: d.update(projection=[1.0, 2.0]), "I x J matrix"),
+    (lambda d: d.update(deltas=[0.1, 0.2, 0.3]), "I x J matrix"),
+    (lambda d: d.update(expansion={"degree": 2}), "(KeyError: 'kind')"),
+], ids=["no-projection", "text-projection", "vector-projection",
+        "extra-delta", "expansion-without-kind"])
+def test_evaluate_malformed_model_exit_1(tmp_path, capsys, edit, match):
+    data_dir = _make_dataset(tmp_path, n=48, values=6)
+    graph_path = tmp_path / "g.json"
+    assert _run("build-graph", "--kind", "linear", "--n", "48",
+                "--out", graph_path) == 0
+    model_path = tmp_path / "model.json"
+    assert _run("train", "--data", data_dir / "data.csv", "--graph", graph_path,
+                "--features", "2", "--out", model_path) == 0
+    _rewrite_json(model_path, edit)
+    capsys.readouterr()
+    assert _run("evaluate", "--model", model_path,
+                "--train-data", data_dir / "data.csv",
+                "--train-labels", data_dir / "labels.txt",
+                "--test-data", data_dir / "data.csv",
+                "--test-labels", data_dir / "labels.txt",
+                "--out-dir", tmp_path / "eval") == 1
+    _assert_error_line(capsys, str(model_path), "malformed entry", match)
+    assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda d: d.pop("labels"), "(KeyError: 'labels')"),
+    (lambda d: d.update(normalized="yes"), "must be true or false"),
+    (lambda d: d.update(decorrelated=1), "must be true or false"),
+    (lambda d: d.pop("decorrelated"), "(KeyError: 'decorrelated')"),
+    (lambda d: d.update(vertex_weights="ones"), "(ValueError"),
+], ids=["no-labels", "text-normalized", "integer-decorrelated",
+        "no-decorrelated", "text-vertex-weights"])
+def test_build_graph_malformed_label_set_exit_1(tmp_path, capsys, edit, match):
+    labels = tmp_path / "labels.txt"
+    _write_labels(labels, np.linspace(-1, 1, 12))
+    ls_path = tmp_path / "ls.json"
+    assert _run("build-graph", "--kind", "ell", "--labels", labels,
+                "--save-label-set", ls_path, "--out", tmp_path / "g1.json") == 0
+    _rewrite_json(ls_path, edit)
+    capsys.readouterr()
+    out = tmp_path / "g2.json"
+    assert _run("build-graph", "--kind", "ell", "--label-set", ls_path,
+                "--out", out) == 1
+    _assert_error_line(capsys, str(ls_path), "malformed entry", match)
+    assert not out.exists()
+
+
 def test_spectrum_edge_percentile(tmp_path):
     labels = tmp_path / "labels.txt"
     _write_labels(labels, np.linspace(0, 1, 20))

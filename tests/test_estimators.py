@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -213,3 +215,19 @@ def test_estimator_files_round_trip(tmp_path, rng):
                                        est.predict(query[0]))
         else:
             np.testing.assert_allclose(loaded.predict(query), est.predict(query))
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda d: d.pop("clip_range"), "KeyError: 'clip_range'"),
+    (lambda d: d.update(parameters=[1.0]), "TypeError"),
+    (lambda d: d["parameters"].pop("sigma"), "KeyError: 'sigma'"),
+    (lambda d: d.update(estimator="median"), "unknown estimator kind"),
+], ids=["no-clip-range", "list-parameters", "no-sigma", "unknown-kind"])
+def test_estimator_file_malformed_entry_is_format_error(tmp_path, edit, match):
+    path = tmp_path / "est.json"
+    gsfa.save_estimator(fit_linear_scaling(np.arange(6.0), np.arange(6.0)), path)
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+    with pytest.raises(gsfa.FormatError, match=match):
+        gsfa.load_estimator(path)

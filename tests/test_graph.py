@@ -45,9 +45,11 @@ def test_graph_rejects_nonpositive_vertex_weights():
         dense_graph([1.0, 0.0], [[0, 1], [1, 0]])
 
 
-def test_graph_rejects_asymmetric_edges():
-    with pytest.raises(ContractError):
-        dense_graph([1.0, 1.0], [[0, 2], [0, 0]])
+@pytest.mark.parametrize("storage", [np.array, sp.csr_array],
+                         ids=["dense", "csr"])
+def test_graph_rejects_asymmetric_edges(storage):
+    with pytest.raises(ContractError, match="exactly symmetric"):
+        TrainingGraph(np.ones(2), storage(np.array([[0.0, 2.0], [0.0, 0.0]])))
 
 
 def test_graph_takes_exactly_one_edge_description():
@@ -106,6 +108,29 @@ def test_structure_index_outside_graph_rejected():
         TrainingGraph(np.ones(4), structure=structure)
 
 
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(8, 24), k=st.integers(2, 4),
+       seed=st.integers(0, 2**32 - 1))
+def test_derived_edges_are_exactly_symmetric(n, k, seed):
+    # the constructor does not compare derived edges with their
+    # transpose; this is the property that makes skipping it safe
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    size = n // k
+    groups = tuple(order[g * size:(g + 1) * size] for g in range(k))
+    v = rng.uniform(0.2, 3.0, n)
+    graphs = [TrainingGraph(np.ones(n), structure=GraphStructure(kind, groups))
+              for kind in ("clustered", "serial")]
+    label_set = gsfa.decorrelate_labels(
+        gsfa.normalize_labels(rng.normal(size=(min(k, n - 1), n)), v), v)
+    for nonnegative in (False, True):
+        graphs.append(gsfa.build_ell_graph(label_set, v,
+                                           nonnegative=nonnegative))
+    for graph in graphs:
+        gamma = graph.gamma_dense()
+        assert np.array_equal(gamma, gamma.T)
+
+
 @pytest.mark.parametrize("storage", [np.array, sp.csr_array],
                          ids=["dense", "csr"])
 def test_graph_rejects_nan_edge_as_not_finite(storage):
@@ -128,11 +153,19 @@ def test_sparse_and_dense_storage_agree():
     assert sparse.is_sparse and not dense.is_sparse
     assert dense.q_sum == sparse.q_sum
     assert dense.r_sum == sparse.r_sum
-    np.testing.assert_allclose(dense.gamma_row_sums(), sparse.gamma_row_sums())
+    np.testing.assert_array_equal(dense.gamma_row_sums(), sparse.gamma_row_sums())
+    np.testing.assert_array_equal(dense.gamma_diagonal(), sparse.gamma_diagonal())
     np.testing.assert_allclose(dense.gamma_dense(), sparse.gamma_dense())
+    # all stored weights are positive: the implicit zeros are the minimum
+    assert dense.gamma_min() == sparse.gamma_min() == 0.0
     y = np.array([0.3, -1.0, 2.0])
     assert dense.gamma_quad(y) == pytest.approx(sparse.gamma_quad(y))
     assert dense.fingerprint() == sparse.fingerprint()
+    for gamma in (np.array([[1.0, -1.0], [-1.0, 4.0]]),
+                  np.array([[0.5, 2.0], [2.0, 1.0]])):
+        full = TrainingGraph(np.ones(2), sp.csr_array(gamma))
+        assert full.gamma_min() == TrainingGraph(np.ones(2), gamma).gamma_min()
+        assert full.gamma_min() == gamma.min()
 
 
 @pytest.mark.parametrize("make_graph", [

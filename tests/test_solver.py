@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -375,6 +377,15 @@ def test_matrix_binary_round_trip(tmp_path, rng):
     gsfa.save_matrix_binary(data, tmp_path / "m.bin")
     np.testing.assert_array_equal(gsfa.load_matrix_binary(tmp_path / "m.bin"),
                                   data)
+
+
+def test_matrix_binary_reads_float32(tmp_path):
+    data = np.array([[0.5, -1.25, 3.0], [2.0, 0.0, -0.75]], dtype="<f4")
+    (tmp_path / "m.bin").write_bytes(
+        b"GSFAMAT1" + bytes([2]) + struct.pack("<QQ", 2, 3) + data.tobytes())
+    loaded = gsfa.load_matrix_binary(tmp_path / "m.bin")
+    assert loaded.dtype == np.float64
+    np.testing.assert_array_equal(loaded, data)
 
 
 def test_matrix_binary_rejects_bad_magic(tmp_path):
