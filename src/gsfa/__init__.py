@@ -107,6 +107,7 @@ from .matrixio import (
 from .solver import (
     ExpansionSpec,
     GsfaModel,
+    GsfaNode,
     PcaModel,
     derivative_covariance,
     expand,
@@ -116,6 +117,7 @@ from .solver import (
     sample_covariance,
     save_model,
     train_gsfa,
+    train_node,
     weighted_mean,
 )
 from .spectrum import (

@@ -179,15 +179,12 @@ def cmd_train(args):
         report_path = out / "report.json"
         config_path = out / "config.json"
     else:
-        pca = None
-        if args.pca:
-            pca, data = solver.pca_reduce(data, graph.vertex_weights, args.pca)
         expansion = solver.ExpansionSpec(kind=args.expansion, degree=args.degree)
-        expanded = solver.expand(data, expansion)
-        model = solver.train_gsfa(expanded, graph, n_features=args.features)
+        node, _ = solver.train_node(data, graph, expansion,
+                                    n_features=args.features, pca_dims=args.pca)
         out.parent.mkdir(parents=True, exist_ok=True)
-        solver.save_model(model, out, expansion=expansion, pca=pca)
-        deltas = model.deltas.tolist()
+        solver.save_model(node, out)
+        deltas = node.gsfa.deltas.tolist()
         report_path = out.with_suffix(out.suffix + ".report.json")
         config_path = out.with_suffix(out.suffix + ".config.json")
 
@@ -221,11 +218,9 @@ def _fit_and_score(name, feats_train, feats_test, labels_train, labels_test):
 
 
 def cmd_evaluate(args):
-    model, expansion, pca = solver.load_model(args.model)
-    feats_train = solver.pipeline_extract(
-        model, matrixio.load_matrix(args.train_data), expansion=expansion, pca=pca)
-    feats_test = solver.pipeline_extract(
-        model, matrixio.load_matrix(args.test_data), expansion=expansion, pca=pca)
+    node = solver.load_model(args.model)
+    feats_train = node.extract(matrixio.load_matrix(args.train_data))
+    feats_test = node.extract(matrixio.load_matrix(args.test_data))
     labels_train = _read_label_file(args.train_labels)
     labels_test = _read_label_file(args.test_labels)
 
@@ -233,7 +228,7 @@ def cmd_evaluate(args):
     d_max = min(args.d_max, feats_train.shape[0])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    graph_id = model.trained_on.get("checksum", "unknown")
+    graph_id = node.gsfa.trained_on.get("checksum", "unknown")
     chance_train = estimators.chance_rmse(labels_train)
     chance_test = estimators.chance_rmse(labels_test)
 

@@ -16,17 +16,7 @@ import numpy as np
 
 from .errors import ArchitectureError, DimensionError, FormatError, GsfaError
 from .serialize import entries_of, read_container, write_container
-from .solver import (
-    ExpansionSpec,
-    GsfaModel,
-    PcaModel,
-    expand,
-    extract_features,
-    load_model,
-    pca_reduce,
-    save_model,
-    train_gsfa,
-)
+from .solver import ExpansionSpec, load_model, save_model, train_node
 
 NETWORK_MANIFEST_KIND = "hgsfa-network"
 NETWORK_MANIFEST_VERSION = 1
@@ -119,45 +109,51 @@ def validate_architecture(specs, input_shape):
 
 
 @dataclass
-class NodeModel:
-    pca: PcaModel
-    gsfa: GsfaModel
-
-
-@dataclass
 class HgsfaNetwork:
     specs: list
     input_shape: tuple
-    layers: list  # one dict {(row, col): NodeModel} per layer
+    layers: list  # one dict {(row, col): GsfaNode} per layer
 
     @property
     def output_dim(self):
         return self.specs[-1].out_dims
 
 
-def _node_input(layer_outputs, spec, row, col):
-    """Concatenate the outputs of the nodes covered by node (row, col)."""
+def _node_inputs(cells, spec):
+    """Yield (row, col, input) for every node of a layer.
+
+    ``cells`` is the layer's (N, rows, cols, dim) input grid: the images
+    as ``images[..., None]``, then the previous layer's outputs. A
+    node's input is its field's cells in (dr, dc, j) order, as a
+    (field_r * field_c * dim) x N matrix.
+    """
+    n = cells.shape[0]
     field_r, field_c = spec.receptive_field
-    parts = []
-    for dr in range(field_r):
-        for dc in range(field_c):
-            parts.append(layer_outputs[(row * field_r + dr, col * field_c + dc)])
-    return np.vstack(parts)
+    for row in range(spec.grid[0]):
+        for col in range(spec.grid[1]):
+            patch = cells[:, row * field_r:(row + 1) * field_r,
+                          col * field_c:(col + 1) * field_c]
+            yield row, col, patch.reshape(n, -1).T
 
 
-def _first_layer_input(images, spec, row, col):
-    field_r, field_c = spec.receptive_field
-    patch = images[:, row * field_r:(row + 1) * field_r,
-                   col * field_c:(col + 1) * field_c]
-    return patch.reshape(images.shape[0], field_r * field_c).T
+def _forward(network, images, node_output):
+    """Run images through the layers; returns the top node's J x N features.
 
-
-def _check_images(images, input_shape):
+    ``node_output(k, row, col, node_input)`` returns the J x N output of
+    node (row, col) of layer k for its input.
+    """
     images = np.asarray(images, dtype=float)
-    if images.ndim != 3 or images.shape[1:] != tuple(input_shape):
+    if images.ndim != 3 or images.shape[1:] != tuple(network.input_shape):
         raise DimensionError(f"expected (N, H, W) images with (H, W) = "
-                             f"{tuple(input_shape)}, got {images.shape}")
-    return images
+                             f"{tuple(network.input_shape)}, got {images.shape}")
+    cells = images[..., None]
+    for k, spec in enumerate(network.specs):
+        outputs = np.empty((cells.shape[0], *spec.grid, spec.out_dims))
+        for row, col, node_input in _node_inputs(cells, spec):
+            outputs[:, row, col] = node_output(k, row, col, node_input).T
+        cells = outputs
+    # C order, as the top node's own extract returns it
+    return np.ascontiguousarray(cells[:, 0, 0].T)
 
 
 def train_hgsfa(images, graph, specs):
@@ -167,60 +163,35 @@ def train_hgsfa(images, graph, specs):
     graph. Solver errors are re-raised annotated with the node's layer
     and grid coordinates.
     """
-    input_shape = np.shape(images)[1:]
-    images = _check_images(images, input_shape)
-    if images.shape[0] != graph.n_samples:
+    shape = np.shape(images)
+    if len(shape) != 3:
+        raise DimensionError(f"expected (N, H, W) images, got {shape}")
+    if shape[0] != graph.n_samples:
         raise DimensionError(
-            f"{images.shape[0]} images but graph has {graph.n_samples} vertices")
-    validate_architecture(specs, input_shape)
+            f"{shape[0]} images but graph has {graph.n_samples} vertices")
+    validate_architecture(specs, shape[1:])
+    network = HgsfaNetwork(list(specs), shape[1:], [{} for _ in specs])
 
-    network = HgsfaNetwork(list(specs), input_shape, [])
-    outputs = None
-    for k, spec in enumerate(specs):
-        nodes = {}
-        new_outputs = {}
-        for row in range(spec.grid[0]):
-            for col in range(spec.grid[1]):
-                if k == 0:
-                    node_data = _first_layer_input(images, spec, row, col)
-                else:
-                    node_data = _node_input(outputs, spec, row, col)
-                try:
-                    pca = None
-                    if spec.pca_dims is not None:
-                        pca, node_data = pca_reduce(
-                            node_data, graph.vertex_weights, spec.pca_dims)
-                    expanded = expand(node_data, spec.expansion)
-                    model = train_gsfa(expanded, graph, n_features=spec.out_dims)
-                except GsfaError as exc:
-                    exc.args = (f"layer {k}, node ({row}, {col}): {exc}",)
-                    raise
-                nodes[(row, col)] = NodeModel(pca, model)
-                new_outputs[(row, col)] = extract_features(model, expanded)
-        network.layers.append(nodes)
-        outputs = new_outputs
+    def train(k, row, col, node_input):
+        spec = network.specs[k]
+        try:
+            node, features = train_node(node_input, graph, spec.expansion,
+                                        n_features=spec.out_dims,
+                                        pca_dims=spec.pca_dims)
+        except GsfaError as exc:
+            exc.args = (f"layer {k}, node ({row}, {col}): {exc}",)
+            raise
+        network.layers[k][(row, col)] = node
+        return features
+
+    _forward(network, images, train)
     return network
 
 
 def network_extract(network, images):
     """Forward pass; returns the top node's J x N feature matrix."""
-    images = _check_images(images, network.input_shape)
-    outputs = None
-    for k, spec in enumerate(network.specs):
-        new_outputs = {}
-        for row in range(spec.grid[0]):
-            for col in range(spec.grid[1]):
-                if k == 0:
-                    node_data = _first_layer_input(images, spec, row, col)
-                else:
-                    node_data = _node_input(outputs, spec, row, col)
-                node = network.layers[k][(row, col)]
-                if node.pca is not None:
-                    node_data = node.pca.transform(node_data)
-                expanded = expand(node_data, spec.expansion)
-                new_outputs[(row, col)] = extract_features(node.gsfa, expanded)
-        outputs = new_outputs
-    return outputs[(0, 0)]
+    return _forward(network, images, lambda k, row, col, node_input:
+                    network.layers[k][(row, col)].extract(node_input))
 
 
 def save_network(network, directory):
@@ -228,11 +199,10 @@ def save_network(network, directory):
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     node_files = []
-    for k, (spec, nodes) in enumerate(zip(network.specs, network.layers)):
+    for k, nodes in enumerate(network.layers):
         for (row, col), node in sorted(nodes.items()):
             name = f"node_L{k}_r{row}_c{col}.json"
-            save_model(node.gsfa, directory / name, expansion=spec.expansion,
-                       pca=node.pca)
+            save_model(node, directory / name)
             node_files.append({"layer": k, "row": row, "col": col, "file": name})
     write_container(directory / "manifest.json", NETWORK_MANIFEST_KIND,
                     NETWORK_MANIFEST_VERSION,
@@ -242,6 +212,14 @@ def save_network(network, directory):
 
 
 def load_network(directory):
+    """Read a network directory; checks the manifest and every node file.
+
+    The layers must tile ``input_shape`` (:func:`validate_architecture`),
+    and each node file must agree with its layer: the same expansion, a
+    PCA to ``pca_dims`` exactly when the layer has one, and the layer's
+    input and output dimensions. Any mismatch is a FormatError naming
+    the file.
+    """
     directory = Path(directory)
     path = directory / "manifest.json"
     manifest = read_container(path, NETWORK_MANIFEST_KIND,
@@ -251,14 +229,28 @@ def load_network(directory):
         input_shape = _int_pair(manifest["input_shape"])
         files = {(e["layer"], e["row"], e["col"]): directory / e["file"]
                  for e in manifest["nodes"]}
+    try:
+        reports = validate_architecture(specs, input_shape)
+    except ArchitectureError as exc:
+        raise FormatError(f"{path}: {exc}") from None
     nodes = [(k, row, col) for k, spec in enumerate(specs)
              for row in range(spec.grid[0]) for col in range(spec.grid[1])]
     if len(files) != len(manifest["nodes"]) or set(files) != set(nodes):
         raise FormatError(f"{path}: nodes must list every node of the layers once")
     layers = [dict() for _ in specs]
     for k, row, col in nodes:
-        model, _, pca = load_model(files[k, row, col])
-        layers[k][(row, col)] = NodeModel(pca, model)
+        node = load_model(files[k, row, col])
+        spec, report = specs[k], reports[k]
+        pca_shape = None if node.pca is None else node.pca.components.shape
+        if (node.expansion != spec.expansion
+                or pca_shape != (None if spec.pca_dims is None
+                                 else (report.input_dim, spec.pca_dims))
+                or node.gsfa.projection.shape
+                != (report.expanded_dim, spec.out_dims)):
+            raise FormatError(
+                f"{files[k, row, col]}: node does not match layer {k} of "
+                f"{path} (expansion, pca_dims, input or output dimensions)")
+        layers[k][(row, col)] = node
     return HgsfaNetwork(specs, input_shape, layers)
 
 

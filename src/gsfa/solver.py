@@ -7,8 +7,9 @@ projection W = S * rotation yields features y(n) = W^T (x(n) - mean)
 with weighted zero mean, unit variance, mutual decorrelation, and
 minimal delta values in the linear span of the inputs.
 
-Also houses the nonlinear expansion functions and weighted PCA used as
-node-level preprocessing.
+Also houses the nonlinear expansions, weighted PCA, and the node that
+every flat model and every network node is: optional PCA, then an
+expansion, then linear GSFA (:class:`GsfaNode`, :func:`train_node`).
 """
 
 import math
@@ -193,6 +194,8 @@ def train_gsfa(data, graph, n_features=None):
     if n_samples != graph.n_samples:
         raise DimensionError(
             f"data has {n_samples} samples but graph has {graph.n_samples}")
+    if n_features is not None and n_features < 1:
+        raise ParameterError(f"n_features must be >= 1, got {n_features}")
 
     if not check_consistency(graph):
         warnings.warn("training on an inconsistent graph; the deltas are edge "
@@ -244,16 +247,6 @@ def extract_features(model, data):
     return model.projection.T @ (data - model.weighted_mean[:, None])
 
 
-def pipeline_extract(model, data, expansion=None, pca=None):
-    """Apply the full node pipeline: optional PCA, expansion, extraction."""
-    data = np.atleast_2d(np.asarray(data, dtype=float))
-    if pca is not None:
-        data = pca.transform(data)
-    if expansion is not None:
-        data = expand(data, expansion)
-    return extract_features(model, data)
-
-
 # ---------------------------------------------------------------------------
 # weighted PCA
 
@@ -267,6 +260,9 @@ class PcaModel:
 
     def transform(self, data):
         data = np.atleast_2d(np.asarray(data, dtype=float))
+        if data.shape[0] != self.mean.shape[0]:
+            raise DimensionError(f"data has {data.shape[0]} rows, PCA "
+                                 f"expects {self.mean.shape[0]}")
         return self.components.T @ (data - self.mean[:, None])
 
     def reconstruct(self, reduced):
@@ -302,22 +298,60 @@ def pca_reduce(data, vertex_weights, out_dims):
 
 
 # ---------------------------------------------------------------------------
+# nodes: PCA -> expansion -> GSFA
+
+@dataclass
+class GsfaNode:
+    """A trained node: optional PCA, then an expansion, then linear GSFA."""
+
+    pca: PcaModel
+    expansion: ExpansionSpec
+    gsfa: GsfaModel
+
+    def extract(self, data):
+        """Features of an I x N matrix; returns J x N."""
+        if self.pca is not None:
+            data = self.pca.transform(data)
+        return extract_features(self.gsfa, expand(data, self.expansion))
+
+
+def train_node(data, graph, expansion, n_features=None, pca_dims=None):
+    """Train a node on an I x N matrix; returns (GsfaNode, J x N features).
+
+    ``pca_dims`` (None: no PCA) reduces the data by weighted PCA before
+    the expansion. The features are those of the training data, the
+    same as ``node.extract(data)``.
+    """
+    pca = None
+    if pca_dims is not None:
+        pca, data = pca_reduce(data, graph.vertex_weights, pca_dims)
+    expanded = expand(data, expansion)
+    model = train_gsfa(expanded, graph, n_features=n_features)
+    return GsfaNode(pca, expansion, model), extract_features(model, expanded)
+
+
+# ---------------------------------------------------------------------------
 # model files
 
-def save_model(model, path, expansion=None, pca=None):
+def save_model(node, path):
     payload = {
-        "weighted_mean": model.weighted_mean,
-        "projection": model.projection,
-        "deltas": model.deltas,
-        "trained_on": model.trained_on,
-        "expansion": (expansion.to_dict() if expansion is not None else None),
-        "pca": (pca.to_dict() if pca is not None else None),
+        "weighted_mean": node.gsfa.weighted_mean,
+        "projection": node.gsfa.projection,
+        "deltas": node.gsfa.deltas,
+        "trained_on": node.gsfa.trained_on,
+        "expansion": node.expansion.to_dict(),
+        "pca": None if node.pca is None else node.pca.to_dict(),
     }
     write_container(path, MODEL_FILE_KIND, MODEL_FILE_VERSION, payload)
 
 
 def load_model(path):
-    """Read a model container; returns (GsfaModel, ExpansionSpec|None, PcaModel|None)."""
+    """Read a model container; returns a :class:`GsfaNode`.
+
+    A null ``expansion`` reads as identity. The node chain is checked:
+    the PCA block's mean and variances fit its components, and the
+    expansion of its output dimension gives the projection's rows.
+    """
     data = read_container(path, MODEL_FILE_KIND, {MODEL_FILE_VERSION})
     with entries_of(path):
         model = GsfaModel(
@@ -332,6 +366,18 @@ def load_model(path):
             raise ValueError("projection must be an I x J matrix, "
                              "weighted_mean list I and deltas J numbers")
         expansion = (ExpansionSpec.from_dict(data["expansion"])
-                     if data.get("expansion") else None)
+                     if data.get("expansion") else ExpansionSpec())
         pca = PcaModel.from_dict(data["pca"]) if data.get("pca") else None
-    return model, expansion, pca
+        if pca is not None:
+            if (pca.components.ndim != 2
+                    or pca.mean.shape != pca.components.shape[:1]
+                    or pca.variances.shape != pca.components.shape[1:]):
+                raise ValueError("pca.components must be an I x P matrix, "
+                                 "pca.mean list I and pca.variances P numbers")
+            expanded_dim = expansion.output_dim(pca.components.shape[1])
+            if expanded_dim != model.input_dim:
+                raise ValueError(
+                    f"expansion of the {pca.components.shape[1]} PCA outputs "
+                    f"gives {expanded_dim} dimensions but projection has "
+                    f"{model.input_dim} rows")
+    return GsfaNode(pca, expansion, model)

@@ -149,6 +149,25 @@ def test_train_mismatched_sizes_exit_1(tmp_path):
                 "--out", tmp_path / "m.json") == 1
 
 
+@pytest.mark.parametrize("flags, match", [
+    (["--features", "-1"], "n_features must be >= 1, got -1"),
+    (["--features", "0"], "n_features must be >= 1, got 0"),
+    (["--pca", "0"], "out_dims must be in [1, "),
+    (["--pca", "-2", "--expansion", "quadratic"], "out_dims must be in [1, "),
+], ids=["negative-features", "zero-features", "zero-pca", "negative-pca"])
+def test_train_count_below_one_exit_1(tmp_path, capsys, flags, match):
+    data_dir = _make_dataset(tmp_path, n=48, values=6)
+    graph_path = tmp_path / "g.json"
+    assert _run("build-graph", "--kind", "linear", "--n", "48",
+                "--out", graph_path) == 0
+    capsys.readouterr()
+    model_path = tmp_path / "model.json"
+    assert _run("train", "--data", data_dir / "data.csv", "--graph", graph_path,
+                "--out", model_path, *flags) == 1
+    _assert_error_line(capsys, match)
+    assert not model_path.exists()
+
+
 def test_evaluate_rows_per_estimator(tmp_path):
     data_dir = _make_dataset(tmp_path)
     graph_path = tmp_path / "serial.json"
@@ -262,14 +281,65 @@ def _rewrite_json(path, edit):
     path.write_text(json.dumps(data))
 
 
+@pytest.mark.parametrize("flags, match", [
+    ([], "data has 5 rows, model expects 4"),
+    (["--pca", "3"], "data has 5 rows, PCA expects 4"),
+], ids=["plain", "pca"])
+def test_evaluate_on_data_of_other_dimension_exit_1(tmp_path, capsys, flags,
+                                                    match):
+    data_dir = _make_dataset(tmp_path, n=48, values=6)
+    other = tmp_path / "other"
+    assert _run("gen-data", "--kind", "regression", "--out-dir", other,
+                "--n", 48, "--label-values", 6, "--input-dim", 5) == 0
+    graph_path = tmp_path / "g.json"
+    assert _run("build-graph", "--kind", "linear", "--n", "48",
+                "--out", graph_path) == 0
+    model_path = tmp_path / "model.json"
+    assert _run("train", "--data", data_dir / "data.csv", "--graph", graph_path,
+                "--out", model_path, *flags) == 0
+    capsys.readouterr()
+    assert _run("evaluate", "--model", model_path,
+                "--train-data", other / "data.csv",
+                "--train-labels", other / "labels.txt",
+                "--test-data", other / "data.csv",
+                "--test-labels", other / "labels.txt",
+                "--out-dir", tmp_path / "eval") == 1
+    _assert_error_line(capsys, match)
+    assert not (tmp_path / "eval").exists()
+
+
+def _pca_block(components, mean_dims=None, variance_dims=None):
+    """A model file's pca entry, its mean and variances sized to fit."""
+    shape = np.shape(components)
+    return {"components": np.asarray(components).tolist(),
+            "mean": [0.0] * (mean_dims or shape[0]),
+            "variances": [1.0] * (variance_dims or shape[-1])}
+
+
 @pytest.mark.parametrize("edit, match", [
     (lambda d: d.pop("projection"), "(KeyError: 'projection')"),
     (lambda d: d.update(projection="x"), "(ValueError"),
     (lambda d: d.update(projection=[1.0, 2.0]), "I x J matrix"),
     (lambda d: d.update(deltas=[0.1, 0.2, 0.3]), "I x J matrix"),
     (lambda d: d.update(expansion={"degree": 2}), "(KeyError: 'kind')"),
+    (lambda d: d.update(pca=_pca_block([[1.0, 0.0]], mean_dims=4)),
+     "pca.mean list I"),
+    (lambda d: d.update(pca=_pca_block(np.eye(4)[:, :3], variance_dims=2)),
+     "pca.variances P"),
+    (lambda d: d.update(pca=_pca_block([1.0, 0.0, 0.0, 0.0])),
+     "I x P matrix"),
+    (lambda d: d.update(pca={"components": 1.0, "mean": 0.0, "variances": 1.0}),
+     "I x P matrix"),
+    (lambda d: d.update(pca=_pca_block(np.eye(4)[:, :3])),
+     "3 PCA outputs gives 3 dimensions but projection has 4 rows"),
+    (lambda d: d.update(pca=_pca_block(np.eye(4)[:, :2]),
+                        expansion={"kind": "quadratic"}),
+     "2 PCA outputs gives 5 dimensions but projection has 4 rows"),
 ], ids=["no-projection", "text-projection", "vector-projection",
-        "extra-delta", "expansion-without-kind"])
+        "extra-delta", "expansion-without-kind", "pca-mean-per-row",
+        "pca-variance-per-column", "pca-vector-components",
+        "pca-scalar-components",
+        "pca-output-not-projection-rows", "expanded-pca-not-projection-rows"])
 def test_evaluate_malformed_model_exit_1(tmp_path, capsys, edit, match):
     data_dir = _make_dataset(tmp_path, n=48, values=6)
     graph_path = tmp_path / "g.json"

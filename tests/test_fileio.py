@@ -130,7 +130,7 @@ def test_model_file_matches_dumps(tmp_path, rng):
     expansion = gsfa.ExpansionSpec("quadratic")
     pca, reduced = gsfa.pca_reduce(data, graph.vertex_weights, 2)
     model = gsfa.train_gsfa(gsfa.expand(reduced, expansion), graph, n_features=3)
-    gsfa.save_model(model, tmp_path / "model.json", expansion=expansion, pca=pca)
+    gsfa.save_model(gsfa.GsfaNode(pca, expansion, model), tmp_path / "model.json")
     payload = {
         "weighted_mean": model.weighted_mean.tolist(),
         "projection": model.projection.tolist(),

@@ -228,10 +228,24 @@ def test_network_manifest_layout(tmp_path, rng):
     (lambda d: d["nodes"][0].update(layer="0"), "every node of the layers once"),
     (lambda d: d["nodes"].pop(), "every node of the layers once"),
     (lambda d: d["nodes"][1].update(col=0), "every node of the layers once"),
+    (lambda d: d.update(input_shape=[6, 6]), "do not tile the 6x6 input grid"),
+    (lambda d: d["layers"][1].update(out_dims=9), "out_dims 9 outside"),
+    (lambda d: d["layers"][0].update(
+        expansion={"kind": "quadratic", "degree": 2}), "does not match layer 0"),
+    (lambda d: d["layers"][1].update(
+        expansion={"kind": "polynomial", "degree": 1}), "does not match layer 1"),
+    (lambda d: d["layers"][0].update(pca_dims=4), "does not match layer 0"),
+    (lambda d: d["layers"][1].update(out_dims=1), "does not match layer 1"),
+    (lambda d: (d.update(input_shape=[8, 8]),
+                d["layers"][0].update(receptive_field=[4, 4])),
+     "does not match layer 0"),
 ], ids=["bad-json", "wrong-kind", "no-layers", "layer-without-grid",
         "float-out-dims", "short-input-shape", "no-nodes", "node-without-file",
         "text-layer",
-        "node-missing", "node-twice"])
+        "node-missing", "node-twice", "input-shape-not-tiled",
+        "out-dims-above-expansion", "other-expansion",
+        "other-expansion-of-same-size", "pca-without-node-pca",
+        "other-out-dims", "other-input-dim"])
 def test_load_network_rejects_malformed_manifest(tmp_path, rng, edit, match):
     _saved_toy_network(rng, tmp_path / "net")
     path = tmp_path / "net" / "manifest.json"
@@ -242,6 +256,53 @@ def test_load_network_rejects_malformed_manifest(tmp_path, rng, edit, match):
     with pytest.raises(FormatError, match=match) as exc:
         gsfa.load_network(tmp_path / "net")
     assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("pca_dims", [None, 3])
+def test_load_network_rejects_node_with_other_pca(tmp_path, rng, pca_dims):
+    images, _, graph = _toy_dataset(rng, n=60)
+    specs = [LayerSpec(grid=(2, 2), receptive_field=(2, 2), out_dims=3,
+                       pca_dims=4),
+             LayerSpec(grid=(1, 1), receptive_field=(2, 2), out_dims=3)]
+    gsfa.save_network(train_hgsfa(images, graph, specs), tmp_path / "net")
+    path = tmp_path / "net" / "manifest.json"
+    data = json.loads(path.read_text())
+    data["layers"][0]["pca_dims"] = pca_dims
+    path.write_text(json.dumps(data))
+    with pytest.raises(FormatError, match="does not match layer 0") as exc:
+        gsfa.load_network(tmp_path / "net")
+    assert "node_L0_r0_c0.json" in str(exc.value)
+
+
+def test_non_square_net_equals_nodes_on_sliced_patches(rng):
+    """Top features of a 2x4-node net on 4x8 images, recomputed by hand.
+
+    Pins the row/col order of the node grid and the (dr, dc, j) order
+    in which a node stacks the outputs of the nodes it covers.
+    """
+    n = 80
+    labels = np.repeat(np.linspace(-1, 1, 10), n // 10)
+    images = np.tanh(np.outer(np.linspace(0.2, 1.0, 32), labels)
+                     + 0.3 * rng.normal(size=(32, n))).T.reshape(n, 4, 8)
+    graph = gsfa.build_serial_graph(labels, 5)
+    specs = [
+        LayerSpec(grid=(2, 4), receptive_field=(2, 2), out_dims=2,
+                  expansion=ExpansionSpec("quadratic")),
+        LayerSpec(grid=(1, 1), receptive_field=(2, 4), out_dims=3,
+                  pca_dims=6, expansion=ExpansionSpec("quadratic")),
+    ]
+    network = train_hgsfa(images, graph, specs)
+    first = {}
+    for row in range(2):
+        for col in range(4):
+            patch = np.vstack([images[:, 2 * row + dr, 2 * col + dc]
+                               for dr in range(2) for dc in range(2)])
+            first[row, col] = network.layers[0][(row, col)].extract(patch)
+    top_input = np.vstack([first[dr, dc][j] for dr in range(2)
+                           for dc in range(4) for j in range(2)])
+    by_hand = network.layers[1][(0, 0)].extract(top_input)
+    np.testing.assert_allclose(network_extract(network, images), by_hand,
+                               rtol=0, atol=1e-12)
 
 
 def test_network_features_drive_label_estimation(rng):

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -344,20 +345,45 @@ def test_model_file_round_trip(tmp_path, rng):
     expansion = ExpansionSpec("quadratic")
     model = train_gsfa(expand(reduced, expansion), graph)
     path = tmp_path / "model.json"
-    gsfa.save_model(model, path, expansion=expansion, pca=pca)
-    loaded, exp2, pca2 = gsfa.load_model(path)
-    np.testing.assert_allclose(loaded.projection, model.projection)
-    np.testing.assert_allclose(loaded.deltas, model.deltas)
-    assert exp2 == expansion
-    np.testing.assert_allclose(pca2.components, pca.components)
-    assert loaded.trained_on == model.trained_on
+    gsfa.save_model(gsfa.GsfaNode(pca, expansion, model), path)
+    loaded = gsfa.load_model(path)
+    np.testing.assert_allclose(loaded.gsfa.projection, model.projection)
+    np.testing.assert_allclose(loaded.gsfa.deltas, model.deltas)
+    assert loaded.expansion == expansion
+    np.testing.assert_allclose(loaded.pca.components, pca.components)
+    assert loaded.gsfa.trained_on == model.trained_on
+
+
+def test_train_node_features_equal_extract(rng):
+    graph = gsfa.build_serial_graph(rng.normal(size=60), 6)
+    data = rng.normal(size=(5, 60))
+    node, features = gsfa.train_node(data, graph, ExpansionSpec("quadratic"),
+                                     n_features=4, pca_dims=3)
+    assert node.pca.components.shape == (5, 3)
+    assert node.gsfa.projection.shape == (9, 4)
+    np.testing.assert_allclose(features, node.extract(data), rtol=0, atol=1e-12)
+
+
+def test_model_file_with_null_expansion_reads_as_identity(tmp_path, rng):
+    graph = gsfa.build_serial_graph(rng.normal(size=16), 4)
+    data = rng.normal(size=(3, 16))
+    node, features = gsfa.train_node(data, graph, ExpansionSpec())
+    path = tmp_path / "model.json"
+    gsfa.save_model(node, path)
+    payload = json.loads(path.read_text())
+    assert payload["expansion"] == {"kind": "identity", "degree": 2}
+    payload["expansion"] = None
+    path.write_text(json.dumps(payload))
+    loaded = gsfa.load_model(path)
+    assert loaded.expansion == ExpansionSpec()
+    np.testing.assert_array_equal(loaded.extract(data), features)
 
 
 def test_model_file_rejects_unknown_version(tmp_path, rng):
     graph = gsfa.build_serial_graph(rng.normal(size=8), 4)
     model = train_gsfa(rng.normal(size=(2, 8)), graph)
     path = tmp_path / "model.json"
-    gsfa.save_model(model, path)
+    gsfa.save_model(gsfa.GsfaNode(None, ExpansionSpec(), model), path)
     path.write_text(path.read_text().replace('"format_version": 1',
                                              '"format_version": 3'))
     with pytest.raises(FormatError):
