@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import builders, datagen, estimators, hierarchy, matrixio, solver, spectrum
-from .errors import GsfaError, ParameterError
+from .errors import DimensionError, GsfaError, ParameterError
 from .graph import load_graph, save_graph
 from .serialize import write_json
 
@@ -41,16 +41,20 @@ def _write_run_meta(out_dir, command):
 
 
 def _read_label_file(path):
-    """One float per line; '#' lines are comments."""
+    """One finite float per line; '#' lines are comments."""
     values = []
     for number, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
         if line and not line.startswith("#"):
             try:
-                values.append(float(line))
+                value = float(line)
             except ValueError:
                 raise ParameterError(
                     f"{path}: line {number}: {line!r} is not a number") from None
+            if not np.isfinite(value):
+                raise ParameterError(
+                    f"{path}: line {number}: {line!r} is not a finite number")
+            values.append(value)
     if not values:
         raise ParameterError(f"{path}: no label values found")
     return np.asarray(values)
@@ -162,6 +166,21 @@ def cmd_spectrum(args):
 # ---------------------------------------------------------------------------
 # train / evaluate
 
+def _image_shape(text, pixels):
+    """(H, W) of an ``HxW`` flag whose H * W is the data's row count."""
+    try:
+        shape = tuple(int(x) for x in text.split("x"))
+    except ValueError:
+        shape = ()
+    if len(shape) != 2 or min(shape) < 1:
+        raise ParameterError(
+            f"--image-shape must be HxW with positive integers, got {text!r}")
+    if shape[0] * shape[1] != pixels:
+        raise DimensionError(f"--image-shape {text} has {shape[0] * shape[1]} "
+                             f"pixels but the data has {pixels} rows")
+    return shape
+
+
 def cmd_train(args):
     data = matrixio.load_matrix(args.data)
     graph = load_graph(args.graph)
@@ -171,8 +190,7 @@ def cmd_train(args):
         if not args.image_shape:
             raise ParameterError("--hierarchy requires --image-shape HxW")
         specs = hierarchy.load_architecture(args.hierarchy)
-        shape = tuple(int(x) for x in args.image_shape.split("x"))
-        images = data.T.reshape(graph.n_samples, *shape)
+        images = data.T.reshape(-1, *_image_shape(args.image_shape, data.shape[0]))
         network = hierarchy.train_hgsfa(images, graph, specs)
         hierarchy.save_network(network, out)
         deltas = network.layers[-1][(0, 0)].gsfa.deltas.tolist()

@@ -2,12 +2,13 @@
 
 A training graph holds strictly positive vertex weights ``v`` over N
 samples and a symmetric edge-weight matrix ``gamma``. The normalization
-sums Q = sum(v) and R = sum(gamma) are cached at construction. Edge
-weights can be stored densely (numpy array) or sparsely (scipy CSR);
-both forms expose the same operations. A graph is built from its edges,
-or derives them from what it keeps: the sample groups of a clustered or
-serial graph (:class:`GraphStructure`) or the factors of an exact-label
-graph (:class:`EllFactors`), which its graph file stores instead.
+sums Q = sum(v) and R = sum(gamma) and the row sums gamma 1 are cached
+at construction. A graph is built from its edges, or derives them from
+what it keeps: the sample groups of a clustered or serial graph
+(:class:`GraphStructure`) or the factors of an exact-label graph
+(:class:`EllFactors`), which its graph file stores instead. Edges are
+stored dense (numpy array), as CSR, or as the groups themselves; all
+three forms expose the same operations with the same bits.
 
 The delta value of a feature y is the edge-weighted mean squared output
 difference, (1/R) * sum_{n,n'} gamma_{n,n'} (y(n') - y(n))^2. For
@@ -43,6 +44,9 @@ STRUCTURE_KINDS = ("clustered", "serial")
 
 #: One hashed upper-triangle edge: row, column, weight.
 _TRIPLET_DTYPE = np.dtype([("i", "<i8"), ("j", "<i8"), ("g", "<f8")])
+#: Triplets (or scanned entries) per block of the checksum, the edge
+#: files and the literal delta sum; bounds their memory.
+_TRIPLET_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -146,6 +150,198 @@ class ConsistencyReport:
         return float(np.max(np.abs(self.residual)))
 
 
+def _frozen(arr):
+    arr.setflags(write=False)
+    return arr
+
+
+# Edge storage of a TrainingGraph: dense, CSR or groups. A backend
+# computes ``row_sums`` (the bits of ``matrix.sum(axis=1)``) and ``total``
+# R (:func:`_edge_sum`) once, at construction, and offers ``view()`` (the
+# matrix, for oracles), ``diagonal()``, ``min()``, ``quad(C)`` = C gamma
+# C^T, ``triplet_blocks(size)`` (nonzero upper-triangle triplets in
+# row-major order) and ``difference_sum(y, size)`` (the literal edge sum
+# of (y_n' - y_n)^2), both in blocks of about ``size`` entries.
+
+class _MatrixEdges:
+    """Edges stored as a matrix, dense ndarray or canonical CSR."""
+
+    def __init__(self, matrix, values):
+        self.matrix = matrix
+        self.row_sums = _frozen(matrix.sum(axis=1))
+        self.total = _edge_sum(values)
+
+    def view(self):
+        return self.matrix
+
+    def diagonal(self):
+        return np.array(self.matrix.diagonal())
+
+    def min(self):
+        return float(self.matrix.min())
+
+    def quad(self, c):
+        return c @ (self.matrix @ c.T)
+
+
+class _DenseEdges(_MatrixEdges):
+    is_sparse = False
+    name = "dense"
+
+    def __init__(self, matrix):
+        super().__init__(matrix, matrix.ravel())
+
+    def _row_blocks(self, size):
+        step = max(1, size // self.matrix.shape[1])
+        for start in range(0, self.matrix.shape[0], step):
+            yield start, self.matrix[start:start + step]
+
+    def triplet_blocks(self, size):
+        for start, rows in self._row_blocks(size):
+            i, j = np.nonzero(np.triu(rows, k=start))
+            yield i + start, j, rows[i, j]
+
+    def difference_sum(self, y, size):
+        total = 0.0
+        for start, rows in self._row_blocks(size):
+            diff = y[None, :] - y[start:start + rows.shape[0], None]
+            total += float(np.sum(rows * diff * diff))
+        return total
+
+
+class _CsrEdges(_MatrixEdges):
+    is_sparse = True
+    name = "sparse"
+
+    def __init__(self, matrix):
+        super().__init__(matrix, matrix.data)
+
+    def _entry_blocks(self, size):
+        m = self.matrix
+        for start in range(0, m.nnz, size):
+            stop = min(start + size, m.nnz)
+            rows = np.searchsorted(m.indptr, np.arange(start, stop), side="right") - 1
+            yield rows, m.indices[start:stop], m.data[start:stop]
+
+    def triplet_blocks(self, size):
+        for i, j, g in self._entry_blocks(size):
+            keep = (i <= j) & (g != 0)
+            yield i[keep], j[keep], g[keep]
+
+    def difference_sum(self, y, size):
+        total = 0.0
+        for i, j, g in self._entry_blocks(size):
+            diff = y[j] - y[i]
+            total += float(np.sum(g * diff * diff))
+        return total
+
+
+class _GroupEdges:
+    """The edges of a :class:`GraphStructure`, kept as its groups.
+
+    Holds the membership B and group weights A (:func:`group_weights`),
+    never the N x N matrix. Both structure kinds give every edge of a
+    group's samples one weight, ``value[g]`` (1 serial, 1/(s_g - 1)
+    clustered), so a sample's row lists ``degree[g]`` equal values; row
+    sums and R are reduced like those of the CSR :func:`structure_edges`
+    gives, with the same bits.
+    """
+
+    is_sparse = True
+    name = "groups"
+
+    def __init__(self, structure, n):
+        self.structure = structure
+        self.n = n
+        self.membership, self.weights = group_weights(structure, n)
+        self.own = self.membership @ np.diagonal(self.weights)
+        sizes = np.array([grp.size for grp in structure.groups], dtype=int)
+        linked = self.weights != 0
+        self.value = self.weights.max(axis=1, initial=0.0)
+        degree = linked @ sizes - np.diagonal(linked)
+        members = np.concatenate([np.zeros(0, dtype=int), *structure.groups])
+        order = np.argsort(members, kind="stable")
+        self.rows = members[order]
+        self.row_group = np.repeat(np.arange(sizes.size), sizes)[order]
+
+        busy = degree > 0
+        sums = np.zeros(sizes.size)
+        if busy.any():
+            starts = np.cumsum(degree[busy]) - degree[busy]
+            sums[busy] = np.add.reduceat(
+                np.repeat(self.value[busy], degree[busy]), starts)
+        row_sums = np.zeros(n)
+        row_sums[self.rows] = sums[self.row_group]
+        self.row_sums = _frozen(row_sums)
+        row_value = self.value[self.row_group]
+        row_degree = degree[self.row_group]
+        if np.all(row_value[row_degree > 0] == 1.0):
+            # a sum of ones is its count, exactly: no N x N/K array
+            self.total = float(row_degree.sum())
+        else:
+            self.total = _edge_sum(np.repeat(row_value, row_degree))
+
+    def view(self):
+        """The CSR :func:`structure_edges` gives, built on each call."""
+        matrix = structure_edges(self.structure, self.n)
+        matrix.sum_duplicates()
+        return matrix
+
+    def diagonal(self):
+        return np.zeros(self.n)
+
+    def min(self):
+        # no self-loops: the diagonal holds implicit zeros
+        return min(0.0, float(self.weights.min()))
+
+    def quad(self, c):
+        """Y gamma Y^T = S A S^T - Y Diag(a_g(n),g(n)) Y^T with S = Y B."""
+        sums = c @ self.membership
+        quad = sums @ self.weights @ sums.T
+        if np.any(self.own):
+            quad -= (c * self.own) @ c.T
+        return quad
+
+    def triplet_blocks(self, size):
+        """Row i's triplets are the members j > i of its group's neighbours.
+
+        Blocks hold whole rows, about ``size`` triplets each.
+        """
+        groups = self.structure.groups
+        lists = [np.sort(np.concatenate(
+            [np.zeros(0, dtype=int), *(groups[h] for h in np.flatnonzero(row))]))
+            for row in self.weights != 0]
+        cols = np.concatenate([np.zeros(0, dtype=int), *lists])
+        lengths = np.array([part.size for part in lists], dtype=int)
+        keys = np.repeat(np.arange(lengths.size), lengths) * self.n + cols
+        # each row's first neighbour past itself, and how many follow
+        first = np.searchsorted(keys, self.row_group * self.n + self.rows,
+                                side="right")
+        counts = np.cumsum(lengths)[self.row_group] - first
+        offsets = np.concatenate(([0], np.cumsum(counts)))
+        cuts = np.searchsorted(offsets, np.arange(size, offsets[-1], size))
+        bounds = np.unique(np.concatenate(([0], cuts, [self.rows.size])))
+        values = self.value[self.row_group]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            count = counts[lo:hi]
+            at = np.repeat(first[lo:hi] - offsets[lo:hi], count)
+            at += np.arange(offsets[lo], offsets[hi])
+            yield (np.repeat(self.rows[lo:hi], count), cols[at],
+                   np.repeat(values[lo:hi], count))
+
+    def difference_sum(self, y, size):
+        """Group pair by group pair; a pair's own sample contributes 0."""
+        groups = self.structure.groups
+        total = 0.0
+        for g, h in zip(*np.nonzero(self.weights)):
+            ya, yb = y[groups[g]], y[groups[h]]
+            step = max(1, size // max(yb.size, 1))
+            for start in range(0, ya.size, step):
+                diff = yb[None, :] - ya[start:start + step, None]
+                total += self.weights[g, h] * float(np.sum(diff * diff))
+        return total
+
+
 class TrainingGraph:
     """Immutable weighted graph over N samples.
 
@@ -156,20 +352,23 @@ class TrainingGraph:
         ``edge_weights`` is an exactly symmetric N x N matrix, dense
         ndarray or scipy sparse (use :func:`symmetrize` first for raw
         directed weights); absent edges are zeros. A
-        :class:`GraphStructure` gives the CSR edges it implies
-        (:func:`structure_edges`), :class:`EllFactors` the dense
-        :func:`ell_gamma`, eliminated (:func:`eliminate_negative_weights`)
-        if marked ``nonnegative`` (unmarked if no weight was negative).
-        Transforms other than elimination drop structure and factors.
+        :class:`GraphStructure` is kept as its groups, whose edges are
+        those :func:`structure_edges` lists; :class:`EllFactors` give the
+        dense :func:`ell_gamma`, eliminated
+        (:func:`eliminate_negative_weights`) if marked ``nonnegative``
+        (unmarked if no weight was negative). Transforms other than
+        elimination drop structure and factors.
 
-    Both storage forms are copied and made read-only, so the cached sums
-    and fingerprint cannot go stale. Edges a caller passes are checked
-    for shape, finiteness and exact symmetry; derived edges, symmetric
-    by construction, for finiteness only.
+    The edges live in one of three backends, dense, CSR or groups, which
+    compute the row sums and R once, here. Stored matrices are copied
+    and made read-only, so the cached sums and fingerprint cannot go
+    stale. Edges a caller passes are checked for shape, finiteness and
+    exact symmetry; derived edges, symmetric by construction, for
+    finiteness only.
     """
 
-    __slots__ = ("vertex_weights", "_gamma", "_sparse", "n_samples",
-                 "q_sum", "r_sum", "structure", "ell", "_fingerprint")
+    __slots__ = ("vertex_weights", "_edges", "n_samples", "q_sum", "r_sum",
+                 "structure", "ell", "_fingerprint")
 
     def __init__(self, vertex_weights, edge_weights=None, *, structure=None,
                  ell=None):
@@ -186,50 +385,30 @@ class TrainingGraph:
         if sum(d is not None for d in (edge_weights, structure, ell)) != 1:
             raise ContractError("a training graph takes exactly one of "
                                 "edge_weights, structure and ell")
-        # derived edges are exactly symmetric: structure_edges lists both
-        # orders of every pair, ell_gamma and the shift end in
-        # (gamma + gamma^T) / 2
-        derived = edge_weights is None
         if structure is not None:
-            edge_weights = structure_edges(structure, n)
+            edges = _GroupEdges(structure, n)
         elif ell is not None:
             if ell.u.shape[0] != n:
                 raise DimensionError(
                     f"ELL factors have {ell.u.shape[0]} rows, graph has N={n}")
             gamma = ell_gamma(v, ell)
-            edge_weights = _shift_nonnegative(v, gamma) if ell.nonnegative else gamma
-            if edge_weights is gamma:
+            shifted = _shift_nonnegative(v, gamma) if ell.nonnegative else gamma
+            if shifted is gamma:
                 ell = replace(ell, nonnegative=False)
-
-        sparse = sp.issparse(edge_weights)
-        if sparse:
-            g = sp.csr_array(edge_weights, dtype=float, copy=True)
-            # Canonical form: nothing sorts the frozen arrays later, and
-            # no edge is listed twice in triplets or graph files.
-            g.sum_duplicates()
+            # ell_gamma and the shift end in (gamma + gamma^T) / 2
+            edges = _matrix_edges(shifted, n, symmetric=True)
         else:
-            g = np.array(edge_weights, dtype=float)
-        if g.shape != (n, n):
-            raise DimensionError(
-                f"edge matrix shape {g.shape} does not match N={n}")
-        values = g.data if sparse else g.ravel()
-        if not np.all(np.isfinite(values)):
-            raise DegenerateGraphError("edge weights must be finite")
-        if not derived and (g != g.T).sum():
-            raise ContractError("edge weights must be exactly symmetric")
-        for part in (g.data, g.indices, g.indptr) if sparse else (g,):
-            part.setflags(write=False)
-        r = _edge_sum(values)
-        if r <= 0:
-            raise DegenerateGraphError(f"sum of edge weights must be > 0, got {r}")
+            edges = _matrix_edges(edge_weights, n, symmetric=False)
+        if edges.total <= 0:
+            raise DegenerateGraphError(
+                f"sum of edge weights must be > 0, got {edges.total}")
 
         v.setflags(write=False)
         self.vertex_weights = v
-        self._gamma = g
-        self._sparse = sparse
+        self._edges = edges
         self.n_samples = n
         self.q_sum = float(v.sum())
-        self.r_sum = r
+        self.r_sum = edges.total
         self.structure = structure
         self.ell = ell
         self._fingerprint = None
@@ -238,79 +417,103 @@ class TrainingGraph:
 
     @property
     def is_sparse(self):
-        return self._sparse
+        return self._edges.is_sparse
 
     @property
     def edge_weights(self):
-        """Edge weights in their stored form (dense ndarray or CSR)."""
-        return self._gamma
+        """Edge weights as a matrix: dense ndarray or CSR.
+
+        A structure graph builds its CSR on each access, for oracles; the
+        training path never reads it.
+        """
+        return self._edges.view()
 
     def gamma_dense(self):
-        if self._sparse:
-            return self._gamma.toarray()
-        return np.array(self._gamma)
+        gamma = self.edge_weights
+        return gamma.toarray() if self.is_sparse else np.array(gamma)
 
     def gamma_row_sums(self):
-        return self._gamma.sum(axis=1)
+        """Row sums gamma 1, computed once (read-only)."""
+        return self._edges.row_sums
 
     def gamma_diagonal(self):
-        return np.array(self._gamma.diagonal())
+        return self._edges.diagonal()
 
     def gamma_quad(self, y):
         """y^T gamma y for a vector y; Y gamma Y^T for an I x N matrix Y.
 
-        A graph with a structure sums by group: with S = Y B,
+        A structure graph sums by group: with S = Y B,
         Y gamma Y^T = S A S^T - Y Diag(a_g(n),g(n)) Y^T
         (:func:`group_weights`).
         """
         y = np.asarray(y, dtype=float)
-        c = np.atleast_2d(y)
-        if self.structure is None:
-            quad = c @ (self._gamma @ c.T)
-        else:
-            membership, weights = group_weights(self.structure, self.n_samples)
-            sums = c @ membership
-            quad = sums @ weights @ sums.T
-            own = membership @ np.diagonal(weights)
-            if np.any(own):
-                quad -= (c * own) @ c.T
+        quad = self._edges.quad(np.atleast_2d(y))
         return float(quad[0, 0]) if y.ndim == 1 else quad
 
     def gamma_min(self):
-        return float(self._gamma.min())
+        return self._edges.min()
+
+    def _triplet_blocks(self):
+        """Nonzero upper-triangle (i, j, gamma) arrays, i <= j, row-major.
+
+        Yields blocks of about :data:`_TRIPLET_BLOCK` triplets (dense
+        storage: scanned entries); their concatenation is the whole list.
+        """
+        return self._edges.triplet_blocks(_TRIPLET_BLOCK)
 
     def _triplet_arrays(self):
-        """Upper-triangle (i, j, gamma) arrays with i <= j, nonzero."""
-        if self._sparse:
-            coo = sp.coo_array(self._gamma)
-            mask = (coo.row <= coo.col) & (coo.data != 0)
-            return coo.row[mask], coo.col[mask], coo.data[mask]
-        i, j = np.nonzero(np.triu(self._gamma))
-        return i, j, self._gamma[i, j]
+        """The triplets of :meth:`_triplet_blocks` as three whole arrays."""
+        i, j, g = zip(*self._triplet_blocks())
+        return np.concatenate(i), np.concatenate(j), np.concatenate(g)
 
     def fingerprint(self):
         """Stable identity of the graph: (n, Q, R, content checksum).
 
         The checksum hashes n, the vertex weights and the packed
-        upper-triangle triplets; it is computed once per graph.
+        upper-triangle triplets, streamed block by block; it is computed
+        once per graph.
         """
         if self._fingerprint is None:
-            i, j, g = self._triplet_arrays()
-            packed = np.empty(g.shape[0], dtype=_TRIPLET_DTYPE)
-            packed["i"], packed["j"], packed["g"] = i, j, g
             h = hashlib.sha256()
             h.update(np.int64(self.n_samples).tobytes())
             h.update(self.vertex_weights.tobytes())
-            h.update(packed)
+            for i, j, g in self._triplet_blocks():
+                packed = np.empty(g.shape[0], dtype=_TRIPLET_DTYPE)
+                packed["i"], packed["j"], packed["g"] = i, j, g
+                h.update(packed)
             self._fingerprint = {"n": self.n_samples, "q_sum": self.q_sum,
                                  "r_sum": self.r_sum,
                                  "checksum": h.hexdigest()[:16]}
         return dict(self._fingerprint)
 
     def __repr__(self):
-        kind = "sparse" if self._sparse else "dense"
         return (f"TrainingGraph(n={self.n_samples}, Q={self.q_sum:g}, "
-                f"R={self.r_sum:g}, {kind})")
+                f"R={self.r_sum:g}, {self._edges.name})")
+
+
+def _matrix_edges(edge_weights, n, symmetric):
+    """Dense or CSR backend of an edge matrix, copied, checked and frozen.
+
+    ``symmetric`` skips the symmetry comparison for derived edges.
+    """
+    sparse = sp.issparse(edge_weights)
+    if sparse:
+        g = sp.csr_array(edge_weights, dtype=float, copy=True)
+        # Canonical form: nothing sorts the frozen arrays later, and
+        # no edge is listed twice in triplets or graph files.
+        g.sum_duplicates()
+    else:
+        g = np.array(edge_weights, dtype=float)
+    if g.shape != (n, n):
+        raise DimensionError(
+            f"edge matrix shape {g.shape} does not match N={n}")
+    if not np.all(np.isfinite(g.data if sparse else g)):
+        raise DegenerateGraphError("edge weights must be finite")
+    if not symmetric and (g != g.T).sum():
+        raise ContractError("edge weights must be exactly symmetric")
+    for part in (g.data, g.indices, g.indptr) if sparse else (g,):
+        part.setflags(write=False)
+    return _CsrEdges(g) if sparse else _DenseEdges(g)
 
 
 def _edge_sum(values):
@@ -349,18 +552,15 @@ def weighted_delta(graph, y):
     """Delta value by direct summation over all edges.
 
     This is the definition; it needs neither consistency nor feature
-    normalization.
+    normalization. The sum runs over the graph's own edges in blocks
+    (dense rows, CSR entries, or pairs of groups), with no N x N
+    temporary.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (graph.n_samples,):
         raise DimensionError(
             f"feature length {y.shape} does not match N={graph.n_samples}")
-    if graph.is_sparse:
-        coo = sp.coo_array(graph.edge_weights)
-        diffs = y[coo.col] - y[coo.row]
-        return float(np.sum(coo.data * diffs * diffs) / graph.r_sum)
-    diff = y[None, :] - y[:, None]
-    return float(np.sum(graph.edge_weights * diff * diff) / graph.r_sum)
+    return graph._edges.difference_sum(y, _TRIPLET_BLOCK) / graph.r_sum
 
 
 def weighted_delta_fast(graph, y, tol=1e-6):

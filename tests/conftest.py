@@ -71,6 +71,45 @@ def fingerprint_by_loop(graph):
             "checksum": h.hexdigest()[:16]}
 
 
+def weighted_delta_by_matrix(graph, y):
+    """Delta oracle: one edge-sum expression over the whole edge matrix.
+
+    Dense graphs form the N x N difference matrix, sparse ones the COO
+    entries; the blocked :func:`gsfa.weighted_delta` must agree.
+    """
+    y = np.asarray(y, dtype=float)
+    if graph.is_sparse:
+        coo = sp.coo_array(graph.edge_weights)
+        diffs = y[coo.col] - y[coo.row]
+        return float(np.sum(coo.data * diffs * diffs) / graph.r_sum)
+    diff = y[None, :] - y[:, None]
+    return float(np.sum(graph.edge_weights * diff * diff) / graph.r_sum)
+
+
+def triplets_by_matrix(graph):
+    """Nonzero upper-triangle (i, j, gamma) of the whole edge matrix."""
+    if graph.is_sparse:
+        coo = sp.coo_array(graph.edge_weights)
+        mask = (coo.row <= coo.col) & (coo.data != 0)
+        return coo.row[mask], coo.col[mask], coo.data[mask]
+    gamma = graph.edge_weights
+    i, j = np.nonzero(np.triu(gamma))
+    return i, j, gamma[i, j]
+
+
+def checksum_by_one_buffer(graph):
+    """Fingerprint checksum hashing all triplets packed in one buffer."""
+    i, j, g = triplets_by_matrix(graph)
+    packed = np.empty(g.shape[0], dtype=[("i", "<i8"), ("j", "<i8"),
+                                         ("g", "<f8")])
+    packed["i"], packed["j"], packed["g"] = i, j, g
+    h = hashlib.sha256()
+    h.update(np.int64(graph.n_samples).tobytes())
+    h.update(graph.vertex_weights.tobytes())
+    h.update(packed)
+    return h.hexdigest()[:16]
+
+
 def plain_json(obj):
     """obj with numpy arrays as nested lists and Columns as lists of rows."""
     if isinstance(obj, (Columns, np.ndarray)):

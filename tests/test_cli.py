@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -411,6 +412,69 @@ def test_label_file_with_text_line_exit_1(tmp_path, capsys):
     assert _run("build-graph", "--kind", "serial", "--labels", labels,
                 "--k", "2", "--out", tmp_path / "g.json") == 1
     _assert_error_line(capsys, str(labels), "line 3", "'seven'")
+
+
+@pytest.mark.parametrize("kind, value", [
+    ("serial", "nan"), ("serial", "-inf"), ("ell", "inf"), ("ell", "1e999"),
+])
+def test_label_file_with_non_finite_value_exit_1(tmp_path, capsys, kind, value):
+    labels = tmp_path / "labels.txt"
+    labels.write_text("# labels\n1.0\n2.0\n" + value + "\n3.0\n")
+    out = tmp_path / "g.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run("build-graph", "--kind", kind, "--labels", labels,
+                    "--k", "2", "--out", out) == 1
+    _assert_error_line(capsys, str(labels), "line 4", repr(value), "finite")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("shape, match", [
+    ("3x3", "--image-shape 3x3 has 9 pixels but the data has 8 rows"),
+    ("2x2", "--image-shape 2x2 has 4 pixels but the data has 8 rows"),
+    ("2xq", "must be HxW with positive integers, got '2xq'"),
+    ("2x4x1", "must be HxW"),
+    ("0x8", "must be HxW"),
+    ("8", "must be HxW"),
+])
+def test_train_hierarchy_bad_image_shape_exit_1(tmp_path, capsys, shape, match):
+    data_path = tmp_path / "data.csv"
+    gsfa.save_matrix_csv(np.random.default_rng(0).normal(size=(8, 10)),
+                         data_path)
+    graph_path = tmp_path / "g.json"
+    assert _run("build-graph", "--kind", "linear", "--n", "10",
+                "--out", graph_path) == 0
+    arch_path = tmp_path / "arch.json"
+    gsfa.hierarchy.save_architecture(
+        [gsfa.LayerSpec(grid=(1, 1), receptive_field=(2, 4), out_dims=2)],
+        arch_path)
+    capsys.readouterr()
+    assert _run("train", "--data", data_path, "--graph", graph_path,
+                "--hierarchy", arch_path, "--image-shape", shape,
+                "--out", tmp_path / "net") == 1
+    _assert_error_line(capsys, match)
+    assert not (tmp_path / "net").exists()
+
+
+def test_train_hierarchy_images_other_than_graph_exit_1(tmp_path, capsys):
+    # the data's columns set the image count, so 10 samples for a
+    # 20-vertex graph end in the graph's size check, not a reshape
+    data_path = tmp_path / "data.csv"
+    gsfa.save_matrix_csv(np.random.default_rng(0).normal(size=(8, 10)),
+                         data_path)
+    graph_path = tmp_path / "g.json"
+    assert _run("build-graph", "--kind", "linear", "--n", "20",
+                "--out", graph_path) == 0
+    arch_path = tmp_path / "arch.json"
+    gsfa.hierarchy.save_architecture(
+        [gsfa.LayerSpec(grid=(1, 1), receptive_field=(2, 4), out_dims=2)],
+        arch_path)
+    capsys.readouterr()
+    assert _run("train", "--data", data_path, "--graph", graph_path,
+                "--hierarchy", arch_path, "--image-shape", "2x4",
+                "--out", tmp_path / "net") == 1
+    _assert_error_line(capsys, "10 images but graph has 20 vertices")
+    assert not (tmp_path / "net").exists()
 
 
 @pytest.mark.parametrize("rows, fragment", [

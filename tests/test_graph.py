@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from gsfa import (
     GraphStructure,
     IsolatedVertexError,
     TrainingGraph,
+    TruncationWarning,
     UnsupportedGraphError,
     check_consistency,
     markov_transition_matrix,
@@ -30,10 +32,13 @@ from gsfa.graph import group_weights, structure_edges
 
 from conftest import (
     chain_graph,
+    checksum_by_one_buffer,
     delta_by_loop,
     dense_graph,
     fingerprint_by_loop,
+    triplets_by_matrix,
     two_group_cross_graph,
+    weighted_delta_by_matrix,
 )
 
 
@@ -277,6 +282,92 @@ def test_fingerprint_copies_are_independent():
     assert graph.fingerprint() == fingerprint_by_loop(graph)
 
 
+def test_blocked_checksum_equals_one_buffer_digest(rng, monkeypatch):
+    cases = _fingerprint_cases(rng)
+    monkeypatch.setattr(gsfa.graph, "_TRIPLET_BLOCK", 5)
+    for name, graph in cases.items():
+        n_triplets = triplets_by_matrix(graph)[2].size
+        assert n_triplets > 5, name
+        assert len(list(graph._triplet_blocks())) > 1, name
+        for part, expected in zip(graph._triplet_arrays(),
+                                  triplets_by_matrix(graph)):
+            np.testing.assert_array_equal(part, expected)
+        assert graph.fingerprint()["checksum"] == checksum_by_one_buffer(graph)
+
+
+def _group_structure(kind, n, k, in_groups, seed):
+    """k shuffled groups over part of range(n); the rest in no group."""
+    rng = np.random.default_rng(seed)
+    smallest = 2 if kind == "clustered" else 1
+    members = rng.permutation(n)[:max(2, round(in_groups * n))]
+    k = min(k, members.size // smallest)
+    sizes = smallest + rng.multinomial(members.size - smallest * k,
+                                       np.full(k, 1.0 / k))
+    return GraphStructure(kind, tuple(np.split(members, np.cumsum(sizes)[:-1])))
+
+
+def _assert_groups_equal_csr(graph, rng):
+    """The groups backend gives the bits of the CSR of the same edges."""
+    n = graph.n_samples
+    csr = TrainingGraph(graph.vertex_weights,
+                        structure_edges(graph.structure, n))
+    assert graph.r_sum == csr.r_sum
+    assert graph.gamma_row_sums().tobytes() == csr.gamma_row_sums().tobytes()
+    assert graph.gamma_diagonal().tobytes() == csr.gamma_diagonal().tobytes()
+    assert graph.gamma_min() == csr.gamma_min()
+    for part, expected in zip(graph._triplet_arrays(), csr._triplet_arrays()):
+        assert part.tobytes() == expected.astype(part.dtype).tobytes()
+    assert graph.fingerprint() == csr.fingerprint()
+    data = rng.normal(size=(3, n))
+    expected = csr.gamma_quad(data)
+    np.testing.assert_allclose(graph.gamma_quad(data), expected, rtol=1e-12,
+                               atol=1e-12 * np.abs(expected).max())
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["clustered", "serial"]), n=st.integers(2, 40),
+       k=st.integers(2, 9), in_groups=st.floats(0.3, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_group_storage_equals_structure_csr(kind, n, k, in_groups, seed):
+    structure = _group_structure(kind, n, k, in_groups, seed)
+    rng = np.random.default_rng(seed)
+    graph = TrainingGraph(rng.uniform(0.5, 2.0, n), structure=structure)
+    assert graph.structure is structure and graph.is_sparse
+    _assert_groups_equal_csr(graph, rng)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(5, 60), k=st.integers(2, 7),
+       seed=st.integers(0, 2**32 - 1))
+def test_truncated_serial_groups_equal_structure_csr(n, k, seed):
+    rng = np.random.default_rng(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        graph = gsfa.build_serial_graph(rng.normal(size=n), min(k, n),
+                                        policy="truncate")
+    _assert_groups_equal_csr(graph, rng)
+
+
+def test_training_never_builds_the_structure_matrix(rng, monkeypatch):
+    def refuse(structure, n):
+        raise AssertionError("the N x N structure matrix was built")
+
+    monkeypatch.setattr(gsfa.graph, "structure_edges", refuse)
+    images = rng.normal(size=(48, 4, 4))
+    for graph in (gsfa.build_serial_graph(rng.normal(size=48), 6),
+                  gsfa.build_clustered_graph([8] * 6)):
+        with pytest.raises(AssertionError, match="structure matrix"):
+            graph.edge_weights
+        model = gsfa.train_gsfa(images.reshape(48, -1).T, graph, n_features=3)
+        assert model.trained_on == graph.fingerprint()
+        network = gsfa.train_hgsfa(images, graph, [
+            gsfa.LayerSpec(grid=(2, 2), receptive_field=(2, 2), out_dims=3,
+                           expansion=gsfa.ExpansionSpec("quadratic")),
+            gsfa.LayerSpec(grid=(1, 1), receptive_field=(2, 2), out_dims=2),
+        ])
+        assert network.layers[-1][(0, 0)].gsfa.n_features == 2
+
+
 @pytest.mark.parametrize("part", ["data", "indices", "indptr"])
 def test_sparse_storage_is_read_only(part):
     gamma = sp.csr_array(two_group_cross_graph().gamma_dense())
@@ -387,6 +478,17 @@ def test_weighted_delta_matches_loop_oracle(rng):
         y = rng.normal(size=n)
         assert weighted_delta(graph, y) == pytest.approx(
             delta_by_loop(graph, y), rel=1e-12)
+
+
+@pytest.mark.parametrize("block", [5, None], ids=["block-5", "default"])
+def test_weighted_delta_equals_whole_matrix_sum(rng, monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(gsfa.graph, "_TRIPLET_BLOCK", block)
+    for name, graph in _fingerprint_cases(rng).items():
+        for y in rng.normal(size=(3, graph.n_samples)):
+            expected = weighted_delta_by_matrix(graph, y)
+            assert weighted_delta(graph, y) == pytest.approx(
+                expected, rel=1e-12, abs=1e-300), name
 
 
 def test_weighted_delta_dimension_mismatch():
