@@ -44,9 +44,12 @@ STRUCTURE_KINDS = ("clustered", "serial")
 
 #: One hashed upper-triangle edge: row, column, weight.
 _TRIPLET_DTYPE = np.dtype([("i", "<i8"), ("j", "<i8"), ("g", "<f8")])
-#: Triplets (or scanned entries) per block of the checksum, the edge
-#: files and the literal delta sum; bounds their memory.
+#: Triplets (or entries) per block of the sparse checksum, edge files
+#: and literal delta sum; bounds their memory.
 _TRIPLET_BLOCK = 1 << 14
+#: Rows per block, and the side of a tile, of the work done in place on a
+#: dense N x N edge matrix; its temporaries stay this many rows of N.
+DENSE_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -128,12 +131,32 @@ class EllFactors:
             object.__setattr__(self, name, arr)
 
 
+def row_slices(n):
+    """Slices of :data:`DENSE_BLOCK_ROWS` rows (the last fewer) over range(n)."""
+    step = DENSE_BLOCK_ROWS
+    return [slice(start, start + step) for start in range(0, n, step)]
+
+
 def ell_gamma(vertex_weights, factors):
-    """The symmetric N x N edge matrix of exact-label factors."""
+    """The symmetric N x N edge matrix of exact-label factors.
+
+    The product's array is scaled by sqrt(v) on both sides and replaced
+    by (gamma + gamma^T) / 2 tile by tile, in place: no other N x N
+    array is made. An entry and its mirror get (a + b) / 2 and
+    (b + a) / 2, the same bits.
+    """
     sqrt_v = np.sqrt(vertex_weights)
-    m = (factors.u * factors.weights) @ factors.u.T
-    gamma = sqrt_v[:, None] * m * sqrt_v[None, :]
-    return (gamma + gamma.T) / 2.0
+    gamma = (factors.u * factors.weights) @ factors.u.T
+    gamma *= sqrt_v[:, None]
+    gamma *= sqrt_v
+    tiles = row_slices(gamma.shape[0])
+    for at, rows in enumerate(tiles):
+        for cols in tiles[at:]:
+            tile = gamma[rows, cols] + gamma[cols, rows].T
+            tile /= 2.0
+            gamma[rows, cols] = tile
+            gamma[cols, rows] = tile.T
+    return gamma
 
 
 @dataclass(frozen=True)
@@ -155,13 +178,21 @@ def _frozen(arr):
     return arr
 
 
+def _packed(i, j, g):
+    """Triplet columns as one array of hashed records."""
+    packed = np.empty(g.shape[0], dtype=_TRIPLET_DTYPE)
+    packed["i"], packed["j"], packed["g"] = i, j, g
+    return packed
+
+
 # Edge storage of a TrainingGraph: dense, CSR or groups. A backend
 # computes ``row_sums`` (the bits of ``matrix.sum(axis=1)``) and ``total``
 # R (:func:`_edge_sum`) once, at construction, and offers ``view()`` (the
 # matrix, for oracles), ``diagonal()``, ``min()``, ``quad(C)`` = C gamma
-# C^T, ``triplet_blocks(size)`` (nonzero upper-triangle triplets in
-# row-major order) and ``difference_sum(y, size)`` (the literal edge sum
-# of (y_n' - y_n)^2), both in blocks of about ``size`` entries.
+# C^T, ``triplet_blocks()`` (the nonzero upper-triangle triplets in
+# row-major order, as :data:`_TRIPLET_DTYPE` records) and
+# ``difference_sum(y)`` (the literal edge sum of (y_n' - y_n)^2), both
+# in blocks: of about :data:`_TRIPLET_BLOCK` entries, or dense rows.
 
 class _MatrixEdges:
     """Edges stored as a matrix, dense ndarray or canonical CSR."""
@@ -191,21 +222,32 @@ class _DenseEdges(_MatrixEdges):
     def __init__(self, matrix):
         super().__init__(matrix, matrix.ravel())
 
-    def _row_blocks(self, size):
-        step = max(1, size // self.matrix.shape[1])
-        for start in range(0, self.matrix.shape[0], step):
-            yield start, self.matrix[start:start + step]
+    def triplet_blocks(self):
+        """One block per row, a view of one reused record buffer.
 
-    def triplet_blocks(self, size):
-        for start, rows in self._row_blocks(size):
-            i, j = np.nonzero(np.triu(rows, k=start))
-            yield i + start, j, rows[i, j]
+        The ``j`` column is written once; each row writes its ``i`` and
+        ``g``. A row whose upper part holds zeros gets a fresh block of
+        its nonzeros.
+        """
+        n = self.matrix.shape[0]
+        buffer = np.empty(n, dtype=_TRIPLET_DTYPE)
+        buffer["j"] = np.arange(n)
+        for i, row in enumerate(self.matrix):
+            upper = row[i:]
+            if np.count_nonzero(upper) == upper.size:
+                block = buffer[i:]
+                block["i"], block["g"] = i, upper
+            else:
+                j = np.flatnonzero(upper)
+                block = _packed(i, j + i, upper[j])
+            yield block
 
-    def difference_sum(self, y, size):
+    def difference_sum(self, y):
         total = 0.0
-        for start, rows in self._row_blocks(size):
-            diff = y[None, :] - y[start:start + rows.shape[0], None]
-            total += float(np.sum(rows * diff * diff))
+        for rows in row_slices(self.matrix.shape[0]):
+            diff = y[None, :] - y[rows, None]
+            diff *= diff
+            total += float(np.vdot(self.matrix[rows], diff))
         return total
 
 
@@ -216,21 +258,22 @@ class _CsrEdges(_MatrixEdges):
     def __init__(self, matrix):
         super().__init__(matrix, matrix.data)
 
-    def _entry_blocks(self, size):
+    def _entry_blocks(self):
         m = self.matrix
+        size = _TRIPLET_BLOCK
         for start in range(0, m.nnz, size):
             stop = min(start + size, m.nnz)
             rows = np.searchsorted(m.indptr, np.arange(start, stop), side="right") - 1
             yield rows, m.indices[start:stop], m.data[start:stop]
 
-    def triplet_blocks(self, size):
-        for i, j, g in self._entry_blocks(size):
+    def triplet_blocks(self):
+        for i, j, g in self._entry_blocks():
             keep = (i <= j) & (g != 0)
-            yield i[keep], j[keep], g[keep]
+            yield _packed(i[keep], j[keep], g[keep])
 
-    def difference_sum(self, y, size):
+    def difference_sum(self, y):
         total = 0.0
-        for i, j, g in self._entry_blocks(size):
+        for i, j, g in self._entry_blocks():
             diff = y[j] - y[i]
             total += float(np.sum(g * diff * diff))
         return total
@@ -302,11 +345,12 @@ class _GroupEdges:
             quad -= (c * self.own) @ c.T
         return quad
 
-    def triplet_blocks(self, size):
+    def triplet_blocks(self):
         """Row i's triplets are the members j > i of its group's neighbours.
 
-        Blocks hold whole rows, about ``size`` triplets each.
+        Blocks hold whole rows, about :data:`_TRIPLET_BLOCK` triplets each.
         """
+        size = _TRIPLET_BLOCK
         groups = self.structure.groups
         lists = [np.sort(np.concatenate(
             [np.zeros(0, dtype=int), *(groups[h] for h in np.flatnonzero(row))]))
@@ -326,12 +370,13 @@ class _GroupEdges:
             count = counts[lo:hi]
             at = np.repeat(first[lo:hi] - offsets[lo:hi], count)
             at += np.arange(offsets[lo], offsets[hi])
-            yield (np.repeat(self.rows[lo:hi], count), cols[at],
-                   np.repeat(values[lo:hi], count))
+            yield _packed(np.repeat(self.rows[lo:hi], count), cols[at],
+                          np.repeat(values[lo:hi], count))
 
-    def difference_sum(self, y, size):
+    def difference_sum(self, y):
         """Group pair by group pair; a pair's own sample contributes 0."""
         groups = self.structure.groups
+        size = _TRIPLET_BLOCK
         total = 0.0
         for g, h in zip(*np.nonzero(self.weights)):
             ya, yb = y[groups[g]], y[groups[h]]
@@ -360,11 +405,11 @@ class TrainingGraph:
         elimination drop structure and factors.
 
     The edges live in one of three backends, dense, CSR or groups, which
-    compute the row sums and R once, here. Stored matrices are copied
-    and made read-only, so the cached sums and fingerprint cannot go
-    stale. Edges a caller passes are checked for shape, finiteness and
-    exact symmetry; derived edges, symmetric by construction, for
-    finiteness only.
+    compute the row sums and R once, here. Stored matrices are read-only,
+    so the cached sums and fingerprint cannot go stale: a caller's matrix
+    is copied first, derived edges are fresh arrays the graph owns. Edges
+    a caller passes are checked for shape, finiteness and exact symmetry;
+    derived edges, symmetric by construction, for finiteness only.
     """
 
     __slots__ = ("vertex_weights", "_edges", "n_samples", "q_sum", "r_sum",
@@ -392,13 +437,11 @@ class TrainingGraph:
                 raise DimensionError(
                     f"ELL factors have {ell.u.shape[0]} rows, graph has N={n}")
             gamma = ell_gamma(v, ell)
-            shifted = _shift_nonnegative(v, gamma) if ell.nonnegative else gamma
-            if shifted is gamma:
+            if ell.nonnegative and not _shift_nonnegative(v, gamma):
                 ell = replace(ell, nonnegative=False)
-            # ell_gamma and the shift end in (gamma + gamma^T) / 2
-            edges = _matrix_edges(shifted, n, symmetric=True)
+            edges = _matrix_edges(gamma, n, derived=True)
         else:
-            edges = _matrix_edges(edge_weights, n, symmetric=False)
+            edges = _matrix_edges(edge_weights, n, derived=False)
         if edges.total <= 0:
             raise DegenerateGraphError(
                 f"sum of edge weights must be > 0, got {edges.total}")
@@ -454,33 +497,35 @@ class TrainingGraph:
         return self._edges.min()
 
     def _triplet_blocks(self):
-        """Nonzero upper-triangle (i, j, gamma) arrays, i <= j, row-major.
+        """Nonzero upper-triangle (i, j, gamma) records, i <= j, row-major.
 
-        Yields blocks of about :data:`_TRIPLET_BLOCK` triplets (dense
-        storage: scanned entries); their concatenation is the whole list.
+        Yields :data:`_TRIPLET_DTYPE` arrays of about
+        :data:`_TRIPLET_BLOCK` triplets (dense storage: one row each);
+        their concatenation is the whole list. A dense block is valid
+        until the next one is drawn.
         """
-        return self._edges.triplet_blocks(_TRIPLET_BLOCK)
+        return self._edges.triplet_blocks()
 
     def _triplet_arrays(self):
         """The triplets of :meth:`_triplet_blocks` as three whole arrays."""
-        i, j, g = zip(*self._triplet_blocks())
-        return np.concatenate(i), np.concatenate(j), np.concatenate(g)
+        # copied as they come: dense blocks share one buffer
+        parts = [[block[name].copy() for name in _TRIPLET_DTYPE.names]
+                 for block in self._triplet_blocks()]
+        return tuple(np.concatenate(column) for column in zip(*parts))
 
     def fingerprint(self):
         """Stable identity of the graph: (n, Q, R, content checksum).
 
         The checksum hashes n, the vertex weights and the packed
-        upper-triangle triplets, streamed block by block; it is computed
-        once per graph.
+        upper-triangle triplets, streamed block by block (dense storage:
+        row by row); it is computed once per graph.
         """
         if self._fingerprint is None:
             h = hashlib.sha256()
             h.update(np.int64(self.n_samples).tobytes())
             h.update(self.vertex_weights.tobytes())
-            for i, j, g in self._triplet_blocks():
-                packed = np.empty(g.shape[0], dtype=_TRIPLET_DTYPE)
-                packed["i"], packed["j"], packed["g"] = i, j, g
-                h.update(packed)
+            for block in self._triplet_blocks():
+                h.update(block)
             self._fingerprint = {"n": self.n_samples, "q_sum": self.q_sum,
                                  "r_sum": self.r_sum,
                                  "checksum": h.hexdigest()[:16]}
@@ -491,10 +536,12 @@ class TrainingGraph:
                 f"R={self.r_sum:g}, {self._edges.name})")
 
 
-def _matrix_edges(edge_weights, n, symmetric):
-    """Dense or CSR backend of an edge matrix, copied, checked and frozen.
+def _matrix_edges(edge_weights, n, derived):
+    """Dense or CSR backend of an edge matrix, checked and frozen.
 
-    ``symmetric`` skips the symmetry comparison for derived edges.
+    A caller's matrix is copied and compared with its transpose.
+    ``derived`` edges, a fresh float ndarray symmetric by construction,
+    are neither: the graph owns them.
     """
     sparse = sp.issparse(edge_weights)
     if sparse:
@@ -502,14 +549,19 @@ def _matrix_edges(edge_weights, n, symmetric):
         # Canonical form: nothing sorts the frozen arrays later, and
         # no edge is listed twice in triplets or graph files.
         g.sum_duplicates()
+    elif derived:
+        g = edge_weights
     else:
         g = np.array(edge_weights, dtype=float)
     if g.shape != (n, n):
         raise DimensionError(
             f"edge matrix shape {g.shape} does not match N={n}")
-    if not np.all(np.isfinite(g.data if sparse else g)):
+    values = g.data if sparse else g
+    # min and max keep a NaN, and an infinity is one of them
+    if values.size and not (np.isfinite(values.min())
+                            and np.isfinite(values.max())):
         raise DegenerateGraphError("edge weights must be finite")
-    if not symmetric and (g != g.T).sum():
+    if not derived and (g != g.T).sum():
         raise ContractError("edge weights must be exactly symmetric")
     for part in (g.data, g.indices, g.indptr) if sparse else (g,):
         part.setflags(write=False)
@@ -560,7 +612,7 @@ def weighted_delta(graph, y):
     if y.shape != (graph.n_samples,):
         raise DimensionError(
             f"feature length {y.shape} does not match N={graph.n_samples}")
-    return graph._edges.difference_sum(y, _TRIPLET_BLOCK) / graph.r_sum
+    return graph._edges.difference_sum(y) / graph.r_sum
 
 
 def weighted_delta_fast(graph, y, tol=1e-6):
@@ -635,23 +687,39 @@ def eliminate_negative_weights(graph):
         shifted = TrainingGraph(v, ell=replace(graph.ell, nonnegative=True))
         return shifted if shifted.ell.nonnegative else graph
     gamma = graph.gamma_dense()
-    shifted = _shift_nonnegative(v, gamma)
-    return graph if shifted is gamma else TrainingGraph(v, shifted)
+    return TrainingGraph(v, gamma) if _shift_nonnegative(v, gamma) else graph
+
+
+def elimination_constant(v, gamma):
+    """c = max(-gamma_{n,n'} / (v_n v_n')) of a dense edge matrix.
+
+    The constant of :func:`eliminate_negative_weights`, taken over row
+    blocks (:func:`row_slices`); c <= 0 means no weight is negative.
+    """
+    return float(np.max([np.max(-gamma[rows] / np.outer(v[rows], v))
+                         for rows in row_slices(gamma.shape[0])]))
 
 
 def _shift_nonnegative(v, gamma):
-    """Edges of :func:`eliminate_negative_weights`; ``gamma`` if none is < 0."""
-    c = float(np.max(-gamma / np.outer(v, v)))
+    """Shift the dense ``gamma`` in place as :func:`eliminate_negative_weights`.
+
+    Returns whether it did: not when no weight is negative. Row block by
+    row block, gamma + c v v^T is divided by the scale and clamped at 0.
+    A symmetric gamma stays exactly symmetric, as v_n v_n' = v_n' v_n.
+    """
+    c = elimination_constant(v, gamma)
     if c <= 0:
-        return gamma
+        return False
     r = _edge_sum(gamma.ravel())
     if r <= 0:
         raise DegenerateGraphError(f"sum of edge weights must be > 0, got {r}")
     scale = 1.0 + c * float(v.sum()) ** 2 / r
-    # each step rebinds gamma, so one N x N array fewer stays alive
-    gamma = (gamma + c * np.outer(v, v)) / scale
-    gamma = np.maximum(gamma, 0.0)  # clamp -0.0/rounding at the arg max
-    return (gamma + gamma.T) / 2.0
+    for rows in row_slices(gamma.shape[0]):
+        block = gamma[rows]
+        block += c * np.outer(v[rows], v)
+        block /= scale
+        np.maximum(block, 0.0, out=block)  # clamp -0.0/rounding at the arg max
+    return True
 
 
 def markov_transition_matrix(graph):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ContractError, ParameterError
 from . import matrixio
-from .graph import check_consistency
+from .graph import check_consistency, row_slices
 from .solver import _sign_fix_columns
 
 #: Counting threshold: responses with delta < 2 - SLOW_COUNT_TOL are "slow".
@@ -60,10 +60,16 @@ class FreeResponseSpectrum:
 
 
 def build_m_matrix(graph):
-    """M = Diag(v^{-1/2}) gamma Diag(v^{-1/2}), symmetric."""
+    """M = Diag(v^{-1/2}) gamma Diag(v^{-1/2}), symmetric.
+
+    Scales a copy of gamma in place, row block by row block; it stays
+    exactly symmetric, as gamma is and v_n^{-1/2} v_n'^{-1/2} is too.
+    """
     inv_sqrt = 1.0 / np.sqrt(graph.vertex_weights)
-    m = graph.gamma_dense() * np.outer(inv_sqrt, inv_sqrt)
-    return (m + m.T) / 2.0
+    m = graph.gamma_dense()
+    for rows in row_slices(m.shape[0]):
+        m[rows] *= np.outer(inv_sqrt[rows], inv_sqrt)
+    return m
 
 
 def _degenerate_blocks(eigenvalues):

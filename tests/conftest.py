@@ -110,6 +110,38 @@ def checksum_by_one_buffer(graph):
     return h.hexdigest()[:16]
 
 
+def ell_gamma_by_expression(vertex_weights, factors):
+    """Bit oracle of :func:`gsfa.ell_gamma`: whole-matrix expressions."""
+    sqrt_v = np.sqrt(vertex_weights)
+    m = (factors.u * factors.weights) @ factors.u.T
+    gamma = sqrt_v[:, None] * m * sqrt_v[None, :]
+    return (gamma + gamma.T) / 2.0
+
+
+def shift_by_expression(v, gamma):
+    """Bit oracle of the negative-weight elimination of a dense gamma.
+
+    Returns the shifted edges, or ``gamma`` itself when no weight is
+    negative.
+    """
+    c = float(np.max(-gamma / np.outer(v, v)))
+    if c <= 0:
+        return gamma
+    r = float(gamma[gamma != 0].sum())
+    if r <= 0:
+        raise gsfa.DegenerateGraphError(f"sum of edge weights must be > 0, got {r}")
+    scale = 1.0 + c * float(v.sum()) ** 2 / r
+    shifted = np.maximum((gamma + c * np.outer(v, v)) / scale, 0.0)
+    return (shifted + shifted.T) / 2.0
+
+
+def m_matrix_by_expression(graph):
+    """Bit oracle of :func:`gsfa.build_m_matrix`."""
+    inv_sqrt = 1.0 / np.sqrt(graph.vertex_weights)
+    m = graph.gamma_dense() * np.outer(inv_sqrt, inv_sqrt)
+    return (m + m.T) / 2.0
+
+
 def plain_json(obj):
     """obj with numpy arrays as nested lists and Columns as lists of rows."""
     if isinstance(obj, (Columns, np.ndarray)):

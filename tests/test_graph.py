@@ -28,14 +28,22 @@ from gsfa import (
     weighted_delta,
     weighted_delta_fast,
 )
-from gsfa.graph import group_weights, structure_edges
+from gsfa.graph import (
+    _shift_nonnegative,
+    elimination_constant,
+    group_weights,
+    structure_edges,
+)
 
 from conftest import (
     chain_graph,
     checksum_by_one_buffer,
     delta_by_loop,
     dense_graph,
+    ell_gamma_by_expression,
+    ell_graph_from_seed,
     fingerprint_by_loop,
+    shift_by_expression,
     triplets_by_matrix,
     two_group_cross_graph,
     weighted_delta_by_matrix,
@@ -105,6 +113,48 @@ def test_ell_description_without_negative_weights_stays_unmarked():
         np.full((4, 1), 0.5), [1.0], nonnegative=True))
     assert graph.ell.nonnegative is False
     np.testing.assert_array_equal(graph.gamma_dense(), np.full((4, 4), 0.25))
+
+
+def _same_bits(a, b):
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 21), k=st.integers(1, 4), rows=st.integers(1, 8),
+       nonnegative=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_in_place_ell_edges_keep_the_expression_bits(n, k, rows, nonnegative,
+                                                     seed):
+    # small tiles and row blocks, so that N straddles their boundaries
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(0.2, 3.0, n)
+    factors = gsfa.EllFactors(rng.normal(size=(n, k)),
+                              rng.uniform(-1.0, 1.0, k), nonnegative)
+    expected = ell_gamma_by_expression(v, factors)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gsfa.graph, "DENSE_BLOCK_ROWS", rows)
+        gamma = gsfa.ell_gamma(v, factors)
+        assert _same_bits(gamma, expected)
+        c = float(np.max(-expected / np.outer(v, v)))
+        found = elimination_constant(v, gamma)
+        assert found == c or max(found, c) <= 0  # a zero's sign may differ
+        edges = expected
+        if nonnegative:
+            try:
+                edges = shift_by_expression(v, expected)
+            except DegenerateGraphError:
+                with pytest.raises(DegenerateGraphError):
+                    TrainingGraph(v, ell=factors)
+                return
+            assert _shift_nonnegative(v, gamma) == (edges is not expected)
+        assert _same_bits(gamma, edges)
+        assert _same_bits(gamma, gamma.T)
+        if edges[edges != 0].sum() <= 0:
+            with pytest.raises(DegenerateGraphError):
+                TrainingGraph(v, ell=factors)
+            return
+        graph = TrainingGraph(v, ell=factors)
+    assert _same_bits(graph.edge_weights, edges)
+    assert graph.ell.nonnegative == (nonnegative and edges is not expected)
 
 
 def test_structure_index_outside_graph_rejected():
@@ -282,6 +332,22 @@ def test_fingerprint_copies_are_independent():
     assert graph.fingerprint() == fingerprint_by_loop(graph)
 
 
+def test_dense_checksum_hashes_rows_with_zeros():
+    holes = np.full((6, 6), 0.5)
+    holes[0, 0] = holes[5, 5] = 0.0           # zero diagonal entries
+    holes[4, :] = holes[:, 4] = 0.0           # an all-zero row
+    negative = np.full((5, 5), 0.5)
+    negative[1, 2] = negative[2, 1] = -0.5    # c = 0.5 clamps it to zero
+    clamped = gsfa.eliminate_negative_weights(dense_graph(np.ones(5), negative))
+    assert clamped.edge_weights[1, 2] == 0.0
+    for graph in (dense_graph(np.ones(6), holes), clamped):
+        assert graph.fingerprint() == fingerprint_by_loop(graph)
+        assert graph.fingerprint()["checksum"] == checksum_by_one_buffer(graph)
+        for part, expected in zip(graph._triplet_arrays(),
+                                  triplets_by_matrix(graph)):
+            np.testing.assert_array_equal(part, expected)
+
+
 def test_blocked_checksum_equals_one_buffer_digest(rng, monkeypatch):
     cases = _fingerprint_cases(rng)
     monkeypatch.setattr(gsfa.graph, "_TRIPLET_BLOCK", 5)
@@ -379,10 +445,18 @@ def test_sparse_storage_is_read_only(part):
     assert graph.fingerprint() == two_group_cross_graph().fingerprint()
 
 
-def test_dense_storage_is_read_only():
-    graph = two_group_cross_graph()
+def test_dense_storage_is_read_only(rng):
+    gamma = two_group_cross_graph().gamma_dense()
+    graph = TrainingGraph(np.ones(4), gamma)
     with pytest.raises(ValueError):
         graph.edge_weights[0, 2] = 5.0
+    gamma[0, 2] = gamma[2, 0] = 5.0  # the caller's matrix stays its own
+    assert graph.edge_weights[0, 2] == 1.0
+    assert graph.fingerprint() == two_group_cross_graph().fingerprint()
+    derived = _ell_graph(rng, nonnegative=True)
+    assert not derived.edge_weights.flags.writeable
+    with pytest.raises(ValueError):
+        derived.edge_weights[0, 0] = 1.0
 
 
 def test_sparse_duplicates_are_summed():
@@ -484,7 +558,12 @@ def test_weighted_delta_matches_loop_oracle(rng):
 def test_weighted_delta_equals_whole_matrix_sum(rng, monkeypatch, block):
     if block is not None:
         monkeypatch.setattr(gsfa.graph, "_TRIPLET_BLOCK", block)
-    for name, graph in _fingerprint_cases(rng).items():
+        monkeypatch.setattr(gsfa.graph, "DENSE_BLOCK_ROWS", block)
+    cases = _fingerprint_cases(rng)
+    # more rows than one dense block holds at the default block size
+    cases["ell-600"] = ell_graph_from_seed(7, 600, 3, nonnegative=True,
+                                           uniform=False)
+    for name, graph in cases.items():
         for y in rng.normal(size=(3, graph.n_samples)):
             expected = weighted_delta_by_matrix(graph, y)
             assert weighted_delta(graph, y) == pytest.approx(

@@ -14,7 +14,13 @@ from gsfa import (
     weighted_delta,
 )
 
-from conftest import chain_graph, dense_graph, two_group_cross_graph
+from conftest import (
+    chain_graph,
+    dense_graph,
+    ell_graph_from_seed,
+    m_matrix_by_expression,
+    two_group_cross_graph,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -28,6 +34,18 @@ def test_m_matrix_identity_weights():
 def test_m_matrix_hand_example():
     graph = dense_graph([4.0, 4.0], [[0.0, 2.0], [2.0, 0.0]])
     np.testing.assert_allclose(build_m_matrix(graph), [[0.0, 0.5], [0.5, 0.0]])
+
+
+def test_m_matrix_keeps_the_expression_bits(monkeypatch):
+    monkeypatch.setattr(gsfa.graph, "DENSE_BLOCK_ROWS", 4)
+    rng = np.random.default_rng(5)
+    for graph in (ell_graph_from_seed(3, 11, 2, nonnegative=True, uniform=False),
+                  gsfa.build_serial_graph(np.arange(10.0), 5),
+                  dense_graph(rng.uniform(0.5, 2.0, 9),
+                              gsfa.symmetrize(rng.uniform(-0.5, 1.0, (9, 9))))):
+        m = build_m_matrix(graph)
+        assert m.tobytes() == m_matrix_by_expression(graph).tobytes()
+        assert m.tobytes() == np.ascontiguousarray(m.T).tobytes()
 
 
 def test_m_matrix_symmetric_for_builders():
