@@ -46,14 +46,12 @@ from .errors import (
     GsfaError,
     GsfaWarning,
     InconsistentGraphWarning,
-    IsolatedVertexError,
     NegativeEigenvalueWarning,
     ParameterError,
     RankError,
     RegularizationWarning,
     SingularityError,
     TruncationWarning,
-    UnsupportedGraphError,
 )
 from .estimators import (
     CentroidClassifier,
@@ -80,13 +78,9 @@ from .graph import (
     eliminate_negative_weights,
     ell_gamma,
     load_graph,
-    markov_transition_matrix,
-    normalize_feature,
     remove_self_loops,
     save_graph,
-    symmetrize,
     weighted_delta,
-    weighted_delta_fast,
 )
 from .hierarchy import (
     HgsfaNetwork,

@@ -17,10 +17,6 @@ class DegenerateGraphError(GsfaError):
     """Graph unusable: non-positive vertex weight, R <= 0, ..."""
 
 
-class IsolatedVertexError(DegenerateGraphError):
-    """A vertex has zero total edge weight where that is not allowed."""
-
-
 class DegenerateFeatureError(GsfaError):
     """Feature has zero weighted variance."""
 
@@ -35,10 +31,6 @@ class DependentLabelError(GsfaError):
 
 class ContractError(GsfaError):
     """A documented precondition was violated; message names it."""
-
-
-class UnsupportedGraphError(GsfaError):
-    """Graph outside the operation's domain (e.g. negative edge weights)."""
 
 
 class RankError(GsfaError):

@@ -13,7 +13,7 @@ three forms expose the same operations with the same bits.
 The delta value of a feature y is the edge-weighted mean squared output
 difference, (1/R) * sum_{n,n'} gamma_{n,n'} (y(n') - y(n))^2. For
 consistent graphs and normalized features it reduces to
-2 - (2/R) * y^T gamma y, which :func:`weighted_delta_fast` exploits.
+2 - (2/R) * y^T gamma y.
 """
 
 import hashlib
@@ -25,12 +25,9 @@ import scipy.sparse as sp
 
 from .errors import (
     ContractError,
-    DegenerateFeatureError,
     DegenerateGraphError,
     DimensionError,
     FormatError,
-    IsolatedVertexError,
-    UnsupportedGraphError,
 )
 from .serialize import Columns, read_container, write_container
 
@@ -395,8 +392,8 @@ class TrainingGraph:
     vertex_weights : array of N strictly positive reals.
     edge_weights, structure, ell : exactly one description of the edges.
         ``edge_weights`` is an exactly symmetric N x N matrix, dense
-        ndarray or scipy sparse (use :func:`symmetrize` first for raw
-        directed weights); absent edges are zeros. A
+        ndarray or scipy sparse (symmetrize raw directed weights
+        first); absent edges are zeros. A
         :class:`GraphStructure` is kept as its groups, whose edges are
         those :func:`structure_edges` lists; :class:`EllFactors` give the
         dense :func:`ell_gamma`, eliminated
@@ -409,7 +406,9 @@ class TrainingGraph:
     so the cached sums and fingerprint cannot go stale: a caller's matrix
     is copied first, derived edges are fresh arrays the graph owns. Edges
     a caller passes are checked for shape, finiteness and exact symmetry;
-    derived edges, symmetric by construction, for finiteness only.
+    derived edges, symmetric by construction, for finiteness only. So is
+    the dense copy that :func:`eliminate_negative_weights` or
+    :func:`remove_self_loops` makes and hands over.
     """
 
     __slots__ = ("vertex_weights", "_edges", "n_samples", "q_sum", "r_sum",
@@ -442,6 +441,23 @@ class TrainingGraph:
             edges = _matrix_edges(gamma, n, derived=True)
         else:
             edges = _matrix_edges(edge_weights, n, derived=False)
+        self._settle(v, edges, structure, ell)
+
+    @classmethod
+    def _derived(cls, vertex_weights, gamma):
+        """Graph of a fresh dense ``gamma`` that a transform made symmetric.
+
+        Like edges the graph derives itself, ``gamma`` is kept uncopied
+        and checked for finiteness only; ``vertex_weights`` are those of
+        an existing graph.
+        """
+        graph = cls.__new__(cls)
+        graph._settle(vertex_weights,
+                      _matrix_edges(gamma, vertex_weights.shape[0], derived=True),
+                      None, None)
+        return graph
+
+    def _settle(self, v, edges, structure, ell):
         if edges.total <= 0:
             raise DegenerateGraphError(
                 f"sum of edge weights must be > 0, got {edges.total}")
@@ -449,7 +465,7 @@ class TrainingGraph:
         v.setflags(write=False)
         self.vertex_weights = v
         self._edges = edges
-        self.n_samples = n
+        self.n_samples = v.shape[0]
         self.q_sum = float(v.sum())
         self.r_sum = edges.total
         self.structure = structure
@@ -539,7 +555,8 @@ class TrainingGraph:
 def _matrix_edges(edge_weights, n, derived):
     """Dense or CSR backend of an edge matrix, checked and frozen.
 
-    A caller's matrix is copied and compared with its transpose.
+    A caller's matrix is copied and compared with its transpose
+    (:func:`_is_symmetric`).
     ``derived`` edges, a fresh float ndarray symmetric by construction,
     are neither: the graph owns them.
     """
@@ -561,29 +578,26 @@ def _matrix_edges(edge_weights, n, derived):
     if values.size and not (np.isfinite(values.min())
                             and np.isfinite(values.max())):
         raise DegenerateGraphError("edge weights must be finite")
-    if not derived and (g != g.T).sum():
+    if not derived and not _is_symmetric(g):
         raise ContractError("edge weights must be exactly symmetric")
     for part in (g.data, g.indices, g.indptr) if sparse else (g,):
         part.setflags(write=False)
     return _CsrEdges(g) if sparse else _DenseEdges(g)
 
 
+def _is_symmetric(g):
+    """g == g^T exactly; a dense g is compared tile by tile (:func:`row_slices`)."""
+    if sp.issparse(g):
+        return not (g != g.T).sum()
+    tiles = row_slices(g.shape[0])
+    return not any((g[rows, cols] != g[cols, rows].T).any()
+                   for at, rows in enumerate(tiles) for cols in tiles[at:])
+
+
 def _edge_sum(values):
     """Sum of the nonzeros in row-major order: the same bits dense and as CSR."""
     nonzero = values != 0
     return float((values if nonzero.all() else values[nonzero]).sum())
-
-
-def symmetrize(gamma_raw):
-    """Return (gamma + gamma^T) / 2 for a square matrix."""
-    if sp.issparse(gamma_raw):
-        if gamma_raw.shape[0] != gamma_raw.shape[1]:
-            raise DimensionError("edge matrix must be square")
-        return (sp.csr_array(gamma_raw, dtype=float) + gamma_raw.T.astype(float)) * 0.5
-    g = np.asarray(gamma_raw, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise DimensionError("edge matrix must be square")
-    return (g + g.T) / 2.0
 
 
 def check_consistency(graph, tol=None):
@@ -615,60 +629,19 @@ def weighted_delta(graph, y):
     return graph._edges.difference_sum(y) / graph.r_sum
 
 
-def weighted_delta_fast(graph, y, tol=1e-6):
-    """Delta value via 2 - (2/R) y^T gamma y.
-
-    Valid only for consistent graphs and features with weighted zero
-    mean and weighted unit variance; violations raise
-    :class:`ContractError` naming the failed constraint.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.shape != (graph.n_samples,):
-        raise DimensionError(
-            f"feature length {y.shape} does not match N={graph.n_samples}")
-    report = check_consistency(graph)
-    if not report.ok:
-        raise ContractError(
-            f"graph fails the consistency restriction "
-            f"(max residual {report.max_residual:.3e})")
-    v, q = graph.vertex_weights, graph.q_sum
-    mean = float(v @ y) / q
-    if abs(mean) > tol:
-        raise ContractError(f"feature violates weighted zero mean ({mean:.3e})")
-    var = float(y @ (v * y)) / q
-    if abs(var - 1.0) > tol:
-        raise ContractError(f"feature violates weighted unit variance ({var:.6f})")
-    return 2.0 - 2.0 / graph.r_sum * graph.gamma_quad(y)
-
-
-def normalize_feature(y, vertex_weights):
-    """Rescale y to weighted zero mean and weighted unit variance."""
-    y = np.asarray(y, dtype=float)
-    v = np.asarray(vertex_weights, dtype=float)
-    if y.shape != v.shape:
-        raise DimensionError("feature and vertex weights differ in length")
-    q = v.sum()
-    centered = y - (v @ y) / q
-    var = float(centered @ (v * centered)) / q
-    if var <= 0 or not np.isfinite(var):
-        raise DegenerateFeatureError("feature has zero weighted variance")
-    return centered / np.sqrt(var)
-
-
 def remove_self_loops(graph):
     """Zero the diagonal of the edge matrix; Q stays, R is recomputed.
 
     Free responses are unchanged up to the rescaling of delta values
     implied by the new R; the consistency restriction may break.
     """
-    if graph.is_sparse:
-        g = sp.lil_array(graph.edge_weights.copy())
-        g.setdiag(0.0)
-        g = sp.csr_array(g)
-    else:
+    if not graph.is_sparse:
         g = graph.gamma_dense()
         np.fill_diagonal(g, 0.0)
-    return TrainingGraph(graph.vertex_weights, g)
+        return TrainingGraph._derived(graph.vertex_weights, g)
+    g = sp.lil_array(graph.edge_weights.copy())
+    g.setdiag(0.0)
+    return TrainingGraph(graph.vertex_weights, sp.csr_array(g))
 
 
 def eliminate_negative_weights(graph):
@@ -687,7 +660,7 @@ def eliminate_negative_weights(graph):
         shifted = TrainingGraph(v, ell=replace(graph.ell, nonnegative=True))
         return shifted if shifted.ell.nonnegative else graph
     gamma = graph.gamma_dense()
-    return TrainingGraph(v, gamma) if _shift_nonnegative(v, gamma) else graph
+    return TrainingGraph._derived(v, gamma) if _shift_nonnegative(v, gamma) else graph
 
 
 def elimination_constant(v, gamma):
@@ -720,25 +693,6 @@ def _shift_nonnegative(v, gamma):
         block /= scale
         np.maximum(block, 0.0, out=block)  # clamp -0.0/rounding at the arg max
     return True
-
-
-def markov_transition_matrix(graph):
-    """Row-normalized edge weights, P[n, n'] = gamma_{n,n'} / sum_n' gamma.
-
-    Requires non-negative edge weights and no isolated vertex.
-    Self-loops are accepted and simply become nonzero staying
-    probabilities. The chain's stationary distribution matches v/Q only
-    when the graph satisfies the consistency restriction; that is the
-    caller's lookout, not a hard gate here.
-    """
-    if graph.gamma_min() < 0:
-        raise UnsupportedGraphError(
-            "negative edge weights have no probabilistic interpretation")
-    rows = graph.gamma_row_sums()
-    if np.any(rows <= 0):
-        bad = int(np.argmin(rows))
-        raise IsolatedVertexError(f"vertex {bad} has zero total edge weight")
-    return graph.gamma_dense() / rows[:, None]
 
 
 def save_graph(graph, path):

@@ -9,8 +9,8 @@ keys and a fixed layout so identical payloads produce identical bytes.
 with numpy arrays as nested lists and :class:`Columns` as a list of rows;
 ``tests/conftest.py`` keeps that expression as the byte oracle. CPython
 uses its C encoder only without ``indent``, so numeric arrays and tables
-are formatted here instead, by ``repr`` joins in blocks
-(:func:`format_rows`); every other value goes through ``json.dumps``.
+are formatted here instead, in blocks (:func:`format_rows`); every other
+value goes through ``json.dumps``.
 """
 
 import json
@@ -18,11 +18,17 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .errors import FormatError
 
 #: Values formatted per text block; bounds the memory of one write.
 _BLOCK_VALUES = 1 << 16
+_NUMPY = orjson.OPT_SERIALIZE_NUMPY
+#: Magnitudes orjson and ``repr`` write alike, in positional notation;
+#: ``repr`` switches to exponents below 1e-4 and from 1e16. The bounds
+#: sit a little inside, so a value near one is redone, never missed.
+_POSITIONAL = (1.001e-4, 9.99e15)
 
 
 class Columns:
@@ -41,22 +47,77 @@ class Columns:
         return [list(row) for row in zip(*(col.tolist() for col in self.columns))]
 
 
+def _dtype_runs(columns):
+    """(dtype, columns) of each run of consecutive columns written alike.
+
+    Float columns are written as float64, whose ``repr`` their
+    ``tolist()`` values have; integer columns keep their type, in native
+    byte order.
+    """
+    runs = []
+    for col in columns:
+        if col.dtype.kind == "f":
+            dtype = np.dtype(np.float64)
+        elif col.dtype.kind in "iu":
+            dtype = col.dtype.newbyteorder("=")
+        else:
+            raise TypeError(f"cannot format a {col.dtype} column as numbers")
+        if runs and runs[-1][0] == dtype:
+            runs[-1][1].append(col)
+        else:
+            runs.append((dtype, [col]))
+    return runs
+
+
+def _block_text(block):
+    """``repr`` text of a fresh 2-D block: values "," and rows "],[" apart.
+
+    orjson writes the shortest round-trip digits, as ``repr`` does, but
+    spells non-finite values and exponents its own way; those values, and
+    any whose magnitude is near an exponent bound, are written as NaN
+    ("null") in the block itself and then replaced by their ``repr``, in
+    row-major order.
+    """
+    if block.dtype.kind != "f":
+        return orjson.dumps(block, option=_NUMPY).decode()[2:-2]
+    size = np.abs(block)
+    redo = ~((size >= _POSITIONAL[0]) & (size < _POSITIONAL[1]))
+    redo &= block != 0
+    values = block[redo].tolist()
+    block[redo] = np.nan
+    pieces = orjson.dumps(block, option=_NUMPY).decode()[2:-2].split("null")
+    joined = [None] * (2 * len(values) + 1)
+    joined[::2] = pieces
+    joined[1::2] = map(repr, values)
+    return "".join(joined)
+
+
 def format_rows(columns, prefix, sep, between, suffix):
     """Yield the text of a table from its columns, in blocks.
 
     The text is ``prefix``, then every row's ``repr`` values joined by
     ``sep``, the rows joined by ``between``, then ``suffix``. Columns are
-    1-D arrays of one nonzero length whose ``tolist()`` values ``repr``
-    formats as wanted.
+    1-D integer or float arrays of one nonzero length; a value is written
+    as the ``repr`` of its ``tolist()`` number. Each block of rows is one
+    orjson call per run of consecutive columns of one dtype
+    (:func:`_dtype_runs`, :func:`_block_text`).
     """
-    k = len(columns)
+    runs = _dtype_runs(columns)
     n = len(columns[0])
-    step = max(1, _BLOCK_VALUES // k)
+    step = max(1, _BLOCK_VALUES // len(columns))
     yield prefix
     for start in range(0, n, step):
         stop = min(start + step, n)
-        fields = [map(repr, col[start:stop].tolist()) for col in columns]
-        yield between.join(map(sep.join, zip(*fields)))
+        texts = [_block_text(np.stack([col[start:stop] for col in cols],
+                                      axis=1, dtype=dtype))
+                 for dtype, cols in runs]
+        body = texts[0] if len(texts) == 1 else "],[".join(
+            map(",".join, zip(*(text.split("],[") for text in texts))))
+        if sep == ",":
+            yield body.replace("],[", between)
+        else:
+            yield body.replace("],[", "\0").replace(",", sep).replace(
+                "\0", between)
         yield between if stop < n else suffix
 
 

@@ -9,8 +9,66 @@ import pytest
 import scipy.sparse as sp
 
 import gsfa
-from gsfa import FormatError, TrainingGraph
+from gsfa import (
+    ContractError,
+    DegenerateFeatureError,
+    DimensionError,
+    FormatError,
+    TrainingGraph,
+)
 from gsfa.serialize import Columns, read_container
+
+
+def symmetrize(gamma_raw):
+    """(gamma + gamma^T) / 2 of a square matrix: random symmetric edges."""
+    if sp.issparse(gamma_raw):
+        if gamma_raw.shape[0] != gamma_raw.shape[1]:
+            raise DimensionError("edge matrix must be square")
+        return (sp.csr_array(gamma_raw, dtype=float) + gamma_raw.T.astype(float)) * 0.5
+    g = np.asarray(gamma_raw, dtype=float)
+    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+        raise DimensionError("edge matrix must be square")
+    return (g + g.T) / 2.0
+
+
+def normalize_feature(y, vertex_weights):
+    """y rescaled to weighted zero mean and weighted unit variance."""
+    y = np.asarray(y, dtype=float)
+    v = np.asarray(vertex_weights, dtype=float)
+    if y.shape != v.shape:
+        raise DimensionError("feature and vertex weights differ in length")
+    q = v.sum()
+    centered = y - (v @ y) / q
+    var = float(centered @ (v * centered)) / q
+    if var <= 0 or not np.isfinite(var):
+        raise DegenerateFeatureError("feature has zero weighted variance")
+    return centered / np.sqrt(var)
+
+
+def weighted_delta_fast(graph, y, tol=1e-6):
+    """Delta oracle via 2 - (2/R) y^T gamma y.
+
+    Valid only for consistent graphs and features with weighted zero
+    mean and weighted unit variance; violations raise
+    :class:`ContractError` naming the failed constraint.
+    """
+    y = np.asarray(y, dtype=float)
+    if y.shape != (graph.n_samples,):
+        raise DimensionError(
+            f"feature length {y.shape} does not match N={graph.n_samples}")
+    report = gsfa.check_consistency(graph)
+    if not report.ok:
+        raise ContractError(
+            f"graph fails the consistency restriction "
+            f"(max residual {report.max_residual:.3e})")
+    v, q = graph.vertex_weights, graph.q_sum
+    mean = float(v @ y) / q
+    if abs(mean) > tol:
+        raise ContractError(f"feature violates weighted zero mean ({mean:.3e})")
+    var = float(y @ (v * y)) / q
+    if abs(var - 1.0) > tol:
+        raise ContractError(f"feature violates weighted unit variance ({var:.6f})")
+    return 2.0 - 2.0 / graph.r_sum * graph.gamma_quad(y)
 
 
 def delta_by_loop(graph, y):
@@ -140,6 +198,17 @@ def m_matrix_by_expression(graph):
     inv_sqrt = 1.0 / np.sqrt(graph.vertex_weights)
     m = graph.gamma_dense() * np.outer(inv_sqrt, inv_sqrt)
     return (m + m.T) / 2.0
+
+
+def format_rows_by_repr(columns, prefix, sep, between, suffix):
+    """Byte oracle of ``serialize.format_rows``: ``repr`` of every value.
+
+    The writer's text before it formatted blocks with orjson, as one
+    string: ``prefix``, each row's ``repr`` values joined by ``sep``, the
+    rows joined by ``between``, then ``suffix``.
+    """
+    fields = [map(repr, np.asarray(col).tolist()) for col in columns]
+    return prefix + between.join(map(sep.join, zip(*fields))) + suffix
 
 
 def plain_json(obj):

@@ -1,13 +1,15 @@
 """File writers and readers against their byte and rejection oracles.
 
 The JSON writer must equal ``json.dumps(..., sort_keys=True, indent=1)``
-byte for byte, the CSV writers the ``csv.writer`` row loop, and the graph
+byte for byte, the CSV writers the ``csv.writer`` row loop, the number
+formatter behind both the ``repr`` of every value, and the graph
 reader must reject exactly what the per-edge loop rejected, with the same
 message (oracles in ``conftest.py``). A graph file of ELL factors
 (version 2) must load to exactly the graph its version-1 file gives.
 """
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,12 +20,14 @@ from hypothesis.extra import numpy as hnp
 
 import gsfa
 from gsfa import FormatError, TrainingGraph
-from gsfa.serialize import Columns, iter_json, write_json
+from gsfa import serialize
+from gsfa.serialize import Columns, format_rows, iter_json, write_json
 
 from conftest import (
     csv_by_writer,
     edges_csv_by_loop,
     ell_graph_from_seed,
+    format_rows_by_repr,
     graph_file_by_dumps,
     json_by_dumps,
     load_graph_by_loop,
@@ -33,6 +37,102 @@ from conftest import (
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
                -1.7976931348623157e308, 0.1, 1e16, 1e-7, 2.5]
+
+
+# ---------------------------------------------------------------------------
+# number formatter
+
+#: (prefix, sep, between, suffix) of a CSV body, a JSON table at level 1
+#: (serialize._json_table) and a 1-D JSON array at level 1 (iter_json).
+LAYOUTS = {
+    "csv": ("", ",", "\n", "\n"),
+    "json-table": ("[\n  [\n   ", ",\n   ", "\n  ],\n  [\n   ", "\n  ]\n ]"),
+    "json-1d": ("[\n  ", "", ",\n  ", "\n ]"),
+}
+
+
+def _near(x, ulps=3):
+    """x and the floats up to ``ulps`` steps either side of it."""
+    out = [x]
+    for toward in (-np.inf, np.inf):
+        y = x
+        for _ in range(ulps):
+            y = np.nextafter(y, toward)
+            out.append(y)
+    return out
+
+
+BOUNDARY_FLOATS = sorted({
+    float(y) for x in (1e-4, 1e-5, 1e16, 1.001e-4, 9.99e15)
+    for y in _near(x) + [-z for z in _near(x)]
+} | {5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+     0.0, 1.0, 123456789012345.6})
+
+
+def _assert_formats_as_repr(columns):
+    for name, layout in LAYOUTS.items():
+        cols = columns[:1] if name == "json-1d" else columns
+        assert "".join(format_rows(cols, *layout)) == format_rows_by_repr(
+            cols, *layout), name
+
+
+def test_formatter_matches_repr_at_exponent_bounds():
+    values = np.array(BOUNDARY_FLOATS + [-0.0, np.nan, np.inf, -np.inf])
+    _assert_formats_as_repr([values])
+    with np.errstate(over="ignore"):  # the largest floats round to inf
+        _assert_formats_as_repr([values.astype(np.float32)])
+    # one row of every kind of column, and the same values as a table
+    _assert_formats_as_repr([np.array([v]) for v in values])
+    _assert_formats_as_repr([np.arange(values.size), values, values[::-1],
+                             np.arange(values.size, dtype=np.uint64)])
+
+
+def test_formatter_keeps_integers_exact():
+    big = np.array([0, 1, 2**53 + 1, 2**63 - 1], dtype=np.int64)
+    _assert_formats_as_repr([big, -big, np.array([0, 1, 2**63, 2**64 - 1],
+                                                 dtype=np.uint64)])
+    _assert_formats_as_repr([np.array([0, 3], dtype=">i8"),
+                             np.array([0.5, 1e-7], dtype=">f8")])
+
+
+def test_formatter_rejects_columns_that_are_not_numbers():
+    with pytest.raises(TypeError):
+        "".join(format_rows([np.array([True, False])], *LAYOUTS["csv"]))
+
+
+_FLOAT64 = st.one_of(st.sampled_from(BOUNDARY_FLOATS + EDGE_FLOATS),
+                     st.floats())
+_COLUMN_DTYPES = [np.dtype(t) for t in (
+    "<f8", "<f4", ">f8", "i1", "<i2", "<i4", "<i8", ">i8",
+    "u1", "<u2", "<u4", "<u8")]
+#: spectrum.csv (j, lambda, delta, feasible) and graph triplets (i, j, gamma)
+_TABLE_DTYPES = [[np.dtype(np.int64), np.dtype(float), np.dtype(float),
+                  np.dtype(np.int64)],
+                 [np.dtype(np.int64), np.dtype(np.int64), np.dtype(float)]]
+
+
+def _column(dtype, n):
+    if dtype.kind == "f":
+        elements = _FLOAT64 if dtype.itemsize == 8 else st.floats(width=32)
+        return hnp.arrays(dtype, n, elements=elements)
+    return hnp.arrays(dtype, n)
+
+
+@st.composite
+def _tables(draw):
+    n = draw(st.integers(1, 30))
+    dtypes = draw(st.one_of(
+        st.lists(st.sampled_from(_COLUMN_DTYPES), min_size=1, max_size=5),
+        st.sampled_from(_TABLE_DTYPES)))
+    return [draw(_column(dtype, n)) for dtype in dtypes]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_tables(), st.sampled_from([None, 1, 2, 5, 7]))
+def test_formatter_matches_repr_property(columns, block):
+    with mock.patch.object(serialize, "_BLOCK_VALUES",
+                           block or serialize._BLOCK_VALUES):
+        _assert_formats_as_repr(columns)
 
 
 # ---------------------------------------------------------------------------

@@ -16,17 +16,11 @@ from gsfa import (
     DimensionError,
     FormatError,
     GraphStructure,
-    IsolatedVertexError,
     TrainingGraph,
     TruncationWarning,
-    UnsupportedGraphError,
     check_consistency,
-    markov_transition_matrix,
-    normalize_feature,
     remove_self_loops,
-    symmetrize,
     weighted_delta,
-    weighted_delta_fast,
 )
 from gsfa.graph import (
     _shift_nonnegative,
@@ -43,10 +37,13 @@ from conftest import (
     ell_gamma_by_expression,
     ell_graph_from_seed,
     fingerprint_by_loop,
+    normalize_feature,
     shift_by_expression,
+    symmetrize,
     triplets_by_matrix,
     two_group_cross_graph,
     weighted_delta_by_matrix,
+    weighted_delta_fast,
 )
 
 
@@ -63,6 +60,21 @@ def test_graph_rejects_nonpositive_vertex_weights():
 def test_graph_rejects_asymmetric_edges(storage):
     with pytest.raises(ContractError, match="exactly symmetric"):
         TrainingGraph(np.ones(2), storage(np.array([[0.0, 2.0], [0.0, 0.0]])))
+
+
+def test_dense_symmetry_check_reads_every_tile(monkeypatch, rng):
+    # 3-row tiles over N=8: diagonal, off-diagonal and short edge tiles
+    monkeypatch.setattr(gsfa.graph, "DENSE_BLOCK_ROWS", 3)
+    n = 8
+    gamma = symmetrize(rng.uniform(0.1, 1.0, (n, n)))
+    gamma[0, 5] = 0.0
+    gamma[5, 0] = -0.0  # equal as numbers, as (g != g.T) compares
+    TrainingGraph(np.ones(n), gamma)
+    for i, j in zip(*np.triu_indices(n, 1)):
+        broken = gamma.copy()
+        broken[i, j] = np.nextafter(broken[i, j], 2.0)
+        with pytest.raises(ContractError, match="exactly symmetric"):
+            TrainingGraph(np.ones(n), broken)
 
 
 def test_graph_takes_exactly_one_edge_description():
@@ -471,8 +483,26 @@ def test_sparse_duplicates_are_summed():
     assert summed.fingerprint() == dense.fingerprint()
 
 
+@pytest.mark.parametrize("transform", [gsfa.eliminate_negative_weights,
+                                       remove_self_loops])
+def test_dense_transforms_own_their_copy(transform, rng):
+    # the transformed copy is kept, not copied and compared again: the
+    # result equals the graph of the same matrix passed by a caller
+    m = rng.normal(size=(9, 9))
+    graph = TrainingGraph(rng.uniform(0.5, 2.0, 9), m + m.T + 1.0)
+    out = transform(graph)
+    assert out is not graph and not out.is_sparse
+    gamma = out.edge_weights
+    assert not gamma.flags.writeable
+    assert not np.shares_memory(gamma, graph.edge_weights)
+    same = TrainingGraph(graph.vertex_weights, gamma)
+    assert _same_bits(same.edge_weights, gamma)
+    assert out.fingerprint() == same.fingerprint()
+    np.testing.assert_array_equal(out.gamma_row_sums(), same.gamma_row_sums())
+
+
 # ---------------------------------------------------------------------------
-# symmetrize
+# symmetrize: the conftest helper other tests build random edges with
 
 def test_symmetrize_definition():
     np.testing.assert_allclose(symmetrize([[0, 2], [0, 0]]), [[0, 1], [1, 0]])
@@ -595,6 +625,9 @@ def test_weighted_delta_nonnegative_for_nonnegative_weights(seed):
     assert weighted_delta(graph, rng.normal(size=6)) >= 0.0
 
 
+# weighted_delta_fast: the conftest closed-form oracle of weighted_delta
+# (2 - (2/R) y' gamma y on consistent graphs and normalized features)
+
 def test_weighted_delta_fast_hand_example():
     graph = two_group_cross_graph()
     y = np.array([-1.0, -1.0, 1.0, 1.0])
@@ -652,7 +685,7 @@ def test_fast_equals_direct_on_consistent_graphs(kind, seed):
 
 
 # ---------------------------------------------------------------------------
-# normalize_feature
+# normalize_feature: the conftest helper the delta and solver tests use
 
 def test_normalize_feature_example():
     np.testing.assert_allclose(
@@ -739,43 +772,6 @@ def test_remove_self_loops_preserves_responses_when_loops_match_weights():
         err = min(np.max(np.abs(resp_a[:, j] - resp_b[:, j])),
                   np.max(np.abs(resp_a[:, j] + resp_b[:, j])))
         assert err < 1e-9
-
-
-# ---------------------------------------------------------------------------
-# markov transition matrix
-
-def test_markov_clustered_pairs():
-    graph = gsfa.build_clustered_graph([2, 2])
-    p = markov_transition_matrix(graph)
-    expected = np.zeros((4, 4))
-    expected[0, 1] = expected[1, 0] = 1.0
-    expected[2, 3] = expected[3, 2] = 1.0
-    np.testing.assert_allclose(p, expected)
-
-
-def test_markov_rows_sum_to_one():
-    graph = gsfa.build_serial_graph(np.arange(12.0), 4)
-    p = markov_transition_matrix(graph)
-    np.testing.assert_allclose(p.sum(axis=1), np.ones(12), atol=1e-12)
-
-
-def test_markov_rejects_negative_weights():
-    graph = dense_graph([1.0, 1.0], [[1.0, -0.5], [-0.5, 1.0]])
-    with pytest.raises(UnsupportedGraphError):
-        markov_transition_matrix(graph)
-
-
-def test_markov_rejects_isolated_vertex():
-    gamma = np.zeros((3, 3))
-    gamma[0, 1] = gamma[1, 0] = 1.0
-    with pytest.raises(IsolatedVertexError):
-        markov_transition_matrix(dense_graph(np.ones(3), gamma))
-
-
-def test_markov_accepts_self_loops():
-    graph = gsfa.build_linear_graph(4, variant="self_loop_extended")
-    p = markov_transition_matrix(graph)
-    assert p[0, 0] == pytest.approx(0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and declares it.
 
 No linter ships with the project, so this stdlib ``ast`` walk catches
 imports left behind when code is deleted. ``__init__.py`` re-exports
-names on purpose and is not checked.
+names on purpose and is not checked for unused names. Every package a
+module imports from outside the standard library must be listed in
+``pyproject.toml``'s ``[project].dependencies``.
 """
 
 import ast
+import re
+import sys
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -13,6 +18,7 @@ import pytest
 import gsfa
 
 PACKAGE = Path(gsfa.__file__).parent
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 #: Imports kept as module attributes for callers that reach them there.
 REEXPORTED = {
@@ -54,3 +60,40 @@ def test_unused_import_is_reported(tmp_path):
     path.write_text("import os\nimport numpy as np\nfrom math import pi, tau\n"
                     "from .graph import load_graph\n\nx = np.pi * tau\n")
     assert unused_imports(path) == [("os", 1), ("pi", 3), ("load_graph", 4)]
+
+
+def _third_party_imports(tree):
+    """Top-level names of the absolute imports outside the standard library."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            if top not in sys.stdlib_module_names:
+                yield top
+
+
+def undeclared_imports(package, pyproject_text):
+    """Sorted third-party import names of ``package/*.py`` not declared."""
+    requirements = tomllib.loads(pyproject_text)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower()
+                .replace("-", "_") for req in requirements}
+    imported = set()
+    for path in package.glob("*.py"):
+        imported.update(_third_party_imports(ast.parse(path.read_text())))
+    return sorted(imported - declared)
+
+
+def test_third_party_imports_are_declared():
+    assert undeclared_imports(PACKAGE, PYPROJECT.read_text()) == []
+
+
+def test_undeclared_import_is_reported():
+    text = PYPROJECT.read_text()
+    without = re.sub(r'\n\s*"orjson[^"]*",', "", text)
+    assert without != text
+    assert undeclared_imports(PACKAGE, without) == ["orjson"]

@@ -16,7 +16,6 @@ from gsfa import (
     derivative_covariance,
     expand,
     extract_features,
-    normalize_feature,
     pca_reduce,
     sample_covariance,
     train_gsfa,
@@ -24,7 +23,7 @@ from gsfa import (
     weighted_mean,
 )
 
-from conftest import chain_graph, dcov_by_edge_sum, dense_graph
+from conftest import chain_graph, dcov_by_edge_sum, dense_graph, normalize_feature
 
 
 # ---------------------------------------------------------------------------

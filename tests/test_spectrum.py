@@ -9,7 +9,6 @@ from gsfa import (
     ParameterError,
     build_m_matrix,
     expected_noise_delta,
-    normalize_feature,
     optimal_free_responses,
     weighted_delta,
 )
@@ -19,6 +18,8 @@ from conftest import (
     dense_graph,
     ell_graph_from_seed,
     m_matrix_by_expression,
+    normalize_feature,
+    symmetrize,
     two_group_cross_graph,
 )
 
@@ -42,7 +43,7 @@ def test_m_matrix_keeps_the_expression_bits(monkeypatch):
     for graph in (ell_graph_from_seed(3, 11, 2, nonnegative=True, uniform=False),
                   gsfa.build_serial_graph(np.arange(10.0), 5),
                   dense_graph(rng.uniform(0.5, 2.0, 9),
-                              gsfa.symmetrize(rng.uniform(-0.5, 1.0, (9, 9))))):
+                              symmetrize(rng.uniform(-0.5, 1.0, (9, 9))))):
         m = build_m_matrix(graph)
         assert m.tobytes() == m_matrix_by_expression(graph).tobytes()
         assert m.tobytes() == np.ascontiguousarray(m.T).tobytes()
