@@ -59,19 +59,17 @@ def evaluate(graph_name, graph, train, test, cfg, writer):
     feats_test = gsfa.extract_features(model, x_test)
     chance = gsfa.chance_rmse(y_test)
     for d in range(1, cfg.d_max + 1):
+        used_train, used_test = feats_train[:d], feats_test[:d]
         fits = {
-            "linear_scaling": gsfa.fit_linear_scaling(feats_train[0], y_train),
-            "linear_regression": gsfa.fit_linear_regression(feats_train[:d],
-                                                            y_train),
-            "soft_gc": gsfa.fit_soft_gc(feats_train[:d], y_train,
+            "linear_scaling": gsfa.fit_linear_scaling(used_train, y_train),
+            "linear_regression": gsfa.fit_linear_regression(used_train, y_train),
+            "soft_gc": gsfa.fit_soft_gc(used_train, y_train,
                                         n_classes=min(20, cfg.n_label_values)),
         }
         for est_name, est in fits.items():
-            query_train = feats_train[0] if est_name == "linear_scaling" else feats_train[:d]
-            query_test = feats_test[0] if est_name == "linear_scaling" else feats_test[:d]
             writer.writerow([graph_name, est_name, d,
-                             repr(gsfa.rmse(est.predict(query_train), y_train)),
-                             repr(gsfa.rmse(est.predict(query_test), y_test)),
+                             repr(gsfa.rmse(est.predict(used_train), y_train)),
+                             repr(gsfa.rmse(est.predict(used_test), y_test)),
                              repr(chance)])
 
 

@@ -37,7 +37,6 @@ from .errors import (
     ArchitectureError,
     BinningError,
     ContractError,
-    DegenerateFeatureError,
     DegenerateGraphError,
     DegenerateLabelError,
     DependentLabelError,
@@ -65,9 +64,7 @@ from .estimators import (
     fit_linear_scaling,
     fit_nearest_centroid,
     fit_soft_gc,
-    load_estimator,
     rmse,
-    save_estimator,
 )
 from .graph import (
     ConsistencyReport,

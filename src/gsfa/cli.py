@@ -72,8 +72,12 @@ def _csv_writer(fh):
 # ---------------------------------------------------------------------------
 # build-graph
 
-def _parse_float_list(text):
-    return [float(x) for x in text.replace(",", " ").split()]
+def _parse_float_list(text, flag):
+    try:
+        return [float(x) for x in text.replace(",", " ").split()]
+    except ValueError:
+        raise ParameterError(
+            f"{flag} must be comma-separated numbers, got {text!r}") from None
 
 
 def _build_ell_from_flags(args):
@@ -92,7 +96,7 @@ def _build_ell_from_flags(args):
         label_set = builders.decorrelate_labels(
             builders.normalize_labels(raw, v), v)
         if args.eigenvalues:
-            lams = np.asarray(_parse_float_list(args.eigenvalues))
+            lams = np.asarray(_parse_float_list(args.eigenvalues, "--eigenvalues"))
             if lams.shape[0] != label_set.n_labels:
                 raise ParameterError(
                     f"{label_set.n_labels} labels but {lams.shape[0]} eigenvalues")
@@ -115,8 +119,11 @@ def cmd_build_graph(args):
     if args.kind == "linear":
         graph = builders.build_linear_graph(args.n, variant=args.variant)
     elif args.kind == "clustered":
-        sizes = [int(x) for x in _parse_float_list(args.class_sizes)]
-        graph = builders.build_clustered_graph(sizes)
+        sizes = _parse_float_list(args.class_sizes, "--class-sizes")
+        if not all(size.is_integer() for size in sizes):
+            raise ParameterError(
+                f"--class-sizes must be whole numbers, got {args.class_sizes!r}")
+        graph = builders.build_clustered_graph([int(size) for size in sizes])
     elif args.kind == "serial":
         if not args.labels:
             raise ParameterError("serial graphs need --labels")
@@ -213,36 +220,34 @@ def cmd_train(args):
     return 0
 
 
-_REGRESSION_ESTIMATORS = ("linear_scaling", "linear_regression", "soft_gc")
+_REGRESSION_ESTIMATORS = {
+    "linear_scaling": estimators.fit_linear_scaling,
+    "linear_regression": estimators.fit_linear_regression,
+    "soft_gc": estimators.fit_soft_gc,
+}
+_ESTIMATOR_NAMES = (*_REGRESSION_ESTIMATORS, "nearest_centroid")
 
 
 def _fit_and_score(name, feats_train, feats_test, labels_train, labels_test):
-    if name == "linear_scaling":
-        est = estimators.fit_linear_scaling(feats_train[0], labels_train)
-        pred_train = est.predict(feats_train[0])
-        pred_test = est.predict(feats_test[0])
-    elif name == "linear_regression":
-        est = estimators.fit_linear_regression(feats_train, labels_train)
-        pred_train = est.predict(feats_train)
-        pred_test = est.predict(feats_test)
-    elif name == "soft_gc":
-        est = estimators.fit_soft_gc(feats_train, labels_train)
-        pred_train = est.predict(feats_train)
-        pred_test = est.predict(feats_test)
-    else:
-        raise ParameterError(f"unknown estimator {name!r}")
-    return (estimators.rmse(pred_train, labels_train),
-            estimators.rmse(pred_test, labels_test))
+    est = _REGRESSION_ESTIMATORS[name](feats_train, labels_train)
+    return (estimators.rmse(est.predict(feats_train), labels_train),
+            estimators.rmse(est.predict(feats_test), labels_test))
 
 
 def cmd_evaluate(args):
+    names = [s.strip() for s in args.estimators.split(",") if s.strip()]
+    for name in names:
+        if name not in _ESTIMATOR_NAMES:
+            raise ParameterError(f"unknown estimator {name!r}; choose from "
+                                 f"{', '.join(_ESTIMATOR_NAMES)}")
+    if args.d_min < 1:
+        raise ParameterError(f"--d-min must be at least 1, got {args.d_min}")
     node = solver.load_model(args.model)
     feats_train = node.extract(matrixio.load_matrix(args.train_data))
     feats_test = node.extract(matrixio.load_matrix(args.test_data))
     labels_train = _read_label_file(args.train_labels)
     labels_test = _read_label_file(args.test_labels)
 
-    names = [s.strip() for s in args.estimators.split(",") if s.strip()]
     d_max = min(args.d_max, feats_train.shape[0])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -295,8 +300,6 @@ def cmd_evaluate(args):
 # gen-data
 
 def cmd_gen_data(args):
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.kind == "regression":
         spec = datagen.SyntheticRegressionSpec(
             n_samples=args.n, input_dim=args.input_dim,
@@ -308,6 +311,8 @@ def cmd_gen_data(args):
             n_classes=args.classes, per_class=args.per_class,
             input_dim=args.input_dim, noise=args.noise, seed=args.seed)
         data, labels, meta = datagen.gen_classification(spec)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     matrixio.save_matrix_csv(data, out_dir / "data.csv")
     matrixio.save_matrix_binary(data, out_dir / "data.bin")
     _write_label_file(out_dir / "labels.txt", labels)
@@ -443,7 +448,7 @@ def _reproduce_compact(out_dir, seed):
     passed = True
     for n_classes in (2, 4, 8):
         report = builders.clustered_equivalence_check(n_classes, per_class=3)
-        ok = report.max_abs_diff <= 1e-10 and report.max_interclass <= 1e-12
+        ok = report.equivalent and report.max_interclass <= 1e-12
         passed = passed and ok
         rows.append([n_classes, 3, repr(report.max_abs_diff),
                      repr(report.max_interclass), int(ok)])

@@ -60,9 +60,9 @@ class SyntheticRegressionSpec:
 
     Labels take ``n_label_values`` evenly spaced values over
     ``label_range``, each repeated n_samples / n_label_values times
-    (must divide). ``nonlinearity`` warps the latent before embedding:
-    "identity", "cubic", or "tanh" (all injective, so the label stays
-    recoverable).
+    (at least once; must divide). ``nonlinearity`` warps the latent
+    before embedding: "identity", "cubic", or "tanh" (all injective, so
+    the label stays recoverable).
     """
 
     n_samples: int = 600
@@ -78,6 +78,10 @@ class SyntheticRegressionSpec:
             raise ParameterError("input_dim must be >= 1")
         if self.n_label_values < 2:
             raise ParameterError("need at least 2 distinct label values")
+        if self.n_samples < self.n_label_values:
+            raise ParameterError(
+                f"n_samples={self.n_samples} is fewer than "
+                f"n_label_values={self.n_label_values}")
         if self.n_samples % self.n_label_values:
             raise ParameterError(
                 f"n_samples={self.n_samples} not divisible by "

@@ -17,10 +17,6 @@ class DegenerateGraphError(GsfaError):
     """Graph unusable: non-positive vertex weight, R <= 0, ..."""
 
 
-class DegenerateFeatureError(GsfaError):
-    """Feature has zero weighted variance."""
-
-
 class DegenerateLabelError(GsfaError):
     """Label is constant (zero weighted variance)."""
 

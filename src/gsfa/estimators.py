@@ -16,14 +16,9 @@ from .errors import (
     BinningError,
     DegenerateLabelError,
     DimensionError,
-    FormatError,
     ParameterError,
     RegularizationWarning,
 )
-from .serialize import entries_of, read_container, write_container
-
-ESTIMATOR_FILE_KIND = "label-estimator"
-ESTIMATOR_FILE_VERSION = 1
 
 
 def _clip(values, clip_range):
@@ -39,16 +34,9 @@ class LinearScalingEstimator:
     sigma: float
     clip_range: tuple
 
-    kind = "linear_scaling"
-
     def predict(self, features):
-        y = np.asarray(features, dtype=float)
-        if y.ndim == 2:
-            y = y[0]
+        y = np.atleast_2d(np.asarray(features, dtype=float))[0]
         return _clip(self.sign * y * self.sigma + self.mu, self.clip_range)
-
-    def params(self):
-        return {"sign": self.sign, "mu": self.mu, "sigma": self.sigma}
 
 
 @dataclass
@@ -59,8 +47,6 @@ class LinearRegressionEstimator:
     intercept: float
     clip_range: tuple
 
-    kind = "linear_regression"
-
     def predict(self, features):
         y = np.atleast_2d(np.asarray(features, dtype=float))
         if y.shape[0] != self.weights.shape[0]:
@@ -68,9 +54,6 @@ class LinearRegressionEstimator:
                 f"estimator fitted on {self.weights.shape[0]} features, "
                 f"got {y.shape[0]}")
         return _clip(self.weights @ y + self.intercept, self.clip_range)
-
-    def params(self):
-        return {"weights": self.weights.tolist(), "intercept": self.intercept}
 
 
 @dataclass
@@ -86,8 +69,6 @@ class SoftGcEstimator:
     class_covs: np.ndarray
     class_labels: np.ndarray
     priors: np.ndarray
-
-    kind = "soft_gc"
 
     def predict(self, features):
         y = np.atleast_2d(np.asarray(features, dtype=float))
@@ -108,16 +89,6 @@ class SoftGcEstimator:
         post /= post.sum(axis=0, keepdims=True)
         return self.class_labels @ post
 
-    def params(self):
-        return {"class_means": self.class_means.tolist(),
-                "class_covs": self.class_covs.tolist(),
-                "class_labels": self.class_labels.tolist(),
-                "priors": self.priors.tolist()}
-
-    @property
-    def clip_range(self):
-        return (float(self.class_labels.min()), float(self.class_labels.max()))
-
 
 @dataclass
 class CentroidClassifier:
@@ -127,13 +98,15 @@ class CentroidClassifier:
     class_ids: np.ndarray
 
 
-def fit_linear_scaling(first_feature, labels):
+def fit_linear_scaling(features, labels):
     """Fit the sign and the (mu, sigma) inversion of label normalization.
 
-    The sign is chosen to minimize training RMSE; predictions are
-    clipped to the training label range.
+    Uses the first row of J x N features (a 1-D feature is one row), as
+    :meth:`LinearScalingEstimator.predict` does. The sign is chosen to
+    minimize training RMSE; predictions are clipped to the training
+    label range.
     """
-    y = np.asarray(first_feature, dtype=float).ravel()
+    y = np.atleast_2d(np.asarray(features, dtype=float))[0]
     labels = np.asarray(labels, dtype=float).ravel()
     if y.shape != labels.shape:
         raise DimensionError("feature and labels differ in length")
@@ -312,32 +285,3 @@ def error_rate(predicted_ids, true_ids):
         raise DimensionError("prediction and truth differ in length")
     return float(np.mean(predicted_ids != true_ids))
 
-
-# ---------------------------------------------------------------------------
-# estimator files
-
-def save_estimator(estimator, path):
-    payload = {"estimator": estimator.kind,
-               "parameters": estimator.params(),
-               "clip_range": list(estimator.clip_range)}
-    write_container(path, ESTIMATOR_FILE_KIND, ESTIMATOR_FILE_VERSION, payload)
-
-
-def load_estimator(path):
-    data = read_container(path, ESTIMATOR_FILE_KIND, {ESTIMATOR_FILE_VERSION})
-    with entries_of(path):
-        kind = data["estimator"]
-        params = data["parameters"]
-        clip_range = tuple(data["clip_range"])
-        if kind == "linear_scaling":
-            return LinearScalingEstimator(params["sign"], params["mu"],
-                                          params["sigma"], clip_range)
-        if kind == "linear_regression":
-            return LinearRegressionEstimator(np.asarray(params["weights"]),
-                                             params["intercept"], clip_range)
-        if kind == "soft_gc":
-            return SoftGcEstimator(np.asarray(params["class_means"]),
-                                   np.asarray(params["class_covs"]),
-                                   np.asarray(params["class_labels"]),
-                                   np.asarray(params["priors"]))
-    raise FormatError(f"{path}: unknown estimator kind {kind!r}")

@@ -254,13 +254,8 @@ def load_network(directory):
     return HgsfaNetwork(specs, input_shape, layers)
 
 
-def save_architecture(specs, path):
-    """Write layer specs as a standalone JSON config."""
-    write_container(path, "hgsfa-architecture", 1,
-                    {"layers": [spec.to_dict() for spec in specs]})
-
-
 def load_architecture(path):
+    """Layer specs of a hand-written ``hgsfa-architecture`` config file."""
     data = read_container(path, "hgsfa-architecture", {1})
     with entries_of(path):
         return [LayerSpec.from_dict(d) for d in data["layers"]]

@@ -265,9 +265,6 @@ class PcaModel:
                                  f"expects {self.mean.shape[0]}")
         return self.components.T @ (data - self.mean[:, None])
 
-    def reconstruct(self, reduced):
-        return self.components @ np.atleast_2d(reduced) + self.mean[:, None]
-
     def to_dict(self):
         return {"mean": self.mean.tolist(),
                 "components": self.components.tolist(),

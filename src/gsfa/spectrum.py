@@ -23,6 +23,8 @@ from .solver import _sign_fix_columns
 SLOW_COUNT_TOL = 1e-9
 #: Eigenvalues closer than this, relative to max(1, max |lambda|), are tied.
 TIE_RTOL = 1e-9
+#: Largest N whose dense M matrix :func:`optimal_free_responses` decomposes.
+MAX_DENSE_N = 4096
 
 
 @dataclass
@@ -107,7 +109,7 @@ def _rotate_u0_into_block(u_block, u0):
     return u_block @ rot
 
 
-def optimal_free_responses(graph, max_n=4096):
+def optimal_free_responses(graph):
     """Full eigendecomposition of M, rescaled to response vectors.
 
     Requires a consistent graph (the analysis relies on v^{1/2} being an
@@ -118,9 +120,9 @@ def optimal_free_responses(graph, max_n=4096):
     significantly nonzero sample.
     """
     n = graph.n_samples
-    if n > max_n:
+    if n > MAX_DENSE_N:
         raise ParameterError(
-            f"dense spectrum capped at N={max_n}; got N={n}")
+            f"dense spectrum capped at N={MAX_DENSE_N}; got N={n}")
     report = check_consistency(graph)
     if not report.ok:
         raise ContractError(

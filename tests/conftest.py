@@ -11,7 +11,6 @@ import scipy.sparse as sp
 import gsfa
 from gsfa import (
     ContractError,
-    DegenerateFeatureError,
     DimensionError,
     FormatError,
     TrainingGraph,
@@ -41,7 +40,7 @@ def normalize_feature(y, vertex_weights):
     centered = y - (v @ y) / q
     var = float(centered @ (v * centered)) / q
     if var <= 0 or not np.isfinite(var):
-        raise DegenerateFeatureError("feature has zero weighted variance")
+        raise ValueError("feature has zero weighted variance")
     return centered / np.sqrt(var)
 
 
@@ -225,6 +224,13 @@ def plain_json(obj):
 def json_by_dumps(obj):
     """Byte oracle of the JSON writer: the indenting pure-Python encoder."""
     return json.dumps(plain_json(obj), sort_keys=True, indent=1) + "\n"
+
+
+def write_architecture(specs, path):
+    """Write layer specs as an architecture config, as one would by hand."""
+    path.write_text(json.dumps({
+        "kind": "hgsfa-architecture", "format_version": 1,
+        "layers": [spec.to_dict() for spec in specs]}))
 
 
 def graph_file_by_dumps(graph):

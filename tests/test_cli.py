@@ -8,6 +8,8 @@ import pytest
 import gsfa
 from gsfa.cli import main
 
+from conftest import write_architecture
+
 
 def _run(*argv):
     return main([str(a) for a in argv])
@@ -78,6 +80,23 @@ def test_build_graph_domain_error_exit_1(tmp_path):
     _write_labels(labels, np.arange(7.0))
     assert _run("build-graph", "--kind", "serial", "--labels", labels,
                 "--k", "3", "--out", tmp_path / "g.json") == 1
+
+
+@pytest.mark.parametrize("flags, match", [
+    (["--kind", "clustered", "--class-sizes", "3,x"],
+     "--class-sizes must be comma-separated numbers, got '3,x'"),
+    (["--kind", "clustered", "--class-sizes", "2.5,3"],
+     "--class-sizes must be whole numbers, got '2.5,3'"),
+    (["--kind", "ell", "--auxiliary", "2", "--eigenvalues", "0.5,x"],
+     "--eigenvalues must be comma-separated numbers, got '0.5,x'"),
+], ids=["size-not-a-number", "size-not-whole", "eigenvalue-not-a-number"])
+def test_build_graph_malformed_number_list_exit_1(tmp_path, capsys, flags, match):
+    labels = tmp_path / "labels.txt"
+    _write_labels(labels, np.linspace(-1, 1, 12))
+    out = tmp_path / "g.json"
+    assert _run("build-graph", "--labels", labels, "--out", out, *flags) == 1
+    _assert_error_line(capsys, match)
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +246,7 @@ def test_train_hierarchy_network_dir(tmp_path, rng=np.random.default_rng(0)):
     assert _run("build-graph", "--kind", "serial", "--labels", labels_path,
                 "--k", "10", "--out", graph_path) == 0
     arch_path = tmp_path / "arch.json"
-    gsfa.hierarchy.save_architecture([
+    write_architecture([
         gsfa.LayerSpec(grid=(2, 2), receptive_field=(2, 2), out_dims=3),
         gsfa.LayerSpec(grid=(1, 1), receptive_field=(2, 2), out_dims=3),
     ], arch_path)
@@ -307,6 +326,45 @@ def test_evaluate_on_data_of_other_dimension_exit_1(tmp_path, capsys, flags,
                 "--out-dir", tmp_path / "eval") == 1
     _assert_error_line(capsys, match)
     assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize("flags, match", [
+    (["--d-min", "0"], "--d-min must be at least 1, got 0"),
+    (["--d-min", "-2", "--estimators", "soft_gc"],
+     "--d-min must be at least 1, got -2"),
+    (["--d-min", "0", "--estimators", "nearest_centroid"],
+     "--d-min must be at least 1, got 0"),
+    (["--estimators", "linear_regression,median", "--d-min", "5"],
+     "unknown estimator 'median'; choose from linear_scaling, "
+     "linear_regression, soft_gc, nearest_centroid"),
+], ids=["zero-d-min", "negative-d-min", "zero-d-min-centroid",
+        "unknown-estimator-empty-range"])
+def test_evaluate_bad_flags_exit_1(tmp_path, capsys, flags, match):
+    data_dir = _make_dataset(tmp_path, n=48, values=6)
+    graph_path = tmp_path / "g.json"
+    assert _run("build-graph", "--kind", "linear", "--n", "48",
+                "--out", graph_path) == 0
+    model_path = tmp_path / "model.json"
+    assert _run("train", "--data", data_dir / "data.csv", "--graph", graph_path,
+                "--out", model_path, "--features", "3") == 0
+    capsys.readouterr()
+    assert _run("evaluate", "--model", model_path,
+                "--train-data", data_dir / "data.csv",
+                "--train-labels", data_dir / "labels.txt",
+                "--test-data", data_dir / "data.csv",
+                "--test-labels", data_dir / "labels.txt",
+                "--out-dir", tmp_path / "eval", *flags) == 1
+    _assert_error_line(capsys, match)
+    assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize("n", [0, -60])
+def test_gen_data_fewer_samples_than_label_values_exit_1(tmp_path, capsys, n):
+    out_dir = tmp_path / "data"
+    assert _run("gen-data", "--kind", "regression", "--out-dir", out_dir,
+                "--n", n) == 1
+    _assert_error_line(capsys, f"n_samples={n} is fewer than n_label_values=60")
+    assert not out_dir.exists()
 
 
 def _pca_block(components, mean_dims=None, variance_dims=None):
@@ -445,7 +503,7 @@ def test_train_hierarchy_bad_image_shape_exit_1(tmp_path, capsys, shape, match):
     assert _run("build-graph", "--kind", "linear", "--n", "10",
                 "--out", graph_path) == 0
     arch_path = tmp_path / "arch.json"
-    gsfa.hierarchy.save_architecture(
+    write_architecture(
         [gsfa.LayerSpec(grid=(1, 1), receptive_field=(2, 4), out_dims=2)],
         arch_path)
     capsys.readouterr()
@@ -466,7 +524,7 @@ def test_train_hierarchy_images_other_than_graph_exit_1(tmp_path, capsys):
     assert _run("build-graph", "--kind", "linear", "--n", "20",
                 "--out", graph_path) == 0
     arch_path = tmp_path / "arch.json"
-    gsfa.hierarchy.save_architecture(
+    write_architecture(
         [gsfa.LayerSpec(grid=(1, 1), receptive_field=(2, 4), out_dims=2)],
         arch_path)
     capsys.readouterr()

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -51,6 +49,16 @@ def test_scaling_clips_to_range():
 def test_scaling_rejects_constant_labels():
     with pytest.raises(gsfa.DegenerateLabelError):
         fit_linear_scaling(np.array([0.0, 1.0]), np.array([2.0, 2.0]))
+
+
+def test_scaling_uses_first_row_of_features(rng):
+    labels = rng.normal(size=30)
+    feats = np.vstack([-_normalized(labels) + 0.1 * rng.normal(size=30),
+                       rng.normal(size=30)])
+    est = fit_linear_scaling(feats, labels)
+    assert est == fit_linear_scaling(feats[0], labels)
+    assert est.sign == -1.0
+    np.testing.assert_array_equal(est.predict(feats), est.predict(feats[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -195,39 +203,3 @@ def test_chance_rmse_weighted():
 def test_error_rate_all_wrong():
     assert error_rate(np.zeros(4), np.ones(4)) == 1.0
 
-
-# ---------------------------------------------------------------------------
-# estimator files
-
-def test_estimator_files_round_trip(tmp_path, rng):
-    labels = rng.normal(size=40)
-    feats = np.vstack([labels + 0.1 * rng.normal(size=40),
-                       rng.normal(size=40)])
-    for est in (fit_linear_scaling(feats[0], labels),
-                fit_linear_regression(feats, labels),
-                fit_soft_gc(feats, labels, n_classes=4)):
-        path = tmp_path / f"{est.kind}.json"
-        gsfa.save_estimator(est, path)
-        loaded = gsfa.load_estimator(path)
-        query = rng.normal(size=(feats.shape[0], 10))
-        if est.kind == "linear_scaling":
-            np.testing.assert_allclose(loaded.predict(query[0]),
-                                       est.predict(query[0]))
-        else:
-            np.testing.assert_allclose(loaded.predict(query), est.predict(query))
-
-
-@pytest.mark.parametrize("edit, match", [
-    (lambda d: d.pop("clip_range"), "KeyError: 'clip_range'"),
-    (lambda d: d.update(parameters=[1.0]), "TypeError"),
-    (lambda d: d["parameters"].pop("sigma"), "KeyError: 'sigma'"),
-    (lambda d: d.update(estimator="median"), "unknown estimator kind"),
-], ids=["no-clip-range", "list-parameters", "no-sigma", "unknown-kind"])
-def test_estimator_file_malformed_entry_is_format_error(tmp_path, edit, match):
-    path = tmp_path / "est.json"
-    gsfa.save_estimator(fit_linear_scaling(np.arange(6.0), np.arange(6.0)), path)
-    data = json.loads(path.read_text())
-    edit(data)
-    path.write_text(json.dumps(data))
-    with pytest.raises(gsfa.FormatError, match=match):
-        gsfa.load_estimator(path)

@@ -264,31 +264,6 @@ def test_label_set_file_matches_dumps(tmp_path, rng):
     assert (tmp_path / "labels.json").read_text() == json_by_dumps(payload)
 
 
-def test_estimator_files_match_dumps(tmp_path, rng):
-    feats = rng.normal(size=(2, 60))
-    labels = feats[0] * 2.0 + 0.1 * rng.normal(size=60)
-    for estimator in (gsfa.fit_linear_regression(feats, labels),
-                      gsfa.fit_soft_gc(feats, np.repeat([0.0, 1.0, 2.0], 20))):
-        path = tmp_path / f"{estimator.kind}.json"
-        gsfa.save_estimator(estimator, path)
-        payload = {"estimator": estimator.kind,
-                   "parameters": estimator.params(),
-                   "clip_range": list(estimator.clip_range),
-                   "kind": gsfa.estimators.ESTIMATOR_FILE_KIND,
-                   "format_version": gsfa.estimators.ESTIMATOR_FILE_VERSION}
-        assert path.read_text() == json_by_dumps(payload), estimator.kind
-
-
-def test_architecture_file_matches_dumps(tmp_path):
-    specs = [gsfa.LayerSpec(grid=(2, 2), receptive_field=(2, 2), out_dims=3),
-             gsfa.LayerSpec(grid=(1, 1), receptive_field=(2, 2), out_dims=2,
-                            pca_dims=3)]
-    gsfa.hierarchy.save_architecture(specs, tmp_path / "arch.json")
-    payload = {"kind": "hgsfa-architecture", "format_version": 1,
-               "layers": [spec.to_dict() for spec in specs]}
-    assert (tmp_path / "arch.json").read_text() == json_by_dumps(payload)
-
-
 # ---------------------------------------------------------------------------
 # CSV writers
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import gsfa
 from gsfa import (
     ContractError,
-    DegenerateFeatureError,
     DegenerateGraphError,
     DimensionError,
     FormatError,
@@ -707,7 +706,7 @@ def test_normalize_feature_exact_moments(rng):
 
 
 def test_normalize_feature_rejects_constant():
-    with pytest.raises(DegenerateFeatureError):
+    with pytest.raises(ValueError):
         normalize_feature(np.array([5.0, 5.0]), np.ones(2))
 
 

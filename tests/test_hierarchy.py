@@ -320,7 +320,25 @@ def test_network_features_drive_label_estimation(rng):
 
 
 def test_architecture_config_round_trip(tmp_path):
-    specs = _table_style_specs()
-    gsfa.hierarchy.save_architecture(specs, tmp_path / "arch.json")
+    # the hand-written example of the README: degree and pca_dims omitted
+    (tmp_path / "arch.json").write_text("""\
+{"kind": "hgsfa-architecture", "format_version": 1,
+ "layers": [
+  {"grid": [4, 4], "receptive_field": [2, 2],
+   "expansion": {"kind": "quadratic"}, "out_dims": 3},
+  {"grid": [1, 1], "receptive_field": [4, 4],
+   "expansion": {"kind": "identity"}, "out_dims": 2}]}
+""")
     loaded = gsfa.hierarchy.load_architecture(tmp_path / "arch.json")
-    assert loaded == specs
+    assert loaded == [
+        LayerSpec(grid=(4, 4), receptive_field=(2, 2),
+                  expansion=ExpansionSpec("quadratic"), out_dims=3),
+        LayerSpec(grid=(1, 1), receptive_field=(4, 4), out_dims=2)]
+    assert [spec.to_dict() for spec in loaded] == [
+        {"grid": [4, 4], "receptive_field": [2, 2],
+         "expansion": {"kind": "quadratic", "degree": 2},
+         "out_dims": 3, "pca_dims": None},
+        {"grid": [1, 1], "receptive_field": [4, 4],
+         "expansion": {"kind": "identity", "degree": 2},
+         "out_dims": 2, "pca_dims": None}]
+    assert [r.output_dim for r in validate_architecture(loaded, (8, 8))] == [3, 2]

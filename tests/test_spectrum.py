@@ -141,9 +141,10 @@ def test_inconsistent_graph_rejected():
         optimal_free_responses(chain_graph(4))
 
 
-def test_dense_cap():
-    with pytest.raises(ParameterError):
-        optimal_free_responses(gsfa.build_linear_graph(40), max_n=30)
+def test_dense_cap(monkeypatch):
+    monkeypatch.setattr(gsfa.spectrum, "MAX_DENSE_N", 30)
+    with pytest.raises(ParameterError, match="capped at N=30"):
+        optimal_free_responses(gsfa.build_linear_graph(40))
 
 
 def test_slow_count_threshold_excludes_exact_two():
