@@ -25,6 +25,14 @@ def _clip(values, clip_range):
     return np.clip(values, clip_range[0], clip_range[1])
 
 
+def _features(features):
+    """J x N features as floats, a 1-D feature as one row; needs J >= 1."""
+    y = np.atleast_2d(np.asarray(features, dtype=float))
+    if y.shape[0] < 1:
+        raise DimensionError("features need at least one row, got 0")
+    return y
+
+
 @dataclass
 class LinearScalingEstimator:
     """Inverts label normalization: l_hat = sign * y * sigma + mu."""
@@ -35,7 +43,7 @@ class LinearScalingEstimator:
     clip_range: tuple
 
     def predict(self, features):
-        y = np.atleast_2d(np.asarray(features, dtype=float))[0]
+        y = _features(features)[0]
         return _clip(self.sign * y * self.sigma + self.mu, self.clip_range)
 
 
@@ -48,7 +56,7 @@ class LinearRegressionEstimator:
     clip_range: tuple
 
     def predict(self, features):
-        y = np.atleast_2d(np.asarray(features, dtype=float))
+        y = _features(features)
         if y.shape[0] != self.weights.shape[0]:
             raise DimensionError(
                 f"estimator fitted on {self.weights.shape[0]} features, "
@@ -71,7 +79,7 @@ class SoftGcEstimator:
     priors: np.ndarray
 
     def predict(self, features):
-        y = np.atleast_2d(np.asarray(features, dtype=float))
+        y = _features(features)
         d, n = y.shape
         if d != self.class_means.shape[1]:
             raise DimensionError(
@@ -106,7 +114,7 @@ def fit_linear_scaling(features, labels):
     minimize training RMSE; predictions are clipped to the training
     label range.
     """
-    y = np.atleast_2d(np.asarray(features, dtype=float))[0]
+    y = _features(features)[0]
     labels = np.asarray(labels, dtype=float).ravel()
     if y.shape != labels.shape:
         raise DimensionError("feature and labels differ in length")
@@ -134,7 +142,7 @@ def fit_linear_regression(features, labels, clip_range=None):
     Singular normal equations are ridged with a warning instead of
     failing.
     """
-    y = np.atleast_2d(np.asarray(features, dtype=float))
+    y = _features(features)
     labels = np.asarray(labels, dtype=float).ravel()
     n_feat, n = y.shape
     if labels.shape[0] != n:
@@ -198,7 +206,7 @@ def fit_soft_gc(features, labels, n_classes=None):
     equal priors. Each class covariance gets a ridge of
     1e-6 * trace / dim.
     """
-    y = np.atleast_2d(np.asarray(features, dtype=float))
+    y = _features(features)
     labels = np.asarray(labels, dtype=float).ravel()
     d, n = y.shape
     if labels.shape[0] != n:
@@ -228,7 +236,7 @@ def fit_soft_gc(features, labels, n_classes=None):
 
 def fit_nearest_centroid(features, class_ids):
     """Per-class feature means over J x N features."""
-    y = np.atleast_2d(np.asarray(features, dtype=float))
+    y = _features(features)
     ids = np.asarray(class_ids).ravel()
     if ids.shape[0] != y.shape[1]:
         raise DimensionError("features and class ids differ in sample count")
@@ -244,7 +252,7 @@ def fit_nearest_centroid(features, class_ids):
 
 def classify(model, features):
     """Nearest-centroid class ids; ties go to the smallest class id."""
-    y = np.atleast_2d(np.asarray(features, dtype=float))
+    y = _features(features)
     if y.shape[0] != model.centroids.shape[1]:
         raise DimensionError(
             f"classifier fitted on {model.centroids.shape[1]} features, "
@@ -267,14 +275,10 @@ def rmse(predicted, truth):
     return float(np.sqrt(np.mean((predicted - truth) ** 2)))
 
 
-def chance_rmse(truth, vertex_weights=None):
-    """RMSE of the constant weighted-mean predictor."""
+def chance_rmse(truth):
+    """RMSE of the constant mean predictor."""
     truth = np.asarray(truth, dtype=float).ravel()
-    v = (np.ones_like(truth) if vertex_weights is None
-         else np.asarray(vertex_weights, dtype=float))
-    if v.shape != truth.shape:
-        raise DimensionError("truth and vertex weights differ in length")
-    mean = float(v @ truth) / v.sum()
+    mean = float(np.ones_like(truth) @ truth / truth.size)
     return rmse(np.full_like(truth, mean), truth)
 
 

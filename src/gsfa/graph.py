@@ -35,7 +35,7 @@ from .serialize import Columns, read_container, write_container
 DEFAULT_CONSISTENCY_RTOL = 1e-9
 
 GRAPH_FILE_KIND = "training-graph"
-#: Version 1 lists the upper-triangle edges; version 2 holds ELL factors.
+#: Version 1 lists the upper-triangle edges; version 2 holds ELL factors or a structure.
 GRAPH_FILE_VERSIONS = {1, 2}
 STRUCTURE_KINDS = ("clustered", "serial")
 
@@ -56,7 +56,7 @@ class GraphStructure:
     ``kind`` is "clustered" or "serial"; ``groups`` lists the member
     sample indices of each cluster (clustered) or of each label group in
     order (serial). The groups determine the edges
-    (:func:`structure_edges`).
+    (:func:`group_weights`).
     """
 
     kind: str
@@ -86,23 +86,6 @@ def group_weights(structure, n):
     if structure.kind == "clustered":
         return membership, np.diag(1.0 / (sizes - 1))
     return membership, np.eye(sizes.size, k=1) + np.eye(sizes.size, k=-1)
-
-
-def structure_edges(structure, n):
-    """The N x N CSR edge matrix a structure implies (:func:`group_weights`)."""
-    _, weights = group_weights(structure, n)
-    empty = np.zeros(0, dtype=int)
-    rows, cols, vals = [empty], [empty], [np.zeros(0)]
-    for g, h in zip(*np.nonzero(weights)):
-        a, b = structure.groups[g], structure.groups[h]
-        r, c = np.repeat(a, b.size), np.tile(b, a.size)
-        off = r != c
-        rows.append(r[off])
-        cols.append(c[off])
-        vals.append(np.full(np.count_nonzero(off), weights[g, h]))
-    return sp.csr_array(sp.coo_array(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n)))
 
 
 @dataclass(frozen=True)
@@ -283,8 +266,8 @@ class _GroupEdges:
     never the N x N matrix. Both structure kinds give every edge of a
     group's samples one weight, ``value[g]`` (1 serial, 1/(s_g - 1)
     clustered), so a sample's row lists ``degree[g]`` equal values; row
-    sums and R are reduced like those of the CSR :func:`structure_edges`
-    gives, with the same bits.
+    sums and R are reduced like those of the CSR of the same edges, with
+    the same bits.
     """
 
     is_sparse = True
@@ -322,10 +305,9 @@ class _GroupEdges:
             self.total = _edge_sum(np.repeat(row_value, row_degree))
 
     def view(self):
-        """The CSR :func:`structure_edges` gives, built on each call."""
-        matrix = structure_edges(self.structure, self.n)
-        matrix.sum_duplicates()
-        return matrix
+        """The CSR of :meth:`triplet_blocks`, built on each call."""
+        triplets = np.concatenate(list(self.triplet_blocks()))
+        return _symmetric_csr(triplets["i"], triplets["j"], triplets["g"], self.n)
 
     def diagonal(self):
         return np.zeros(self.n)
@@ -395,7 +377,7 @@ class TrainingGraph:
         ndarray or scipy sparse (symmetrize raw directed weights
         first); absent edges are zeros. A
         :class:`GraphStructure` is kept as its groups, whose edges are
-        those :func:`structure_edges` lists; :class:`EllFactors` give the
+        those :func:`group_weights` describes; :class:`EllFactors` give the
         dense :func:`ell_gamma`, eliminated
         (:func:`eliminate_negative_weights`) if marked ``nonnegative``
         (unmarked if no weight was negative). Transforms other than
@@ -600,15 +582,14 @@ def _edge_sum(values):
     return float((values if nonzero.all() else values[nonzero]).sum())
 
 
-def check_consistency(graph, tol=None):
+def check_consistency(graph):
     """Check v = (Q/R) * gamma * 1 and return (ok, residual).
 
     The restriction links vertex and edge weights; it is required by the
-    fast delta form and the free-response analysis. ``tol`` defaults to
-    1e-9 relative to max(v).
+    fast delta form and the free-response analysis. The tolerance is
+    :data:`DEFAULT_CONSISTENCY_RTOL` relative to max(v).
     """
-    if tol is None:
-        tol = DEFAULT_CONSISTENCY_RTOL * float(np.max(graph.vertex_weights))
+    tol = DEFAULT_CONSISTENCY_RTOL * float(np.max(graph.vertex_weights))
     residual = graph.vertex_weights - (graph.q_sum / graph.r_sum) * graph.gamma_row_sums()
     ok = bool(np.max(np.abs(residual)) <= tol)
     return ConsistencyReport(ok, residual, float(tol))
@@ -652,13 +633,15 @@ def eliminate_negative_weights(graph):
     are preserved; every delta value maps affinely through
     delta' = (delta + 2cQ^2/R) / (1 + cQ^2/R), keeping order and the
     fixed point delta = 2. Graphs without negative weights are returned
-    unchanged. An exact-label graph is rebuilt from its factors, marked
-    ``nonnegative``.
+    unchanged, with no dense copy made. An exact-label graph is rebuilt
+    from its factors, marked ``nonnegative``.
     """
     v = graph.vertex_weights
     if graph.ell is not None and not graph.ell.nonnegative:
         shifted = TrainingGraph(v, ell=replace(graph.ell, nonnegative=True))
         return shifted if shifted.ell.nonnegative else graph
+    if graph.gamma_min() >= 0:
+        return graph
     gamma = graph.gamma_dense()
     return TrainingGraph._derived(v, gamma) if _shift_nonnegative(v, gamma) else graph
 
@@ -698,22 +681,22 @@ def _shift_nonnegative(v, gamma):
 def save_graph(graph, path):
     """Write the versioned graph container (JSON).
 
-    A graph with ELL factors is written as those factors (version 2),
-    any other graph as its upper-triangle edges (version 1).
+    A graph with ELL factors or a structure is written as that
+    description (version 2), any other graph as its upper-triangle edges
+    (version 1).
     """
     payload = {"n": graph.n_samples, "vertex_weights": graph.vertex_weights}
-    if graph.ell is None:
-        version = 1
-        payload["edges"] = Columns(*graph._triplet_arrays())
-    else:
-        version = 2
+    if graph.ell is not None:
         payload["ell"] = {"u": graph.ell.u, "weights": graph.ell.weights,
                           "nonnegative": graph.ell.nonnegative}
-    if graph.structure is not None:
+    elif graph.structure is not None:
         payload["structure"] = {
             "kind": graph.structure.kind,
             "groups": [np.asarray(grp) for grp in graph.structure.groups],
         }
+    else:
+        payload["edges"] = Columns(*graph._triplet_arrays())
+    version = 1 if "edges" in payload else 2
     write_container(path, GRAPH_FILE_KIND, version, payload)
 
 
@@ -802,8 +785,8 @@ def _ell_factors(ell, n, path):
     return EllFactors(u, weights, ell["nonnegative"])
 
 
-def _structured_graph(v, spec, gamma, path):
-    """The graph of a version-1 file's structure, whose edges are ``gamma``."""
+def _structure_graph(v, spec, path):
+    """The graph of a version-2 graph file's ``structure`` object."""
     kind = spec.get("kind") if type(spec) is dict else None
     if kind not in STRUCTURE_KINDS:
         raise FormatError(f"{path}: structure kind must be one of "
@@ -814,28 +797,28 @@ def _structured_graph(v, spec, gamma, path):
             for grp in groups):
         raise FormatError(
             f"{path}: structure groups must be a list of integer index lists")
-    structure = GraphStructure(kind=kind, groups=tuple(
-        np.asarray(grp, dtype=int) for grp in groups))
     try:
-        graph = TrainingGraph(v, structure=structure)
-    except ContractError as exc:
+        structure = GraphStructure(kind=kind, groups=tuple(
+            np.asarray(grp, dtype=int) for grp in groups))
+        return TrainingGraph(v, structure=structure)
+    except (ContractError, OverflowError) as exc:
         raise FormatError(f"{path}: {exc}") from None
-    if (graph.edge_weights != gamma).nnz:
-        raise FormatError(
-            f"{path}: the edges are not the ones the {kind} structure implies")
-    return graph
 
 
 def load_graph(path):
-    """Read a graph file; version 2 loads as the builder's dense graph."""
+    """Read a graph file: version 1 as its edges, version 2 as its description."""
     data = read_container(path, GRAPH_FILE_KIND, GRAPH_FILE_VERSIONS)
-    edge_key = "edges" if data["format_version"] == 1 else "ell"
-    missing = [key for key in ("n", "vertex_weights", edge_key) if key not in data]
+    keys = ("edges",) if data["format_version"] == 1 else ("ell", "structure")
+    given = [key for key in keys if key in data]
+    missing = [key for key in ("n", "vertex_weights") if key not in data]
+    if not given:
+        missing.append(" or ".join(keys))
     if missing:
         raise FormatError(f"{path}: graph file has no {', '.join(missing)}")
-    if edge_key == "ell" and ("edges" in data or "structure" in data):
-        raise FormatError(
-            f"{path}: a version-2 graph file has ell, not edges or structure")
+    if keys != ("edges",) and (len(given) > 1 or "edges" in data):
+        others = [key for key in ("edges", *keys) if key != given[0]]
+        raise FormatError(f"{path}: a version-2 graph file has {given[0]}, "
+                          f"not {' or '.join(others)}")
     n = data["n"]
     if type(n) is not int or n < 1:
         raise FormatError(f"{path}: n must be a positive integer, got {n!r}")
@@ -846,9 +829,8 @@ def load_graph(path):
     if v.shape != (n,):
         raise FormatError(
             f"{path}: vertex_weights must list n={n} numbers, got shape {v.shape}")
-    if edge_key == "ell":
+    if given == ["ell"]:
         return TrainingGraph(v, ell=_ell_factors(data["ell"], n, path))
-    gamma = _symmetric_csr(*_edge_columns(data["edges"], n), n)
-    if "structure" in data:
-        return _structured_graph(v, data["structure"], gamma, path)
-    return TrainingGraph(v, gamma)
+    if given == ["structure"]:
+        return _structure_graph(v, data["structure"], path)
+    return TrainingGraph(v, _symmetric_csr(*_edge_columns(data["edges"], n), n))

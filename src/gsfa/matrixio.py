@@ -30,7 +30,8 @@ def write_csv(path, header, columns):
     """Write a CSV table: the header row, then one row per column entry.
 
     Each field is the ``repr`` of a column value's Python number, the
-    bytes ``csv.writer`` gives for rows of such strings.
+    bytes ``csv.writer`` gives for rows of such strings. ``columns`` lists
+    1-D arrays, or is a 2-D float array of them as rows.
     """
     with open(path, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
@@ -56,7 +57,7 @@ def save_matrix_csv(data, path, feature_names=None):
         feature_names = [f"x_{i}" for i in range(n_feat)]
     if len(feature_names) != n_feat:
         raise DimensionError("need one name per feature row")
-    write_csv(path, feature_names, list(data))
+    write_csv(path, feature_names, data)
 
 
 def load_matrix_csv(path):

@@ -52,8 +52,10 @@ def _dtype_runs(columns):
 
     Float columns are written as float64, whose ``repr`` their
     ``tolist()`` values have; integer columns keep their type, in native
-    byte order.
+    byte order. A 2-D float array, its rows the columns, is one run.
     """
+    if isinstance(columns, np.ndarray):
+        return [(np.dtype(np.float64), columns)]
     runs = []
     for col in columns:
         if col.dtype.kind == "f":
@@ -97,10 +99,11 @@ def format_rows(columns, prefix, sep, between, suffix):
 
     The text is ``prefix``, then every row's ``repr`` values joined by
     ``sep``, the rows joined by ``between``, then ``suffix``. Columns are
-    1-D integer or float arrays of one nonzero length; a value is written
-    as the ``repr`` of its ``tolist()`` number. Each block of rows is one
-    orjson call per run of consecutive columns of one dtype
-    (:func:`_dtype_runs`, :func:`_block_text`).
+    1-D integer or float arrays of one nonzero length, or the rows of one
+    2-D float array; a value is written as the ``repr`` of its
+    ``tolist()`` number. Each block of rows is one orjson call per run of
+    consecutive columns of one dtype (:func:`_dtype_runs`,
+    :func:`_block_text`).
     """
     runs = _dtype_runs(columns)
     n = len(columns[0])
@@ -108,9 +111,11 @@ def format_rows(columns, prefix, sep, between, suffix):
     yield prefix
     for start in range(0, n, step):
         stop = min(start + step, n)
-        texts = [_block_text(np.stack([col[start:stop] for col in cols],
-                                      axis=1, dtype=dtype))
-                 for dtype, cols in runs]
+        texts = [_block_text(
+            cols[:, start:stop].T.astype(dtype, order="C")
+            if isinstance(cols, np.ndarray) else
+            np.stack([col[start:stop] for col in cols], axis=1, dtype=dtype))
+            for dtype, cols in runs]
         body = texts[0] if len(texts) == 1 else "],[".join(
             map(",".join, zip(*(text.split("],[") for text in texts))))
         if sep == ",":

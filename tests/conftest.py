@@ -30,6 +30,30 @@ def symmetrize(gamma_raw):
     return (g + g.T) / 2.0
 
 
+def structure_edges(structure, n):
+    """The N x N CSR edge matrix of a structure, group pair by group pair.
+
+    Independent of the graph's own expansion of the groups: every pair
+    (a, b) of different samples of groups g and h with A[g, h] != 0
+    (:func:`gsfa.graph.group_weights`) gets weight A[g, h].
+    """
+    _, weights = gsfa.graph.group_weights(structure, n)
+    empty = np.zeros(0, dtype=int)
+    rows, cols, vals = [empty], [empty], [np.zeros(0)]
+    for g, h in zip(*np.nonzero(weights)):
+        a, b = structure.groups[g], structure.groups[h]
+        r, c = np.repeat(a, b.size), np.tile(b, a.size)
+        off = r != c
+        rows.append(r[off])
+        cols.append(c[off])
+        vals.append(np.full(np.count_nonzero(off), weights[g, h]))
+    matrix = sp.csr_array(sp.coo_array(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n)))
+    matrix.sum_duplicates()
+    return matrix
+
+
 def normalize_feature(y, vertex_weights):
     """y rescaled to weighted zero mean and weighted unit variance."""
     y = np.asarray(y, dtype=float)
@@ -234,10 +258,11 @@ def write_architecture(specs, path):
 
 
 def graph_file_by_dumps(graph):
-    """Graph container text as the per-triplet payload and json.dumps make it.
+    """Version-1 graph file text, as the per-triplet payload and json.dumps make it.
 
-    Always version 1, also for a graph with ELL factors: the oracle its
-    version-2 file must load like.
+    Also for a graph with ELL factors or a structure: the file earlier
+    releases wrote for it, which its version-2 file must load like. A
+    structure is listed next to the edges, as those files did.
     """
     i, j, g = graph._triplet_arrays()
     payload = {
@@ -254,6 +279,20 @@ def graph_file_by_dumps(graph):
             "groups": [np.asarray(grp).tolist() for grp in graph.structure.groups],
         }
     return json_by_dumps(payload)
+
+
+def structure_file_by_dumps(graph):
+    """Version-2 graph container text of a graph with a structure."""
+    return json_by_dumps({
+        "n": graph.n_samples,
+        "vertex_weights": graph.vertex_weights.tolist(),
+        "structure": {
+            "kind": graph.structure.kind,
+            "groups": [np.asarray(grp).tolist() for grp in graph.structure.groups],
+        },
+        "kind": "training-graph",
+        "format_version": 2,
+    })
 
 
 def csv_by_writer(path, header, rows):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -346,6 +347,21 @@ def test_eliminate_hand_example():
 def test_eliminate_noop_when_nonnegative():
     graph = build_clustered_graph([2, 2])
     assert eliminate_negative_weights(graph) is graph
+
+
+def test_eliminate_nonnegative_graph_builds_no_dense_copy(monkeypatch):
+    linear = build_linear_graph(12)
+    graphs = [build_serial_graph(np.arange(12.0), 4),
+              build_clustered_graph([3, 4, 5]),
+              gsfa.TrainingGraph(linear.vertex_weights,
+                                 sp.csr_array(linear.gamma_dense()))]
+
+    def refuse(self):
+        raise AssertionError("a dense copy of the edges was built")
+
+    monkeypatch.setattr(gsfa.TrainingGraph, "gamma_dense", refuse)
+    for graph in graphs:
+        assert eliminate_negative_weights(graph) is graph
 
 
 def test_eliminate_preserves_order_and_delta_two(rng):

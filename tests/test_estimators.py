@@ -4,6 +4,7 @@ import pytest
 import gsfa
 from gsfa import (
     BinningError,
+    DimensionError,
     ParameterError,
     RegularizationWarning,
     chance_rmse,
@@ -192,14 +193,43 @@ def test_chance_rmse_symmetric_binary():
     assert chance_rmse(np.array([-1.0, 1.0])) == pytest.approx(1.0)
 
 
-def test_chance_rmse_weighted():
-    truth = np.array([0.0, 1.0])
-    v = np.array([3.0, 1.0])
-    # weighted mean 0.25; rmse over unweighted squared errors
-    expected = np.sqrt((0.25 ** 2 + 0.75 ** 2) / 2)
-    assert chance_rmse(truth, v) == pytest.approx(expected)
+def test_chance_rmse_predicts_the_mean():
+    truth = np.array([0.0, 1.0, 1.0, 1.0])
+    # mean 0.75
+    expected = np.sqrt((0.75 ** 2 + 3 * 0.25 ** 2) / 4)
+    assert chance_rmse(truth) == pytest.approx(expected)
 
 
 def test_error_rate_all_wrong():
     assert error_rate(np.zeros(4), np.ones(4)) == 1.0
 
+
+# ---------------------------------------------------------------------------
+# input checks
+
+def _fitted(rng):
+    labels = np.repeat(np.arange(6.0), 5)
+    feats = np.vstack([_normalized(labels), rng.normal(size=30)])
+    ids = np.repeat(np.arange(3), 10)
+    return {"linear_scaling": fit_linear_scaling(feats, labels),
+            "linear_regression": fit_linear_regression(feats, labels),
+            "soft_gc": fit_soft_gc(feats, labels),
+            "nearest_centroid": fit_nearest_centroid(feats, ids)}, labels, ids
+
+
+@pytest.mark.parametrize("call", [
+    lambda fitted, empty, labels, ids: fit_linear_scaling(empty, labels),
+    lambda fitted, empty, labels, ids: fit_linear_regression(empty, labels),
+    lambda fitted, empty, labels, ids: fit_soft_gc(empty, labels),
+    lambda fitted, empty, labels, ids: fit_nearest_centroid(empty, ids),
+    lambda fitted, empty, labels, ids: fitted["linear_scaling"].predict(empty),
+    lambda fitted, empty, labels, ids: fitted["linear_regression"].predict(empty),
+    lambda fitted, empty, labels, ids: fitted["soft_gc"].predict(empty),
+    lambda fitted, empty, labels, ids: classify(fitted["nearest_centroid"], empty),
+], ids=["fit-linear-scaling", "fit-linear-regression", "fit-soft-gc",
+        "fit-nearest-centroid", "predict-linear-scaling",
+        "predict-linear-regression", "predict-soft-gc", "classify"])
+def test_zero_features_rejected(rng, call):
+    fitted, labels, ids = _fitted(rng)
+    with pytest.raises(DimensionError, match="at least one row"):
+        call(fitted, np.zeros((0, 30)), labels, ids)

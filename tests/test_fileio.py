@@ -32,6 +32,7 @@ from conftest import (
     json_by_dumps,
     load_graph_by_loop,
     matrix_csv_by_writer,
+    structure_file_by_dumps,
     two_group_cross_graph,
 )
 
@@ -221,7 +222,9 @@ def test_graph_file_matches_dumps(tmp_path, rng):
     for name, graph in _graph_cases(rng).items():
         path = tmp_path / f"{name}.json"
         gsfa.save_graph(graph, path)
-        assert path.read_text() == graph_file_by_dumps(graph), name
+        expected = (graph_file_by_dumps(graph) if graph.structure is None
+                    else structure_file_by_dumps(graph))
+        assert path.read_text() == expected, name
 
 
 def test_model_file_matches_dumps(tmp_path, rng):
@@ -377,10 +380,12 @@ def test_graph_file_nested_weight_rejected(tmp_path):
 
 
 def test_graph_file_loads_builder_graphs_like_loop(tmp_path, rng):
+    # a structure graph's file is its groups; the loop reads its edge file
     for name, graph in _graph_cases(rng).items():
-        path = tmp_path / f"{name}.json"
+        path, edge_path = tmp_path / f"{name}.json", tmp_path / f"{name}-v1.json"
         gsfa.save_graph(graph, path)
-        new, old = gsfa.load_graph(path), load_graph_by_loop(path)
+        edge_path.write_text(graph_file_by_dumps(graph))
+        new, old = gsfa.load_graph(path), load_graph_by_loop(edge_path)
         assert new.r_sum == old.r_sum, name
         assert new.fingerprint() == old.fingerprint(), name
         np.testing.assert_array_equal(new.gamma_dense(), old.gamma_dense())
@@ -419,15 +424,15 @@ def test_graph_file_input_errors(tmp_path, edit, match):
     (lambda d: d["structure"].update(groups=[[0, True], [2, 3]]), "structure groups"),
     (lambda d: d["structure"].update(groups=[[0, 1], [2, 4]]), "index 4 outside"),
     (lambda d: d["structure"].update(groups=[[-1, 1], [2, 3]]), "index -1 outside"),
-    (lambda d: d["structure"].update(groups=[[0, 2], [1, 3]]), "not the ones"),
-    (lambda d: d["structure"].update(kind="serial"), "not the ones the serial"),
-    (lambda d: d["structure"].update(groups=[[0, 1]]), "not the ones"),
+    (lambda d: d["structure"].update(groups=[[0, 2**70], [2, 3]]), "too large"),
     (lambda d: d["structure"].update(groups=[[0, 1], [1, 2, 3]]), "more than one"),
     (lambda d: d["structure"].update(groups=[[0, 1], [2], [3]]), ">= 2 members"),
+    (lambda d: d.pop("structure"), "no ell or structure"),
+    (lambda d: d.update(edges=[[0, 1, 1.0]]), "structure, not edges or ell"),
 ], ids=["no-kind", "unknown-kind", "not-an-object", "no-groups",
         "groups-not-lists", "float-index", "bool-index", "index-past-n",
-        "negative-index", "groups-permuted", "kind-swapped", "group-missing",
-        "groups-overlap", "singleton-cluster"])
+        "negative-index", "huge-index", "groups-overlap", "singleton-cluster",
+        "no-structure", "structure-and-edges"])
 def test_graph_file_structure_errors(tmp_path, edit, match):
     path = tmp_path / "graph.json"
     gsfa.save_graph(gsfa.build_clustered_graph([2, 2]), path)
@@ -520,6 +525,20 @@ def test_ell_v2_file_layout(tmp_path):
     again = tmp_path / "again.json"
     gsfa.save_graph(gsfa.load_graph(path), again)
     assert again.read_bytes() == path.read_bytes()
+
+
+def test_structure_v1_file_loads_as_its_edges(tmp_path):
+    # earlier releases listed a structure graph's edges and its groups;
+    # such a file loads as the edges, with the same Q, R and checksum
+    for graph in (gsfa.build_serial_graph(np.arange(12.0), 4),
+                  gsfa.build_clustered_graph([2, 4, 3])):
+        path = tmp_path / "structure-v1.json"
+        path.write_text(graph_file_by_dumps(graph))
+        assert "structure" in json.loads(path.read_text())
+        loaded = gsfa.load_graph(path)
+        assert loaded.structure is None and loaded.is_sparse
+        assert (loaded.edge_weights != graph.edge_weights).nnz == 0
+        assert loaded.fingerprint() == graph.fingerprint()
 
 
 def test_ell_v1_file_still_loads(tmp_path):

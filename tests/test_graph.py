@@ -25,7 +25,6 @@ from gsfa.graph import (
     _shift_nonnegative,
     elimination_constant,
     group_weights,
-    structure_edges,
 )
 
 from conftest import (
@@ -38,6 +37,7 @@ from conftest import (
     fingerprint_by_loop,
     normalize_feature,
     shift_by_expression,
+    structure_edges,
     symmetrize,
     triplets_by_matrix,
     two_group_cross_graph,
@@ -95,6 +95,7 @@ def test_graph_derives_edges_from_its_description(rng):
     graph = TrainingGraph(np.ones(6), structure=structure)
     assert graph.structure is structure and graph.is_sparse
     assert (graph.edge_weights != structure_edges(structure, 6)).nnz == 0
+    assert graph.edge_weights.has_canonical_format
     factors = _ell_graph(rng).ell
     graph = TrainingGraph(np.ones(14), ell=factors)
     assert not graph.is_sparse
@@ -261,14 +262,16 @@ def test_structure_edges_follow_group_weights():
     expected = np.zeros((6, 6))
     for a, b in [(3, 1), (0, 1), (1, 4), (1, 2)]:
         expected[a, b] = expected[b, a] = 1.0
-    np.testing.assert_array_equal(structure_edges(structure, 6).toarray(),
-                                  expected)
+    for edges in (structure_edges(structure, 6),
+                  TrainingGraph(np.ones(6), structure=structure).edge_weights):
+        np.testing.assert_array_equal(edges.toarray(), expected)
     clustered = GraphStructure("clustered", (np.array([0, 2, 5]),))
     expected = np.zeros((6, 6))
     expected[np.ix_([0, 2, 5], [0, 2, 5])] = 0.5
     np.fill_diagonal(expected, 0.0)
-    np.testing.assert_array_equal(structure_edges(clustered, 6).toarray(),
-                                  expected)
+    for edges in (structure_edges(clustered, 6),
+                  TrainingGraph(np.ones(6), structure=clustered).edge_weights):
+        np.testing.assert_array_equal(edges.toarray(), expected)
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +428,48 @@ def test_truncated_serial_groups_equal_structure_csr(n, k, seed):
     _assert_groups_equal_csr(graph, rng)
 
 
-def test_training_never_builds_the_structure_matrix(rng, monkeypatch):
-    def refuse(structure, n):
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["clustered", "serial", "serial-truncated"]),
+       n=st.integers(2, 40), k=st.integers(2, 9), in_groups=st.floats(0.3, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_structure_graph_file_round_trip(tmp_path_factory, kind, n, k,
+                                         in_groups, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "serial-truncated":
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TruncationWarning)
+            graph = gsfa.build_serial_graph(rng.normal(size=n), min(k, n),
+                                            policy="truncate")
+    else:
+        graph = TrainingGraph(rng.uniform(0.5, 2.0, n), structure=_group_structure(
+            kind, n, k, in_groups, seed))
+    path = tmp_path_factory.mktemp("structure") / "graph.json"
+    gsfa.save_graph(graph, path)
+    data = json.loads(path.read_text())
+    assert data["format_version"] == 2 and "edges" not in data
+    with pytest.MonkeyPatch.context() as patch:
+        _refuse_structure_matrix(patch)
+        loaded = gsfa.load_graph(path)
+        assert loaded.structure.kind == graph.structure.kind
+        assert [grp.tolist() for grp in loaded.structure.groups] == [
+            grp.tolist() for grp in graph.structure.groups]
+        assert loaded.vertex_weights.tobytes() == graph.vertex_weights.tobytes()
+        assert loaded.gamma_row_sums().tobytes() == graph.gamma_row_sums().tobytes()
+        assert loaded.fingerprint() == graph.fingerprint()
+    again = path.with_name("again.json")
+    gsfa.save_graph(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+def _refuse_structure_matrix(monkeypatch):
+    def refuse(*args):
         raise AssertionError("the N x N structure matrix was built")
 
-    monkeypatch.setattr(gsfa.graph, "structure_edges", refuse)
+    monkeypatch.setattr(gsfa.graph, "_symmetric_csr", refuse)
+
+
+def test_training_never_builds_the_structure_matrix(rng, monkeypatch):
+    _refuse_structure_matrix(monkeypatch)
     images = rng.normal(size=(48, 4, 4))
     for graph in (gsfa.build_serial_graph(rng.normal(size=48), 6),
                   gsfa.build_clustered_graph([8] * 6)):
@@ -543,8 +583,17 @@ def test_consistency_uniform_chain_fails():
     np.testing.assert_allclose(report.residual, [0.25, -0.5, 0.25])
 
 
-def test_consistency_vacuous_tolerance():
-    assert check_consistency(chain_graph(3), tol=np.inf).ok
+def test_consistency_tolerance_is_relative_to_max_weight():
+    # v = (Q/R) gamma 1 holds for the cross graph; scaling v keeps it, and
+    # a residual of a quarter of the tolerance passes, four times fails
+    graph = two_group_cross_graph()
+    for scale in (1e-6, 1.0, 1e6):
+        tol = gsfa.graph.DEFAULT_CONSISTENCY_RTOL * scale
+        for off, ok in ((0.25 * tol, True), (4.0 * tol, False)):
+            v = scale * np.ones(4)
+            v[0] += off
+            report = check_consistency(dense_graph(v, graph.gamma_dense()))
+            assert report.ok is ok and report.tol == pytest.approx(tol, rel=1e-6)
 
 
 def test_consistency_invariant_under_edge_scaling():
