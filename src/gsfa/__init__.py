@@ -19,7 +19,6 @@ from .builders import (
     compact_binary_labels,
     decorrelate_labels,
     deltas_from_eigenvalues,
-    eigenvalues_from_deltas,
     load_labels,
     normalize_labels,
     save_labels,
@@ -75,7 +74,6 @@ from .graph import (
     eliminate_negative_weights,
     ell_gamma,
     load_graph,
-    remove_self_loops,
     save_graph,
     weighted_delta,
 )

@@ -307,17 +307,8 @@ def build_ell_graph(label_set, vertex_weights, nonnegative=False,
     return TrainingGraph(v, ell=factors)
 
 
-def eigenvalues_from_deltas(deltas, q_sum, r_sum):
-    """lambda_j = (R / 2Q) * (2 - delta_j); delta > 2 gives lambda < 0."""
-    deltas = np.asarray(deltas, dtype=float)
-    if np.any(deltas > 2):
-        warnings.warn("delta targets above 2 produce negative eigenvalues",
-                      NegativeEigenvalueWarning, stacklevel=2)
-    return r_sum / (2.0 * q_sum) * (2.0 - deltas)
-
-
 def deltas_from_eigenvalues(eigenvalues, q_sum, r_sum):
-    """Inverse of :func:`eigenvalues_from_deltas`."""
+    """delta_j = 2 - (2Q / R) * lambda_j: the delta each eigenvalue targets."""
     return 2.0 - (2.0 * q_sum / r_sum) * np.asarray(eigenvalues, dtype=float)
 
 

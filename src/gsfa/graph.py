@@ -39,7 +39,9 @@ GRAPH_FILE_KIND = "training-graph"
 GRAPH_FILE_VERSIONS = {1, 2}
 STRUCTURE_KINDS = ("clustered", "serial")
 
-#: One hashed upper-triangle edge: row, column, weight.
+#: First bytes of a checksum scheme 2 hash (:func:`_description_bytes`).
+_SCHEME_2_TAG = b"gsfa-graph-checksum-2\0"
+#: One hashed upper-triangle edge of checksum scheme 1: row, column, weight.
 _TRIPLET_DTYPE = np.dtype([("i", "<i8"), ("j", "<i8"), ("g", "<f8")])
 #: Triplets (or entries) per block of the sparse checksum, edge files
 #: and literal delta sum; bounds their memory.
@@ -163,6 +165,38 @@ def _packed(i, j, g):
     packed = np.empty(g.shape[0], dtype=_TRIPLET_DTYPE)
     packed["i"], packed["j"], packed["g"] = i, j, g
     return packed
+
+
+def _description_bytes(graph):
+    """The bytes checksum scheme 2 hashes, in order, for ELL or structure graphs.
+
+    The scheme tag, n and v; then the ELL factors (k, U in C order, the
+    weights and the ``nonnegative`` byte) or the structure (kind, group
+    count, group sizes and the concatenated members). Integers are
+    ``<i8``, reals ``<f8``; the sizes keep two groupings of the same
+    members apart.
+    """
+    def i8(values):
+        return np.asarray(values, dtype="<i8").tobytes()
+
+    def f8(values):
+        return np.asarray(values, dtype="<f8").tobytes(order="C")
+
+    yield _SCHEME_2_TAG
+    yield i8(graph.n_samples)
+    yield f8(graph.vertex_weights)
+    ell, structure = graph.ell, graph.structure
+    if ell is not None:
+        yield i8(ell.u.shape[1])
+        yield f8(ell.u)
+        yield f8(ell.weights)
+        yield bytes([ell.nonnegative])
+    else:
+        groups = structure.groups
+        yield structure.kind.encode("ascii") + b"\0"
+        yield i8(len(groups))
+        yield i8([grp.size for grp in groups])
+        yield i8(np.concatenate([np.zeros(0, dtype=int), *groups]))
 
 
 # Edge storage of a TrainingGraph: dense, CSR or groups. A backend
@@ -389,8 +423,8 @@ class TrainingGraph:
     is copied first, derived edges are fresh arrays the graph owns. Edges
     a caller passes are checked for shape, finiteness and exact symmetry;
     derived edges, symmetric by construction, for finiteness only. So is
-    the dense copy that :func:`eliminate_negative_weights` or
-    :func:`remove_self_loops` makes and hands over.
+    the dense copy that :func:`eliminate_negative_weights` makes and hands
+    over.
     """
 
     __slots__ = ("vertex_weights", "_edges", "n_samples", "q_sum", "r_sum",
@@ -514,19 +548,28 @@ class TrainingGraph:
     def fingerprint(self):
         """Stable identity of the graph: (n, Q, R, content checksum).
 
-        The checksum hashes n, the vertex weights and the packed
-        upper-triangle triplets, streamed block by block (dense storage:
-        row by row); it is computed once per graph.
+        A graph with ELL factors or a structure hashes its description
+        (checksum scheme 2, :func:`_description_bytes`) in O(N k) or
+        O(N), and its dict records ``"scheme": 2``. Any other graph
+        hashes n, the vertex weights and the packed upper-triangle
+        triplets, streamed block by block (dense storage: row by row):
+        scheme 1. Computed once per graph.
         """
         if self._fingerprint is None:
             h = hashlib.sha256()
-            h.update(np.int64(self.n_samples).tobytes())
-            h.update(self.vertex_weights.tobytes())
-            for block in self._triplet_blocks():
-                h.update(block)
-            self._fingerprint = {"n": self.n_samples, "q_sum": self.q_sum,
-                                 "r_sum": self.r_sum,
-                                 "checksum": h.hexdigest()[:16]}
+            fingerprint = {"n": self.n_samples, "q_sum": self.q_sum,
+                           "r_sum": self.r_sum}
+            if self.ell is None and self.structure is None:
+                h.update(np.int64(self.n_samples).tobytes())
+                h.update(self.vertex_weights.tobytes())
+                for block in self._triplet_blocks():
+                    h.update(block)
+            else:
+                for part in _description_bytes(self):
+                    h.update(part)
+                fingerprint["scheme"] = 2
+            fingerprint["checksum"] = h.hexdigest()[:16]
+            self._fingerprint = fingerprint
         return dict(self._fingerprint)
 
     def __repr__(self):
@@ -608,21 +651,6 @@ def weighted_delta(graph, y):
         raise DimensionError(
             f"feature length {y.shape} does not match N={graph.n_samples}")
     return graph._edges.difference_sum(y) / graph.r_sum
-
-
-def remove_self_loops(graph):
-    """Zero the diagonal of the edge matrix; Q stays, R is recomputed.
-
-    Free responses are unchanged up to the rescaling of delta values
-    implied by the new R; the consistency restriction may break.
-    """
-    if not graph.is_sparse:
-        g = graph.gamma_dense()
-        np.fill_diagonal(g, 0.0)
-        return TrainingGraph._derived(graph.vertex_weights, g)
-    g = sp.lil_array(graph.edge_weights.copy())
-    g.setdiag(0.0)
-    return TrainingGraph(graph.vertex_weights, sp.csr_array(g))
 
 
 def eliminate_negative_weights(graph):

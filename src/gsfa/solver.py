@@ -13,6 +13,7 @@ expansion, then linear GSFA (:class:`GsfaNode`, :func:`train_node`).
 """
 
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
@@ -21,6 +22,7 @@ import numpy as np
 
 from .errors import (
     DimensionError,
+    FormatError,
     InconsistentGraphWarning,
     ParameterError,
     SingularityError,
@@ -342,12 +344,44 @@ def save_model(node, path):
     write_container(path, MODEL_FILE_KIND, MODEL_FILE_VERSION, payload)
 
 
+def _is_finite_number(x):
+    return type(x) in (int, float) and math.isfinite(x)
+
+
+#: What each entry of a model's ``trained_on`` fingerprint must be;
+#: ``scheme`` is given for checksum scheme 2 only.
+_FINGERPRINT_ENTRIES = {
+    "n": ("a positive integer", lambda n: type(n) is int and n >= 1),
+    "q_sum": ("a finite number", _is_finite_number),
+    "r_sum": ("a finite number", _is_finite_number),
+    "checksum": ("16 hex digits", lambda c: type(c) is str
+                 and re.fullmatch("[0-9a-f]{16}", c) is not None),
+    "scheme": ("2", lambda s: type(s) is int and s == 2),
+}
+
+
+def _trained_on(value, path):
+    """A model file's ``trained_on``: empty, or a checked graph fingerprint."""
+    if type(value) is not dict:
+        raise FormatError(f"{path}: trained_on must be an object, "
+                          f"got {type(value).__name__}")
+    if value and set(value) - {"scheme"} != set(_FINGERPRINT_ENTRIES) - {"scheme"}:
+        raise FormatError(f"{path}: trained_on must hold n, q_sum, r_sum, "
+                          f"checksum and optionally scheme, got {sorted(value)}")
+    for key, (need, ok) in _FINGERPRINT_ENTRIES.items():
+        if key in value and not ok(value[key]):
+            raise FormatError(
+                f"{path}: trained_on {key} must be {need}, got {value[key]!r}")
+    return value
+
+
 def load_model(path):
     """Read a model container; returns a :class:`GsfaNode`.
 
     A null ``expansion`` reads as identity. The node chain is checked:
     the PCA block's mean and variances fit its components, and the
     expansion of its output dimension gives the projection's rows.
+    ``trained_on`` must be absent, empty or a graph fingerprint.
     """
     data = read_container(path, MODEL_FILE_KIND, {MODEL_FILE_VERSION})
     with entries_of(path):
@@ -355,7 +389,7 @@ def load_model(path):
             np.asarray(data["weighted_mean"], dtype=float),
             np.asarray(data["projection"], dtype=float),
             np.asarray(data["deltas"], dtype=float),
-            trained_on=data.get("trained_on", {}),
+            trained_on=_trained_on(data.get("trained_on", {}), path),
         )
         if (model.projection.ndim != 2
                 or model.weighted_mean.shape != (model.input_dim,)

@@ -3,6 +3,8 @@
 import csv
 import hashlib
 import json
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from gsfa import (
     ContractError,
     DimensionError,
     FormatError,
+    NegativeEigenvalueWarning,
     TrainingGraph,
 )
 from gsfa.serialize import Columns, read_container
@@ -150,6 +153,67 @@ def fingerprint_by_loop(graph):
         h.update(np.float64(g).tobytes())
     return {"n": graph.n_samples, "q_sum": graph.q_sum, "r_sum": graph.r_sum,
             "checksum": h.hexdigest()[:16]}
+
+
+def fingerprint_by_description(graph):
+    """Independent checksum-scheme-2 oracle: one sha256 update per value.
+
+    Hashes the description of a graph with ELL factors or a structure,
+    packed value by value with :mod:`struct`: the scheme tag, n, v, then
+    k, U row by row, the weights and the nonnegative byte, or the kind,
+    the group count, each group's size and each member.
+    """
+    h = hashlib.sha256()
+    h.update(b"gsfa-graph-checksum-2\0")
+    h.update(struct.pack("<q", graph.n_samples))
+    for x in graph.vertex_weights.tolist():
+        h.update(struct.pack("<d", x))
+    if graph.ell is not None:
+        u = graph.ell.u.tolist()
+        h.update(struct.pack("<q", len(u[0])))
+        for x in [x for row in u for x in row] + graph.ell.weights.tolist():
+            h.update(struct.pack("<d", x))
+        h.update(b"\x01" if graph.ell.nonnegative else b"\x00")
+    else:
+        groups = [np.asarray(grp).tolist() for grp in graph.structure.groups]
+        h.update(graph.structure.kind.encode("ascii") + b"\0")
+        h.update(struct.pack("<q", len(groups)))
+        for i in [len(grp) for grp in groups] + [i for grp in groups for i in grp]:
+            h.update(struct.pack("<q", i))
+    return {"n": graph.n_samples, "q_sum": graph.q_sum, "r_sum": graph.r_sum,
+            "scheme": 2, "checksum": h.hexdigest()[:16]}
+
+
+def fingerprint_oracle(graph):
+    """The scheme the graph's fingerprint must follow, by its own oracle."""
+    if graph.ell is None and graph.structure is None:
+        return fingerprint_by_loop(graph)
+    return fingerprint_by_description(graph)
+
+
+def remove_self_loops(graph):
+    """The graph with a zero diagonal; Q stays, R is recomputed.
+
+    Free responses are unchanged up to the rescaling of delta values
+    implied by the new R; the consistency restriction may break. The
+    result is the graph of its edges, dense or CSR like the input.
+    """
+    g = graph.gamma_dense()
+    np.fill_diagonal(g, 0.0)
+    return TrainingGraph(graph.vertex_weights,
+                         sp.csr_array(g) if graph.is_sparse else g)
+
+
+def eigenvalues_from_deltas(deltas, q_sum, r_sum):
+    """lambda_j = (R / 2Q) * (2 - delta_j); delta > 2 gives lambda < 0.
+
+    The inverse of :func:`gsfa.deltas_from_eigenvalues`.
+    """
+    deltas = np.asarray(deltas, dtype=float)
+    if np.any(deltas > 2):
+        warnings.warn("delta targets above 2 produce negative eigenvalues",
+                      NegativeEigenvalueWarning, stacklevel=2)
+    return r_sum / (2.0 * q_sum) * (2.0 - deltas)
 
 
 def weighted_delta_by_matrix(graph, y):

@@ -21,7 +21,12 @@ import scipy.sparse
 import gsfa
 from gsfa import cli
 
-from conftest import chain_graph, dcov_by_edge_sum, ell_graph_from_seed
+from conftest import (
+    chain_graph,
+    dcov_by_edge_sum,
+    ell_graph_from_seed,
+    remove_self_loops,
+)
 
 
 def _verdict(name, ok, detail=""):
@@ -168,7 +173,7 @@ def test_a4_noise_delta():
         "serial": gsfa.build_serial_graph(np.arange(30.0), 10),
         # the elimination step introduces self-loops; the theorem covers
         # loop-free graphs, so they are removed before sampling
-        "nonneg-ell": gsfa.remove_self_loops(ell),
+        "nonneg-ell": remove_self_loops(ell),
     }
     ok = True
     details = []

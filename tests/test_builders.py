@@ -24,11 +24,12 @@ from gsfa import (
     compact_binary_labels,
     decorrelate_labels,
     deltas_from_eigenvalues,
-    eigenvalues_from_deltas,
     eliminate_negative_weights,
     normalize_labels,
     serial_groups,
 )
+
+from conftest import eigenvalues_from_deltas
 
 
 # ---------------------------------------------------------------------------

@@ -419,6 +419,80 @@ def test_evaluate_malformed_model_exit_1(tmp_path, capsys, edit, match):
     assert not (tmp_path / "eval").exists()
 
 
+def _set_trained_on(**entries):
+    return lambda d: d["trained_on"].update(entries)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (lambda d: d.update(trained_on=[1, 2]), "trained_on must be an object, got list"),
+    (lambda d: d.update(trained_on="serial"), "trained_on must be an object, got str"),
+    (lambda d: d.update(trained_on={"checksum": [1]}), "must hold n, q_sum, r_sum"),
+    (lambda d: d["trained_on"].pop("r_sum"), "must hold n, q_sum, r_sum"),
+    (_set_trained_on(graph="serial"), "must hold n, q_sum, r_sum"),
+    (_set_trained_on(checksum=[1]), "trained_on checksum must be 16 hex digits"),
+    (_set_trained_on(checksum="0123456789abcdeg"), "checksum must be 16 hex digits"),
+    (_set_trained_on(checksum="0123456789abcdef0"), "checksum must be 16 hex digits"),
+    (_set_trained_on(n="48"), "trained_on n must be a positive integer"),
+    (_set_trained_on(n=True), "trained_on n must be a positive integer"),
+    (_set_trained_on(n=0), "trained_on n must be a positive integer"),
+    (_set_trained_on(q_sum="48"), "trained_on q_sum must be a finite number"),
+    (_set_trained_on(r_sum=float("nan")), "trained_on r_sum must be a finite number"),
+    (_set_trained_on(scheme=1), "trained_on scheme must be 2, got 1"),
+    (_set_trained_on(scheme="2"), "trained_on scheme must be 2, got '2'"),
+], ids=["list", "text", "checksum-only", "no-r-sum", "extra-entry",
+        "list-checksum", "non-hex-checksum", "long-checksum", "text-n", "bool-n",
+        "zero-n", "text-q-sum", "nan-r-sum", "scheme-1", "text-scheme"])
+def test_evaluate_malformed_trained_on_exit_1(tmp_path, capsys, edit, match):
+    data_dir = _make_dataset(tmp_path, n=48, values=6)
+    graph_path = tmp_path / "g.json"
+    assert _run("build-graph", "--kind", "linear", "--n", "48",
+                "--out", graph_path) == 0
+    model_path = tmp_path / "model.json"
+    assert _run("train", "--data", data_dir / "data.csv", "--graph", graph_path,
+                "--features", "2", "--out", model_path) == 0
+    _rewrite_json(model_path, edit)
+    capsys.readouterr()
+    assert _run("evaluate", "--model", model_path,
+                "--train-data", data_dir / "data.csv",
+                "--train-labels", data_dir / "labels.txt",
+                "--test-data", data_dir / "data.csv",
+                "--test-labels", data_dir / "labels.txt",
+                "--out-dir", tmp_path / "eval") == 1
+    _assert_error_line(capsys, str(model_path), match)
+    assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize("kind, edit, graph_column", [
+    ("linear", None, None),
+    ("serial", None, None),
+    ("linear", lambda d: d.pop("trained_on"), "unknown"),
+    ("linear", lambda d: d.update(trained_on={}), "unknown"),
+], ids=["scheme-1", "scheme-2", "no-trained-on", "empty-trained-on"])
+def test_evaluate_reads_trained_on(tmp_path, kind, edit, graph_column):
+    data_dir = _make_dataset(tmp_path, n=48, values=6)
+    graph_path = tmp_path / "g.json"
+    flags = (["--n", "48"] if kind == "linear"
+             else ["--labels", data_dir / "labels.txt", "--k", "6"])
+    assert _run("build-graph", "--kind", kind, *flags, "--out", graph_path) == 0
+    model_path = tmp_path / "model.json"
+    assert _run("train", "--data", data_dir / "data.csv", "--graph", graph_path,
+                "--features", "2", "--out", model_path) == 0
+    trained_on = json.loads(model_path.read_text())["trained_on"]
+    assert ("scheme" in trained_on) == (kind == "serial")
+    if edit is not None:
+        _rewrite_json(model_path, edit)
+    assert _run("evaluate", "--model", model_path,
+                "--train-data", data_dir / "data.csv",
+                "--train-labels", data_dir / "labels.txt",
+                "--test-data", data_dir / "data.csv",
+                "--test-labels", data_dir / "labels.txt",
+                "--out-dir", tmp_path / "eval") == 0
+    with open(tmp_path / "eval" / "metrics.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and {row["graph"] for row in rows} == {
+        graph_column or trained_on["checksum"]}
+
+
 @pytest.mark.parametrize("edit, match", [
     (lambda d: d.pop("labels"), "(KeyError: 'labels')"),
     (lambda d: d.update(normalized="yes"), "must be true or false"),

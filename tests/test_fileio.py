@@ -5,7 +5,8 @@ byte for byte, the CSV writers the ``csv.writer`` row loop, the number
 formatter behind both the ``repr`` of every value, and the graph
 reader must reject exactly what the per-edge loop rejected, with the same
 message (oracles in ``conftest.py``). A graph file of ELL factors
-(version 2) must load to exactly the graph its version-1 file gives.
+(version 2) must load to exactly the edges its version-1 file gives,
+each keeping the checksum of its own scheme.
 """
 
 import json
@@ -27,6 +28,9 @@ from conftest import (
     csv_by_writer,
     edges_csv_by_loop,
     ell_graph_from_seed,
+    fingerprint_by_description,
+    fingerprint_by_loop,
+    fingerprint_oracle,
     format_rows_by_repr,
     graph_file_by_dumps,
     json_by_dumps,
@@ -386,9 +390,7 @@ def test_graph_file_loads_builder_graphs_like_loop(tmp_path, rng):
         gsfa.save_graph(graph, path)
         edge_path.write_text(graph_file_by_dumps(graph))
         new, old = gsfa.load_graph(path), load_graph_by_loop(edge_path)
-        assert new.r_sum == old.r_sum, name
-        assert new.fingerprint() == old.fingerprint(), name
-        np.testing.assert_array_equal(new.gamma_dense(), old.gamma_dense())
+        _assert_same_loaded_graph(new, old, graph)
 
 
 @pytest.mark.parametrize("edit, match", [
@@ -447,10 +449,18 @@ def test_graph_file_structure_errors(tmp_path, edit, match):
 # ---------------------------------------------------------------------------
 # graph file version 2: exact-label factors
 
-def _assert_same_loaded_graph(new, old):
+def _assert_same_loaded_graph(new, old, built):
+    """``new`` and ``old``, read from ``built``'s file and its edge file, agree.
+
+    The same v, edge bits, Q and R. Each checksum follows its scheme: the
+    edges hash as triplets, a description (kept through its file) as
+    itself.
+    """
+    assert new.vertex_weights.tobytes() == old.vertex_weights.tobytes()
     np.testing.assert_array_equal(new.gamma_dense(), old.gamma_dense())
     assert (new.q_sum, new.r_sum) == (old.q_sum, old.r_sum)
-    assert new.fingerprint() == old.fingerprint()
+    assert new.fingerprint() == built.fingerprint() == fingerprint_oracle(new)
+    assert old.fingerprint() == fingerprint_by_loop(old)
 
 
 @settings(max_examples=60, deadline=None)
@@ -468,7 +478,7 @@ def test_ell_v2_file_loads_like_v1(tmp_path_factory, seed, n, n_labels,
     v1.write_text(graph_file_by_dumps(graph))
     assert json.loads(v2.read_text())["format_version"] == 2
     new, old = gsfa.load_graph(v2), gsfa.load_graph(v1)
-    _assert_same_loaded_graph(new, old)
+    _assert_same_loaded_graph(new, old, graph)
     assert old.ell is None
     assert new.ell.nonnegative == graph.ell.nonnegative
     np.testing.assert_array_equal(new.ell.u, graph.ell.u)
@@ -529,7 +539,9 @@ def test_ell_v2_file_layout(tmp_path):
 
 def test_structure_v1_file_loads_as_its_edges(tmp_path):
     # earlier releases listed a structure graph's edges and its groups;
-    # such a file loads as the edges, with the same Q, R and checksum
+    # such a file loads as the edges, with the same v, Q and R. Its
+    # checksum hashes those edges (scheme 1), the built graph's its
+    # groups (scheme 2), so the two differ.
     for graph in (gsfa.build_serial_graph(np.arange(12.0), 4),
                   gsfa.build_clustered_graph([2, 4, 3])):
         path = tmp_path / "structure-v1.json"
@@ -538,7 +550,13 @@ def test_structure_v1_file_loads_as_its_edges(tmp_path):
         loaded = gsfa.load_graph(path)
         assert loaded.structure is None and loaded.is_sparse
         assert (loaded.edge_weights != graph.edge_weights).nnz == 0
-        assert loaded.fingerprint() == graph.fingerprint()
+        assert loaded.vertex_weights.tobytes() == graph.vertex_weights.tobytes()
+        assert loaded.fingerprint() == fingerprint_by_loop(loaded)
+        assert graph.fingerprint() == fingerprint_by_description(graph)
+        assert loaded.fingerprint() == {
+            key: value for key, value in graph.fingerprint().items()
+            if key != "scheme"} | {"checksum": loaded.fingerprint()["checksum"]}
+        assert loaded.fingerprint()["checksum"] != graph.fingerprint()["checksum"]
 
 
 def test_ell_v1_file_still_loads(tmp_path):
@@ -548,7 +566,11 @@ def test_ell_v1_file_still_loads(tmp_path):
     loaded = gsfa.load_graph(path)
     assert loaded.ell is None and loaded.is_sparse
     np.testing.assert_array_equal(loaded.gamma_dense(), graph.gamma_dense())
-    assert loaded.fingerprint()["checksum"] == graph.fingerprint()["checksum"]
+    assert loaded.fingerprint()["checksum"] == fingerprint_by_loop(loaded)["checksum"]
+    assert graph.fingerprint()["checksum"] == fingerprint_by_description(graph)["checksum"]
+    # the same edges hash alike however they are stored
+    assert (loaded.fingerprint()
+            == TrainingGraph(graph.vertex_weights, graph.edge_weights).fingerprint())
 
 
 @pytest.mark.parametrize("edit, match", [

@@ -18,7 +18,6 @@ from gsfa import (
     TrainingGraph,
     TruncationWarning,
     check_consistency,
-    remove_self_loops,
     weighted_delta,
 )
 from gsfa.graph import (
@@ -34,8 +33,11 @@ from conftest import (
     dense_graph,
     ell_gamma_by_expression,
     ell_graph_from_seed,
+    fingerprint_by_description,
     fingerprint_by_loop,
+    fingerprint_oracle,
     normalize_feature,
+    remove_self_loops,
     shift_by_expression,
     structure_edges,
     symmetrize,
@@ -318,20 +320,41 @@ def _fingerprint_cases(rng):
     }
 
 
+def _as_edges(graph):
+    """The graph of the same edges (dense or CSR) without its description."""
+    return TrainingGraph(graph.vertex_weights, graph.edge_weights)
+
+
 def test_fingerprint_matches_loop_oracle(rng):
+    # edge-only graphs hash their triplets (scheme 1), described graphs
+    # their description (scheme 2); the edges of a described graph still
+    # hash like the scheme-1 oracle when they are all the graph has
     cases = _fingerprint_cases(rng)
     for name, graph in cases.items():
-        assert graph.fingerprint() == fingerprint_by_loop(graph), name
+        described = graph.ell is not None or graph.structure is not None
+        assert described == name.startswith(("ell", "serial", "clustered")), name
+        assert graph.fingerprint() == fingerprint_oracle(graph), name
+        assert ("scheme" in graph.fingerprint()) == described, name
+        edges = _as_edges(graph)
+        assert edges.fingerprint() == fingerprint_by_loop(edges), name
+        assert edges.r_sum == graph.r_sum, name
     assert (cases["random-dense"].fingerprint()
             == cases["random-csr"].fingerprint())
 
 
 def test_fingerprint_checksum_pinned():
-    # Values of the per-triplet hash of earlier releases.
-    assert (gsfa.build_serial_graph(np.arange(12.0), 4).fingerprint()["checksum"]
-            == "5f437a2b5ea2f9cc")
-    assert (gsfa.build_clustered_graph([2, 3]).fingerprint()["checksum"]
-            == "e6e21be3f77c4da3")
+    # scheme 1: the per-triplet hash of earlier releases, unchanged
+    assert (gsfa.build_linear_graph(7).fingerprint()
+            == {"n": 7, "q_sum": 7.0, "r_sum": 14.0, "checksum": "6810bb0fecd14b90"})
+    assert (gsfa.build_linear_graph(7, "endpoint_halved_vertex_weights")
+            .fingerprint()["checksum"] == "a1237e3abebf7e8d")
+    # scheme 2: the description of a serial and a clustered graph
+    assert (gsfa.build_serial_graph(np.arange(12.0), 4).fingerprint()
+            == {"n": 12, "q_sum": 18.0, "r_sum": 54.0, "scheme": 2,
+                "checksum": "e03af47408aef8f2"})
+    assert (gsfa.build_clustered_graph([2, 3]).fingerprint()
+            == {"n": 5, "q_sum": 5.0, "r_sum": 5.0, "scheme": 2,
+                "checksum": "7fbe868997d4c1ba"})
 
 
 def test_fingerprint_copies_are_independent():
@@ -339,11 +362,12 @@ def test_fingerprint_copies_are_independent():
     first = graph.fingerprint()
     first["checksum"] = "tampered"
     first["n"] = -1
-    assert graph.fingerprint() == fingerprint_by_loop(graph)
+    first["scheme"] = 1
+    assert graph.fingerprint() == fingerprint_by_description(graph)
     model = gsfa.train_gsfa(np.random.default_rng(0).normal(size=(3, 12)),
                             graph, n_features=2)
     model.trained_on["checksum"] = "tampered"
-    assert graph.fingerprint() == fingerprint_by_loop(graph)
+    assert graph.fingerprint() == fingerprint_by_description(graph)
 
 
 def test_dense_checksum_hashes_rows_with_zeros():
@@ -372,7 +396,11 @@ def test_blocked_checksum_equals_one_buffer_digest(rng, monkeypatch):
         for part, expected in zip(graph._triplet_arrays(),
                                   triplets_by_matrix(graph)):
             np.testing.assert_array_equal(part, expected)
-        assert graph.fingerprint()["checksum"] == checksum_by_one_buffer(graph)
+        # a described graph hashes its description; its edges, as a
+        # graph of their own, hash in blocks
+        edges = graph if "scheme" not in graph.fingerprint() else _as_edges(graph)
+        assert len(list(edges._triplet_blocks())) > 1, name
+        assert edges.fingerprint()["checksum"] == checksum_by_one_buffer(graph)
 
 
 def _group_structure(kind, n, k, in_groups, seed):
@@ -397,7 +425,9 @@ def _assert_groups_equal_csr(graph, rng):
     assert graph.gamma_min() == csr.gamma_min()
     for part, expected in zip(graph._triplet_arrays(), csr._triplet_arrays()):
         assert part.tobytes() == expected.astype(part.dtype).tobytes()
-    assert graph.fingerprint() == csr.fingerprint()
+    # the same n, Q and R; the checksum hashes the groups (scheme 2)
+    assert graph.fingerprint() == {**csr.fingerprint(), "scheme": 2,
+                                   "checksum": fingerprint_by_description(graph)["checksum"]}
     data = rng.normal(size=(3, n))
     expected = csr.gamma_quad(data)
     np.testing.assert_allclose(graph.gamma_quad(data), expected, rtol=1e-12,
@@ -426,6 +456,105 @@ def test_truncated_serial_groups_equal_structure_csr(n, k, seed):
         graph = gsfa.build_serial_graph(rng.normal(size=n), min(k, n),
                                         policy="truncate")
     _assert_groups_equal_csr(graph, rng)
+
+
+def _random_ell_factors(rng, n, k):
+    """Random factors with a positive u_0 and weights: R > 0."""
+    u = rng.normal(size=(n, k))
+    u[:, 0] = rng.uniform(0.5, 1.5, n)
+    return gsfa.EllFactors(u, rng.uniform(0.1, 1.0, k))
+
+
+def _checksum(graph):
+    checksum = graph.fingerprint()["checksum"]
+    assert graph.fingerprint() == fingerprint_by_description(graph)
+    return checksum
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["clustered", "serial"]), n=st.integers(3, 40),
+       k=st.integers(2, 9), in_groups=st.floats(0.3, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_structure_checksum_is_its_description(kind, n, k, in_groups, seed):
+    rng = np.random.default_rng(seed)
+    structure = _group_structure(kind, n, k, in_groups, seed)
+    groups = [grp.copy() for grp in structure.groups]
+    v = rng.uniform(0.5, 2.0, n)
+
+    def graph_of(v, groups, kind=kind):
+        return TrainingGraph(v, structure=GraphStructure(kind, tuple(groups)))
+
+    checksum = _checksum(graph_of(v, groups))
+    # the same description from other arrays: int32 members, copied v
+    assert _checksum(graph_of(v.copy(), [grp.astype(np.int32)
+                                         for grp in groups])) == checksum
+    changed = []
+    heavier = v.copy()
+    heavier[rng.integers(n)] *= 1.5
+    changed.append(graph_of(heavier, groups))
+    if len(groups) > 1:
+        swapped = [grp.copy() for grp in groups]
+        swapped[0][0], swapped[1][0] = groups[1][0], groups[0][0]
+        changed.append(graph_of(v, swapped))
+        if kind == "serial":
+            changed.append(graph_of(v, groups[::-1]))
+        else:
+            changed.append(graph_of(v, groups, kind="serial"))
+    outside = np.setdiff1d(np.arange(n), np.concatenate(groups))
+    if outside.size:
+        moved = [grp.copy() for grp in groups]
+        moved[-1][-1] = outside[0]
+        changed.append(graph_of(v, moved))
+    for graph in changed:
+        assert _checksum(graph) != checksum
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 30), k=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_ell_checksum_is_its_description(n, k, seed):
+    rng = np.random.default_rng(seed)
+    factors = _random_ell_factors(rng, n, k)
+    v = rng.uniform(0.5, 2.0, n)
+    graph = TrainingGraph(v, ell=factors)
+    checksum = _checksum(graph)
+    # equal factors held in Fortran order hash alike
+    fortran = gsfa.EllFactors(np.asfortranarray(factors.u), factors.weights.copy())
+    assert not fortran.u.flags.c_contiguous or k == 1
+    assert _checksum(TrainingGraph(v.copy(), ell=fortran)) == checksum
+    heavier = v.copy()
+    heavier[rng.integers(n)] *= 1.5
+    u = factors.u.copy()
+    u[rng.integers(n), rng.integers(k)] += 0.25
+    weights = factors.weights.copy()
+    weights[rng.integers(k)] *= 1.5
+    changed = [TrainingGraph(heavier, ell=factors),
+               TrainingGraph(v, ell=replace(factors, u=u)),
+               TrainingGraph(v, ell=replace(factors, weights=weights))]
+    flipped = TrainingGraph(v, ell=replace(factors, nonnegative=True))
+    # the flag is kept only where a weight was negative
+    assert flipped.ell.nonnegative == (graph.gamma_min() < 0)
+    if flipped.ell.nonnegative:
+        changed.append(flipped)
+    for other in changed:
+        assert _checksum(other) != checksum
+
+
+def test_fingerprint_never_expands_a_description(rng, monkeypatch):
+    def refuse(self):
+        raise AssertionError("the fingerprint listed the edges")
+
+    for backend in (gsfa.graph._DenseEdges, gsfa.graph._CsrEdges,
+                    gsfa.graph._GroupEdges):
+        monkeypatch.setattr(backend, "triplet_blocks", refuse)
+    ell = _ell_graph(rng)
+    for graph in (gsfa.build_serial_graph(rng.normal(size=30), 6),
+                  gsfa.build_clustered_graph([4, 2, 7, 5]),
+                  ell, gsfa.eliminate_negative_weights(ell),
+                  gsfa.build_serial_graph(np.arange(100_000.0), 1000)):
+        assert graph.fingerprint() == fingerprint_by_description(graph)
+    with pytest.raises(AssertionError, match="listed the edges"):
+        gsfa.build_linear_graph(5).fingerprint()
 
 
 @settings(max_examples=60, deadline=None)
@@ -522,8 +651,7 @@ def test_sparse_duplicates_are_summed():
     assert summed.fingerprint() == dense.fingerprint()
 
 
-@pytest.mark.parametrize("transform", [gsfa.eliminate_negative_weights,
-                                       remove_self_loops])
+@pytest.mark.parametrize("transform", [gsfa.eliminate_negative_weights])
 def test_dense_transforms_own_their_copy(transform, rng):
     # the transformed copy is kept, not copied and compared again: the
     # result equals the graph of the same matrix passed by a caller

@@ -258,6 +258,23 @@ def test_load_network_rejects_malformed_manifest(tmp_path, rng, edit, match):
     assert str(path) in str(exc.value)
 
 
+@pytest.mark.parametrize("trained_on, match", [
+    ([1, 2], "trained_on must be an object"),
+    ({"checksum": [1]}, "trained_on must hold n, q_sum, r_sum"),
+], ids=["list", "checksum-only"])
+def test_load_network_rejects_node_with_malformed_trained_on(tmp_path, rng,
+                                                             trained_on, match):
+    _saved_toy_network(rng, tmp_path / "net")
+    path = tmp_path / "net" / "node_L0_r1_c0.json"
+    data = json.loads(path.read_text())
+    assert data["trained_on"]["scheme"] == 2
+    data["trained_on"] = trained_on
+    path.write_text(json.dumps(data))
+    with pytest.raises(FormatError, match=match) as exc:
+        gsfa.load_network(tmp_path / "net")
+    assert str(path) in str(exc.value)
+
+
 @pytest.mark.parametrize("pca_dims", [None, 3])
 def test_load_network_rejects_node_with_other_pca(tmp_path, rng, pca_dims):
     images, _, graph = _toy_dataset(rng, n=60)
