@@ -24,9 +24,6 @@ from .errors import DimensionError, GsfaError, ParameterError
 from .graph import elimination_constant, load_graph, save_graph
 from .serialize import write_json
 
-_REPRODUCE_NAMES = ("fig6-spectra", "ell-roundtrip", "compact-vs-clustered")
-
-
 # ---------------------------------------------------------------------------
 # small deterministic I/O helpers
 
@@ -478,19 +475,16 @@ def _reproduce_compact(out_dir, seed):
             "subspace_ok": subspace_ok}
 
 
+_REPRODUCE_PIPELINES = {"fig6-spectra": _reproduce_fig6,
+                        "ell-roundtrip": _reproduce_roundtrip,
+                        "compact-vs-clustered": _reproduce_compact}
+_REPRODUCE_NAMES = tuple(_REPRODUCE_PIPELINES)
+
+
 def cmd_reproduce(args):
-    if args.name not in _REPRODUCE_NAMES:
-        print(f"unknown pipeline {args.name!r}; choose from "
-              f"{', '.join(_REPRODUCE_NAMES)}", file=sys.stderr)
-        return 2
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if args.name == "fig6-spectra":
-        summary = _reproduce_fig6(out_dir, args.seed)
-    elif args.name == "ell-roundtrip":
-        summary = _reproduce_roundtrip(out_dir, args.seed)
-    else:
-        summary = _reproduce_compact(out_dir, args.seed)
+    summary = _REPRODUCE_PIPELINES[args.name](out_dir, args.seed)
     summary["pipeline"] = args.name
     summary["seed"] = args.seed
     write_json(out_dir / "summary.json", summary)
@@ -588,7 +582,7 @@ def build_parser():
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("reproduce", help="run a named end-to-end pipeline")
-    p.add_argument("name", help="|".join(_REPRODUCE_NAMES))
+    p.add_argument("name", choices=_REPRODUCE_NAMES)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_reproduce)

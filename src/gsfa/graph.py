@@ -8,7 +8,9 @@ what it keeps: the sample groups of a clustered or serial graph
 (:class:`GraphStructure`) or the factors of an exact-label graph
 (:class:`EllFactors`), which its graph file stores instead. Edges are
 stored dense (numpy array), as CSR, or as the groups themselves; all
-three forms expose the same operations with the same bits.
+three forms expose the same operations. The groups sum their edges in
+closed form, so their row sums and R may differ from those of the same
+edges as CSR in the last bits.
 
 The delta value of a feature y is the edge-weighted mean squared output
 difference, (1/R) * sum_{n,n'} gamma_{n,n'} (y(n') - y(n))^2. For
@@ -17,6 +19,7 @@ consistent graphs and normalized features it reduces to
 """
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 from operator import itemgetter
 
@@ -70,8 +73,9 @@ def group_weights(structure, n):
 
     Two different samples of groups g and h share an edge of weight
     A[g, h]: 1/(s_g - 1) inside each clustered group of s_g >= 2
-    members, 1 between consecutive serial groups. A sample belongs to
-    one group at most; samples in none have no edges.
+    members, 1 between consecutive serial groups. The edge matrix is
+    B A B^T without its diagonal. A sample belongs to one group at most;
+    samples in none have no edges.
     """
     sizes = np.array([grp.size for grp in structure.groups], dtype=int)
     members = np.concatenate([np.zeros(0, dtype=int), *structure.groups])
@@ -200,10 +204,11 @@ def _description_bytes(graph):
 
 
 # Edge storage of a TrainingGraph: dense, CSR or groups. A backend
-# computes ``row_sums`` (the bits of ``matrix.sum(axis=1)``) and ``total``
-# R (:func:`_edge_sum`) once, at construction, and offers ``view()`` (the
-# matrix, for oracles), ``diagonal()``, ``min()``, ``quad(C)`` = C gamma
-# C^T, ``triplet_blocks()`` (the nonzero upper-triangle triplets in
+# computes ``row_sums`` and ``total`` R once, at construction (a matrix:
+# the bits of ``matrix.sum(axis=1)`` and :func:`_edge_sum`; the groups:
+# closed forms), and offers ``view()`` (the matrix, for oracles),
+# ``diagonal()``, ``min()``, ``quad(C)`` = C gamma C^T,
+# ``triplet_blocks()`` (the nonzero upper-triangle triplets in
 # row-major order, as :data:`_TRIPLET_DTYPE` records) and
 # ``difference_sum(y)`` (the literal edge sum of (y_n' - y_n)^2), both
 # in blocks: of about :data:`_TRIPLET_BLOCK` entries, or dense rows.
@@ -297,11 +302,12 @@ class _GroupEdges:
     """The edges of a :class:`GraphStructure`, kept as its groups.
 
     Holds the membership B and group weights A (:func:`group_weights`),
-    never the N x N matrix. Both structure kinds give every edge of a
-    group's samples one weight, ``value[g]`` (1 serial, 1/(s_g - 1)
-    clustered), so a sample's row lists ``degree[g]`` equal values; row
-    sums and R are reduced like those of the CSR of the same edges, with
-    the same bits.
+    never the N x N matrix. A member of group g has s_h - [g = h]
+    neighbours in group h, each at weight A[g, h]: its row sum is
+    sum_h A[g, h] (s_h - [g = h]), and R is the correctly rounded sum
+    over groups of s_g times that, both O(K^2) closed forms. Only
+    :meth:`view`, :meth:`triplet_blocks` and :meth:`difference_sum`
+    touch the edges themselves.
     """
 
     is_sparse = True
@@ -312,36 +318,21 @@ class _GroupEdges:
         self.n = n
         self.membership, self.weights = group_weights(structure, n)
         self.own = self.membership @ np.diagonal(self.weights)
-        sizes = np.array([grp.size for grp in structure.groups], dtype=int)
-        linked = self.weights != 0
-        self.value = self.weights.max(axis=1, initial=0.0)
-        degree = linked @ sizes - np.diagonal(linked)
-        members = np.concatenate([np.zeros(0, dtype=int), *structure.groups])
-        order = np.argsort(members, kind="stable")
-        self.rows = members[order]
-        self.row_group = np.repeat(np.arange(sizes.size), sizes)[order]
-
-        busy = degree > 0
-        sums = np.zeros(sizes.size)
-        if busy.any():
-            starts = np.cumsum(degree[busy]) - degree[busy]
-            sums[busy] = np.add.reduceat(
-                np.repeat(self.value[busy], degree[busy]), starts)
-        row_sums = np.zeros(n)
-        row_sums[self.rows] = sums[self.row_group]
-        self.row_sums = _frozen(row_sums)
-        row_value = self.value[self.row_group]
-        row_degree = degree[self.row_group]
-        if np.all(row_value[row_degree > 0] == 1.0):
-            # a sum of ones is its count, exactly: no N x N/K array
-            self.total = float(row_degree.sum())
-        else:
-            self.total = _edge_sum(np.repeat(row_value, row_degree))
+        sizes = np.array([grp.size for grp in structure.groups], dtype=float)
+        group_sums = (self.weights * (sizes - np.eye(sizes.size))).sum(axis=1)
+        self.row_sums = _frozen(self.membership @ group_sums)
+        self.total = math.fsum(sizes * group_sums)
 
     def view(self):
-        """The CSR of :meth:`triplet_blocks`, built on each call."""
-        triplets = np.concatenate(list(self.triplet_blocks()))
-        return _symmetric_csr(triplets["i"], triplets["j"], triplets["g"], self.n)
+        """The canonical CSR of B A B^T without its diagonal, built on each call.
+
+        Each entry is the one product 1 * A[g, h] * 1: exact.
+        """
+        b = self.membership
+        links = (b @ sp.csr_array(self.weights) @ b.T).tocoo()
+        off = links.row != links.col
+        return sp.csr_array((links.data[off], (links.row[off], links.col[off])),
+                            shape=(self.n, self.n))
 
     def diagonal(self):
         return np.zeros(self.n)
@@ -359,32 +350,7 @@ class _GroupEdges:
         return quad
 
     def triplet_blocks(self):
-        """Row i's triplets are the members j > i of its group's neighbours.
-
-        Blocks hold whole rows, about :data:`_TRIPLET_BLOCK` triplets each.
-        """
-        size = _TRIPLET_BLOCK
-        groups = self.structure.groups
-        lists = [np.sort(np.concatenate(
-            [np.zeros(0, dtype=int), *(groups[h] for h in np.flatnonzero(row))]))
-            for row in self.weights != 0]
-        cols = np.concatenate([np.zeros(0, dtype=int), *lists])
-        lengths = np.array([part.size for part in lists], dtype=int)
-        keys = np.repeat(np.arange(lengths.size), lengths) * self.n + cols
-        # each row's first neighbour past itself, and how many follow
-        first = np.searchsorted(keys, self.row_group * self.n + self.rows,
-                                side="right")
-        counts = np.cumsum(lengths)[self.row_group] - first
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        cuts = np.searchsorted(offsets, np.arange(size, offsets[-1], size))
-        bounds = np.unique(np.concatenate(([0], cuts, [self.rows.size])))
-        values = self.value[self.row_group]
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            count = counts[lo:hi]
-            at = np.repeat(first[lo:hi] - offsets[lo:hi], count)
-            at += np.arange(offsets[lo], offsets[hi])
-            yield _packed(np.repeat(self.rows[lo:hi], count), cols[at],
-                          np.repeat(values[lo:hi], count))
+        return _CsrEdges(self.view()).triplet_blocks()
 
     def difference_sum(self, y):
         """Group pair by group pair; a pair's own sample contributes 0."""
@@ -498,7 +464,8 @@ class TrainingGraph:
     def edge_weights(self):
         """Edge weights as a matrix: dense ndarray or CSR.
 
-        A structure graph builds its CSR on each access, for oracles; the
+        A structure graph builds its CSR, B A B^T without its diagonal
+        (:func:`group_weights`), on each access, for oracles; the
         training path never reads it.
         """
         return self._edges.view()

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import orjson
 
-from .errors import FormatError
+from .errors import FormatError, ParameterError
 
 #: Values formatted per text block; bounds the memory of one write.
 _BLOCK_VALUES = 1 << 16
@@ -203,10 +203,15 @@ def write_container(path, kind, version, payload):
 
 @contextmanager
 def entries_of(path):
-    """Raise a missing or malformed entry of file ``path`` as FormatError."""
+    """Raise a missing or malformed entry of file ``path`` as FormatError.
+
+    An entry whose object rejects its values (:class:`ParameterError`)
+    is malformed too.
+    """
     try:
         yield
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError,
+            ParameterError) as exc:
         raise FormatError(f"{path}: missing or malformed entry "
                           f"({type(exc).__name__}: {exc})") from None
 

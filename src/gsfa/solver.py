@@ -17,6 +17,7 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
+from numbers import Integral
 
 import numpy as np
 
@@ -57,6 +58,9 @@ class ExpansionSpec:
         if self.kind not in ("identity", "zero_eight_expo", "quadratic",
                              "polynomial"):
             raise ParameterError(f"unknown expansion kind {self.kind!r}")
+        if isinstance(self.degree, bool) or not isinstance(self.degree, Integral):
+            raise ParameterError(
+                f"expansion degree must be an integer, got {self.degree!r}")
         if self.kind == "polynomial":
             if self.degree < 1:
                 raise ParameterError("polynomial degree must be >= 1")
@@ -378,9 +382,11 @@ def _trained_on(value, path):
 def load_model(path):
     """Read a model container; returns a :class:`GsfaNode`.
 
-    A null ``expansion`` reads as identity. The node chain is checked:
-    the PCA block's mean and variances fit its components, and the
-    expansion of its output dimension gives the projection's rows.
+    A null or absent ``expansion`` reads as identity, a null or absent
+    ``pca`` as none; any other value must be that entry's object. The
+    node chain is checked: the PCA block's mean and variances fit its
+    components, and the expansion of its output dimension gives the
+    projection's rows.
     ``trained_on`` must be absent, empty or a graph fingerprint.
     """
     data = read_container(path, MODEL_FILE_KIND, {MODEL_FILE_VERSION})
@@ -396,9 +402,9 @@ def load_model(path):
                 or model.deltas.shape != (model.n_features,)):
             raise ValueError("projection must be an I x J matrix, "
                              "weighted_mean list I and deltas J numbers")
-        expansion = (ExpansionSpec.from_dict(data["expansion"])
-                     if data.get("expansion") else ExpansionSpec())
-        pca = PcaModel.from_dict(data["pca"]) if data.get("pca") else None
+        expansion = (ExpansionSpec() if data.get("expansion") is None
+                     else ExpansionSpec.from_dict(data["expansion"]))
+        pca = None if data.get("pca") is None else PcaModel.from_dict(data["pca"])
         if pca is not None:
             if (pca.components.ndim != 2
                     or pca.mean.shape != pca.components.shape[:1]

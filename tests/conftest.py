@@ -5,6 +5,7 @@ import hashlib
 import json
 import struct
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -55,6 +56,27 @@ def structure_edges(structure, n):
         shape=(n, n)))
     matrix.sum_duplicates()
     return matrix
+
+
+def group_sums_by_loop(structure, n):
+    """Row sums and R of a structure's edges, group by group, member by member.
+
+    A member of group g has s_h - [g = h] neighbours in group h, each at
+    A[g, h]; its row sum adds those terms over h in order. R adds, for
+    each group, s_g times that row sum (a float product), exactly in
+    fractions, and rounds once.
+    """
+    _, weights = gsfa.graph.group_weights(structure, n)
+    row_sums = np.zeros(n)
+    r_sum = Fraction(0)
+    for g, members in enumerate(structure.groups):
+        total = 0.0
+        for h, others in enumerate(structure.groups):
+            total += weights[g, h] * (others.size - (g == h))
+        for member in members:
+            row_sums[member] = total
+        r_sum += Fraction(members.size * total)
+    return row_sums, float(r_sum)
 
 
 def normalize_feature(y, vertex_weights):

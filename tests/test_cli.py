@@ -273,10 +273,14 @@ def test_train_hierarchy_network_dir(tmp_path, rng=np.random.default_rng(0)):
     ('{"kind": "hgsfa-architecture", "format_version": 1, "layers": [{"grid": '
      '[1, 1, 1], "receptive_field": [4, 4], "expansion": {"kind": '
      '"identity"}, "out_dims": 1}]}', "malformed entry (ValueError"),
+    ('{"kind": "hgsfa-architecture", "format_version": 1, "layers": [{"grid": '
+     '[1, 1], "receptive_field": [4, 4], "expansion": {"kind": "polynomial", '
+     '"degree": 2.5}, "out_dims": 1}]}',
+     "expansion degree must be an integer, got 2.5"),
     ('{"kind": "hgsfa-network", "format_version": 1, "layers": []}',
      "expected kind 'hgsfa-architecture'"),
 ], ids=["bad-json", "no-layers", "layers-not-list", "empty-layer",
-        "text-grid", "three-grid", "wrong-kind"])
+        "text-grid", "three-grid", "fractional-degree", "wrong-kind"])
 def test_train_hierarchy_malformed_architecture_exit_1(tmp_path, capsys, text,
                                                        match):
     data_path = tmp_path / "data.csv"
@@ -381,6 +385,8 @@ def _pca_block(components, mean_dims=None, variance_dims=None):
     (lambda d: d.update(projection=[1.0, 2.0]), "I x J matrix"),
     (lambda d: d.update(deltas=[0.1, 0.2, 0.3]), "I x J matrix"),
     (lambda d: d.update(expansion={"degree": 2}), "(KeyError: 'kind')"),
+    (lambda d: d.update(expansion={"kind": "polynomial", "degree": 2.5}),
+     "expansion degree must be an integer, got 2.5"),
     (lambda d: d.update(pca=_pca_block([[1.0, 0.0]], mean_dims=4)),
      "pca.mean list I"),
     (lambda d: d.update(pca=_pca_block(np.eye(4)[:, :3], variance_dims=2)),
@@ -395,7 +401,8 @@ def _pca_block(components, mean_dims=None, variance_dims=None):
                         expansion={"kind": "quadratic"}),
      "2 PCA outputs gives 5 dimensions but projection has 4 rows"),
 ], ids=["no-projection", "text-projection", "vector-projection",
-        "extra-delta", "expansion-without-kind", "pca-mean-per-row",
+        "extra-delta", "expansion-without-kind", "fractional-degree",
+        "pca-mean-per-row",
         "pca-variance-per-column", "pca-vector-components",
         "pca-scalar-components",
         "pca-output-not-projection-rows", "expanded-pca-not-projection-rows"])
@@ -692,8 +699,12 @@ def test_train_on_missing_data_file_exit_2(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # reproduce
 
-def test_reproduce_unknown_name_exit_2(tmp_path):
-    assert _run("reproduce", "no-such-pipeline", "--out-dir", tmp_path) == 2
+def test_reproduce_unknown_name_exit_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        _run("reproduce", "no-such-pipeline", "--out-dir", tmp_path / "r")
+    assert exc.value.code == 2
+    assert "invalid choice: 'no-such-pipeline'" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_reproduce_fig6_passes(tmp_path):
@@ -753,7 +764,7 @@ def _every_command(out, monkeypatch):
     ], arch)
     with monkeypatch.context() as patch:
         # a serial graph file loads and trains as its groups alone
-        patch.setattr(gsfa.graph, "_symmetric_csr", _refuse_edge_matrix)
+        patch.setattr(gsfa.graph._GroupEdges, "view", _refuse_edge_matrix)
         assert gsfa.load_graph(out / "serial.json").structure.kind == "serial"
         assert _run("train", "--data", data / "data.csv", "--graph",
                     out / "serial.json", "--features", 3,

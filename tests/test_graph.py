@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -36,6 +37,7 @@ from conftest import (
     fingerprint_by_description,
     fingerprint_by_loop,
     fingerprint_oracle,
+    group_sums_by_loop,
     normalize_feature,
     remove_self_loops,
     shift_by_expression,
@@ -415,19 +417,33 @@ def _group_structure(kind, n, k, in_groups, seed):
 
 
 def _assert_groups_equal_csr(graph, rng):
-    """The groups backend gives the bits of the CSR of the same edges."""
+    """The groups sum their edges like the group loop and list the CSR's.
+
+    Row sums and R are the bits of :func:`group_sums_by_loop`. Against
+    the CSR of the same edges they are the same bits for a serial graph
+    (integer sums) and agree to 1e-15 relative for a clustered one.
+    """
     n = graph.n_samples
     csr = TrainingGraph(graph.vertex_weights,
                         structure_edges(graph.structure, n))
-    assert graph.r_sum == csr.r_sum
-    assert graph.gamma_row_sums().tobytes() == csr.gamma_row_sums().tobytes()
+    row_sums, r_sum = group_sums_by_loop(graph.structure, n)
+    assert graph.r_sum == r_sum
+    assert graph.gamma_row_sums().tobytes() == row_sums.tobytes()
+    if graph.structure.kind == "serial":
+        assert graph.r_sum == csr.r_sum
+        assert graph.gamma_row_sums().tobytes() == csr.gamma_row_sums().tobytes()
+    else:
+        assert graph.r_sum == pytest.approx(csr.r_sum, rel=1e-15, abs=0)
+        np.testing.assert_allclose(graph.gamma_row_sums(), csr.gamma_row_sums(),
+                                   rtol=1e-15, atol=0)
     assert graph.gamma_diagonal().tobytes() == csr.gamma_diagonal().tobytes()
     assert graph.gamma_min() == csr.gamma_min()
     for part, expected in zip(graph._triplet_arrays(), csr._triplet_arrays()):
         assert part.tobytes() == expected.astype(part.dtype).tobytes()
-    # the same n, Q and R; the checksum hashes the groups (scheme 2)
-    assert graph.fingerprint() == {**csr.fingerprint(), "scheme": 2,
-                                   "checksum": fingerprint_by_description(graph)["checksum"]}
+    # the same n and Q; the checksum hashes the groups (scheme 2)
+    assert graph.fingerprint() == {
+        **csr.fingerprint(), "r_sum": r_sum, "scheme": 2,
+        "checksum": fingerprint_by_description(graph)["checksum"]}
     data = rng.normal(size=(3, n))
     expected = csr.gamma_quad(data)
     np.testing.assert_allclose(graph.gamma_quad(data), expected, rtol=1e-12,
@@ -456,6 +472,34 @@ def test_truncated_serial_groups_equal_structure_csr(n, k, seed):
         graph = gsfa.build_serial_graph(rng.normal(size=n), min(k, n),
                                         policy="truncate")
     _assert_groups_equal_csr(graph, rng)
+
+
+def test_clustered_sums_in_closed_form(rng):
+    graph = gsfa.build_clustered_graph([3, 7, 11, 5])
+    assert graph.r_sum == 26.0
+    assert check_consistency(graph).max_residual == 0.0
+    # (1/49) * 49 rounds below 1: a row sum that is not an integer
+    graph = TrainingGraph(rng.uniform(0.5, 2.0, 170), structure=GraphStructure(
+        "clustered", tuple(np.split(rng.permutation(170), [50, 53, 157]))))
+    assert graph.gamma_row_sums().min() < 1.0
+    _assert_groups_equal_csr(graph, rng)
+    # R is the correctly rounded sum; a left-to-right sum gives 3600.0
+    graph = gsfa.build_clustered_graph([50, 98, 104, 108] * 10)
+    row_sums, r_sum = group_sums_by_loop(graph.structure, graph.n_samples)
+    assert graph.gamma_row_sums().tobytes() == row_sums.tobytes()
+    assert graph.r_sum == r_sum == 3599.9999999999995
+
+
+def test_clustered_graph_builds_without_its_edges():
+    tracemalloc.start()
+    try:
+        graph = gsfa.build_clustered_graph([2000] * 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph.r_sum == group_sums_by_loop(graph.structure, 20_000)[1]
+    # one float per edge, 10 x 2000 x 1999 of them, would take 320 MB
+    assert peak < 16 * 2**20
 
 
 def _random_ell_factors(rng, n, k):
@@ -594,7 +638,7 @@ def _refuse_structure_matrix(monkeypatch):
     def refuse(*args):
         raise AssertionError("the N x N structure matrix was built")
 
-    monkeypatch.setattr(gsfa.graph, "_symmetric_csr", refuse)
+    monkeypatch.setattr(gsfa.graph._GroupEdges, "view", refuse)
 
 
 def test_training_never_builds_the_structure_matrix(rng, monkeypatch):

@@ -275,6 +275,24 @@ def test_load_network_rejects_node_with_malformed_trained_on(tmp_path, rng,
     assert str(path) in str(exc.value)
 
 
+@pytest.mark.parametrize("entry", ["pca", "expansion"])
+@pytest.mark.parametrize("value", [False, 0, {}], ids=["false", "zero", "empty"])
+def test_load_network_rejects_node_with_falsy_pca_or_expansion(tmp_path, rng,
+                                                               entry, value):
+    images, _, graph = _toy_dataset(rng, n=60)
+    specs = [LayerSpec(grid=(2, 2), receptive_field=(2, 2), out_dims=3,
+                       pca_dims=3),
+             LayerSpec(grid=(1, 1), receptive_field=(2, 2), out_dims=3)]
+    gsfa.save_network(train_hgsfa(images, graph, specs), tmp_path / "net")
+    path = tmp_path / "net" / "node_L0_r0_c1.json"
+    data = json.loads(path.read_text())
+    data[entry] = value
+    path.write_text(json.dumps(data))
+    with pytest.raises(FormatError, match="malformed entry") as exc:
+        gsfa.load_network(tmp_path / "net")
+    assert str(path) in str(exc.value)
+
+
 @pytest.mark.parametrize("pca_dims", [None, 3])
 def test_load_network_rejects_node_with_other_pca(tmp_path, rng, pca_dims):
     images, _, graph = _toy_dataset(rng, n=60)

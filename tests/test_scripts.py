@@ -16,8 +16,6 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 @pytest.mark.parametrize("script, tables", [
     ("compact_features.py", ["error_rates.csv"]),
     ("regression_sweep.py", ["metrics.csv"]),
-    ("spectra_analysis.py", [f"{name}/spectrum.csv"
-                             for name in ("reordering", "serial", "ell4")]),
 ])
 def test_script_runs_at_defaults(tmp_path, script, tables):
     env = dict(os.environ,

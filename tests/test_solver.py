@@ -380,6 +380,29 @@ def test_model_file_with_null_expansion_reads_as_identity(tmp_path, rng):
     np.testing.assert_array_equal(loaded.extract(data), features)
 
 
+@pytest.mark.parametrize("entry", ["pca", "expansion"])
+@pytest.mark.parametrize("value", [False, 0, {}], ids=["false", "zero", "empty"])
+def test_model_file_rejects_falsy_pca_or_expansion(tmp_path, rng, entry, value):
+    graph = gsfa.build_serial_graph(rng.normal(size=16), 4)
+    node, _ = gsfa.train_node(rng.normal(size=(5, 16)), graph, ExpansionSpec(),
+                              pca_dims=3)
+    path = tmp_path / "model.json"
+    gsfa.save_model(node, path)
+    payload = json.loads(path.read_text())
+    payload[entry] = value
+    path.write_text(json.dumps(payload))
+    # only null or an absent entry means none
+    with pytest.raises(FormatError, match="malformed entry") as exc:
+        gsfa.load_model(path)
+    assert str(path) in str(exc.value)
+
+
+@pytest.mark.parametrize("degree", [2.5, 2.0, True, "2"])
+def test_expansion_degree_must_be_an_integer(degree):
+    with pytest.raises(ParameterError, match="degree must be an integer"):
+        ExpansionSpec("polynomial", degree)
+
+
 def test_model_file_rejects_unknown_version(tmp_path, rng):
     graph = gsfa.build_serial_graph(rng.normal(size=8), 4)
     model = train_gsfa(rng.normal(size=(2, 8)), graph)
