@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import builders, datagen, estimators, hierarchy, matrixio, solver, spectrum
-from .errors import DimensionError, GsfaError, ParameterError
+from .errors import GsfaError, ParameterError
 from .graph import elimination_constant, load_graph, save_graph
 from .serialize import write_json
 
@@ -170,19 +170,9 @@ def cmd_spectrum(args):
 # ---------------------------------------------------------------------------
 # train / evaluate
 
-def _image_shape(text, pixels):
-    """(H, W) of an ``HxW`` flag whose H * W is the data's row count."""
-    try:
-        shape = tuple(int(x) for x in text.split("x"))
-    except ValueError:
-        shape = ()
-    if len(shape) != 2 or min(shape) < 1:
-        raise ParameterError(
-            f"--image-shape must be HxW with positive integers, got {text!r}")
-    if shape[0] * shape[1] != pixels:
-        raise DimensionError(f"--image-shape {text} has {shape[0] * shape[1]} "
-                             f"pixels but the data has {pixels} rows")
-    return shape
+#: train flags that only a flat model reads, and their defaults
+_FLAT_TRAIN_DEFAULTS = {"expansion": "identity", "degree": 2, "pca": None,
+                        "features": None}
 
 
 def cmd_train(args):
@@ -191,25 +181,27 @@ def cmd_train(args):
     out = Path(args.out)
 
     if args.hierarchy:
-        if not args.image_shape:
-            raise ParameterError("--hierarchy requires --image-shape HxW")
+        flat = [f"--{name}" for name, default in _FLAT_TRAIN_DEFAULTS.items()
+                if getattr(args, name) != default]
+        if flat:
+            raise ParameterError("not used with --hierarchy, whose architecture "
+                                 f"file sets the nodes: {', '.join(flat)}")
         specs = hierarchy.load_architecture(args.hierarchy)
-        images = data.T.reshape(-1, *_image_shape(args.image_shape, data.shape[0]))
-        network = hierarchy.train_hgsfa(images, graph, specs)
-        hierarchy.save_network(network, out)
-        deltas = network.layers[-1][(0, 0)].gsfa.deltas.tolist()
+        model = hierarchy.train_hgsfa(hierarchy.as_images(data, specs), graph,
+                                      specs)
+        hierarchy.save_network(model, out)
         report_path = out / "report.json"
         config_path = out / "config.json"
     else:
         expansion = solver.ExpansionSpec(kind=args.expansion, degree=args.degree)
-        node, _ = solver.train_node(data, graph, expansion,
-                                    n_features=args.features, pca_dims=args.pca)
+        model, _ = solver.train_node(data, graph, expansion,
+                                     n_features=args.features, pca_dims=args.pca)
         out.parent.mkdir(parents=True, exist_ok=True)
-        solver.save_model(node, out)
-        deltas = node.gsfa.deltas.tolist()
+        solver.save_model(model, out)
         report_path = out.with_suffix(out.suffix + ".report.json")
         config_path = out.with_suffix(out.suffix + ".config.json")
 
+    deltas = model.gsfa.deltas.tolist()
     write_json(report_path, {"deltas": deltas, "graph": graph.fingerprint()})
     write_json(config_path, {"command": "train", "params": _public_args(args)})
     print(f"wrote {out}; first deltas: "
@@ -237,18 +229,27 @@ def cmd_evaluate(args):
         if name not in _ESTIMATOR_NAMES:
             raise ParameterError(f"unknown estimator {name!r}; choose from "
                                  f"{', '.join(_ESTIMATOR_NAMES)}")
+    if not names:
+        raise ParameterError(f"--estimators names no estimator: {args.estimators!r}")
     if args.d_min < 1:
         raise ParameterError(f"--d-min must be at least 1, got {args.d_min}")
-    node = solver.load_model(args.model)
-    feats_train = node.extract(matrixio.load_matrix(args.train_data))
-    feats_test = node.extract(matrixio.load_matrix(args.test_data))
+    if args.d_max < args.d_min:
+        raise ParameterError(
+            f"--d-max {args.d_max} is below --d-min {args.d_min}")
+    model = (hierarchy.load_network if Path(args.model).is_dir()
+             else solver.load_model)(args.model)
+    if args.d_min > model.gsfa.n_features:
+        raise ParameterError(f"--d-min {args.d_min} is above the "
+                             f"{model.gsfa.n_features} features of {args.model}")
+    feats_train = model.extract(matrixio.load_matrix(args.train_data))
+    feats_test = model.extract(matrixio.load_matrix(args.test_data))
     labels_train = _read_label_file(args.train_labels)
     labels_test = _read_label_file(args.test_labels)
 
-    d_max = min(args.d_max, feats_train.shape[0])
+    d_max = min(args.d_max, model.gsfa.n_features)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    graph_id = node.gsfa.trained_on.get("checksum", "unknown")
+    graph_id = model.gsfa.trained_on.get("checksum", "unknown")
     chance_train = estimators.chance_rmse(labels_train)
     chance_test = estimators.chance_rmse(labels_test)
 
@@ -544,16 +545,16 @@ def build_parser():
     p.add_argument("--data", required=True, help="matrix file (.csv or binary)")
     p.add_argument("--graph", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--expansion", default="identity",
+    p.add_argument("--expansion", default=_FLAT_TRAIN_DEFAULTS["expansion"],
                    choices=["identity", "zero_eight_expo", "quadratic",
                             "polynomial"])
-    p.add_argument("--degree", type=int, default=2)
-    p.add_argument("--pca", type=int, default=None,
+    p.add_argument("--degree", type=int, default=_FLAT_TRAIN_DEFAULTS["degree"])
+    p.add_argument("--pca", type=int, default=_FLAT_TRAIN_DEFAULTS["pca"],
                    help="PCA dimensions before expansion")
-    p.add_argument("--features", type=int, default=None)
+    p.add_argument("--features", type=int,
+                   default=_FLAT_TRAIN_DEFAULTS["features"])
     p.add_argument("--hierarchy", default=None,
                    help="architecture config file; trains a network directory")
-    p.add_argument("--image-shape", default=None, help="HxW, with --hierarchy")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="sweep estimators over features")

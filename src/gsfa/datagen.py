@@ -31,6 +31,12 @@ STREAM_CENTROIDS = 3
 STREAM_CLASS_NOISE = 4
 
 
+def _check_scale(name, value):
+    """A noise or spread scale must be a finite number >= 0."""
+    if not 0 <= value < np.inf:
+        raise ParameterError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 def _mix64(x):
     x = np.asarray(x, dtype=np.uint64)
     x = (x ^ (x >> np.uint64(30))) * MIX_1
@@ -88,6 +94,7 @@ class SyntheticRegressionSpec:
                 f"n_label_values={self.n_label_values}")
         if self.nonlinearity not in ("identity", "cubic", "tanh"):
             raise ParameterError(f"unknown nonlinearity {self.nonlinearity!r}")
+        _check_scale("noise", self.noise)
 
 
 def _warp(values, nonlinearity):
@@ -144,6 +151,8 @@ class SyntheticClassificationSpec:
             raise ParameterError("per_class must be >= 2")
         if self.input_dim < 1:
             raise ParameterError("input_dim must be >= 1")
+        _check_scale("spread", self.spread)
+        _check_scale("noise", self.noise)
 
 
 def gen_classification(spec):

@@ -5,7 +5,8 @@ linear GSFA to the data inside its receptive field; all nodes share the
 same training graph (the graph encodes labels, which are global to the
 sample, not to image regions). Layer k+1 nodes consume the
 concatenated outputs of the layer-k nodes they cover. Receptive fields
-must tile their input grid exactly; anything else is rejected.
+must tile their input grid exactly, and the top layer of a network is
+one node; anything else is rejected.
 """
 
 from dataclasses import dataclass, field
@@ -108,15 +109,36 @@ def validate_architecture(specs, input_shape):
     return reports
 
 
+def as_images(data, specs):
+    """(N, H, W) images of an I x N matrix; H x W are the pixels layer 0 tiles."""
+    if not specs:
+        raise ArchitectureError("network needs at least one layer")
+    height, width = np.multiply(specs[0].grid, specs[0].receptive_field)
+    if data.ndim != 2 or data.shape[0] != height * width:
+        raise DimensionError(f"layer 0 tiles {height}x{width} images, so the data "
+                             f"needs {height * width} rows; got shape {data.shape}")
+    return data.T.reshape(-1, height, width)
+
+
 @dataclass
 class HgsfaNetwork:
     specs: list
     input_shape: tuple
     layers: list  # one dict {(row, col): GsfaNode} per layer
 
+    def __post_init__(self):
+        if tuple(self.specs[-1].grid) != (1, 1):
+            raise ArchitectureError(f"layer {len(self.specs) - 1}: a network's "
+                                    "top layer must be one node")
+
     @property
-    def output_dim(self):
-        return self.specs[-1].out_dims
+    def gsfa(self):
+        """The top node's GsfaModel: the network's deltas and trained_on."""
+        return self.layers[-1][(0, 0)].gsfa
+
+    def extract(self, data):
+        """Features of an I x N matrix of flattened images; returns J x N."""
+        return network_extract(self, as_images(data, self.specs))
 
 
 def _node_inputs(cells, spec):
@@ -214,11 +236,11 @@ def save_network(network, directory):
 def load_network(directory):
     """Read a network directory; checks the manifest and every node file.
 
-    The layers must tile ``input_shape`` (:func:`validate_architecture`),
-    and each node file must agree with its layer: the same expansion, a
-    PCA to ``pca_dims`` exactly when the layer has one, and the layer's
-    input and output dimensions. Any mismatch is a FormatError naming
-    the file.
+    The layers must tile ``input_shape`` (:func:`validate_architecture`)
+    up to one top node, and each node file must agree with its layer:
+    the same expansion, a PCA to ``pca_dims`` exactly when the layer has
+    one, and the layer's input and output dimensions. Any mismatch is a
+    FormatError naming the file.
     """
     directory = Path(directory)
     path = directory / "manifest.json"
@@ -231,13 +253,13 @@ def load_network(directory):
                  for e in manifest["nodes"]}
     try:
         reports = validate_architecture(specs, input_shape)
+        network = HgsfaNetwork(specs, input_shape, [{} for _ in specs])
     except ArchitectureError as exc:
         raise FormatError(f"{path}: {exc}") from None
     nodes = [(k, row, col) for k, spec in enumerate(specs)
              for row in range(spec.grid[0]) for col in range(spec.grid[1])]
     if len(files) != len(manifest["nodes"]) or set(files) != set(nodes):
         raise FormatError(f"{path}: nodes must list every node of the layers once")
-    layers = [dict() for _ in specs]
     for k, row, col in nodes:
         node = load_model(files[k, row, col])
         spec, report = specs[k], reports[k]
@@ -250,8 +272,8 @@ def load_network(directory):
             raise FormatError(
                 f"{files[k, row, col]}: node does not match layer {k} of "
                 f"{path} (expansion, pca_dims, input or output dimensions)")
-        layers[k][(row, col)] = node
-    return HgsfaNetwork(specs, input_shape, layers)
+        network.layers[k][(row, col)] = node
+    return network
 
 
 def load_architecture(path):

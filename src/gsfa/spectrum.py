@@ -148,11 +148,6 @@ def optimal_free_responses(graph):
     s, e = blocks[k0]
     if e - s > 1:
         u[:, s:e] = _rotate_u0_into_block(u[:, s:e], u0)
-    else:
-        cos = abs(float(u[:, s] @ u0))
-        if cos < 1.0 - 1e-6:
-            raise ContractError(
-                f"constant-direction match too weak (cos={cos:.6f})")
     feasible = np.ones(n, dtype=bool)
     feasible[s] = False
 

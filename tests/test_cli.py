@@ -252,11 +252,113 @@ def test_train_hierarchy_network_dir(tmp_path, rng=np.random.default_rng(0)):
     ], arch_path)
     net_dir = tmp_path / "net"
     assert _run("train", "--data", data_path, "--graph", graph_path,
-                "--hierarchy", arch_path, "--image-shape", "4x4",
-                "--out", net_dir) == 0
+                "--hierarchy", arch_path, "--out", net_dir) == 0
     network = gsfa.load_network(net_dir)
     feats = gsfa.network_extract(network, images.T.reshape(n, 4, 4))
     assert feats.shape == (3, n)
+
+
+def _flat_model_and_network(tmp_path):
+    """A 16-dim dataset, its serial graph, and a model and network of 3 features.
+
+    The network reads the 16 rows as 4x4 images: four 2x2-pixel nodes,
+    then one top node over them.
+    """
+    data_dir = tmp_path / "data"
+    assert _run("gen-data", "--kind", "regression", "--out-dir", data_dir,
+                "--n", 60, "--label-values", 10, "--input-dim", 16) == 0
+    graph_path = tmp_path / "serial.json"
+    assert _run("build-graph", "--kind", "serial", "--labels",
+                data_dir / "labels.txt", "--k", 10, "--out", graph_path) == 0
+    arch_path = tmp_path / "arch.json"
+    write_architecture([
+        gsfa.LayerSpec(grid=(2, 2), receptive_field=(2, 2), out_dims=3,
+                       expansion=gsfa.ExpansionSpec("quadratic")),
+        gsfa.LayerSpec(grid=(1, 1), receptive_field=(2, 2), out_dims=3),
+    ], arch_path)
+    models = {"flat": tmp_path / "model.json", "network": tmp_path / "net"}
+    assert _run("train", "--data", data_dir / "data.csv", "--graph", graph_path,
+                "--features", 3, "--out", models["flat"]) == 0
+    assert _run("train", "--data", data_dir / "data.csv", "--graph", graph_path,
+                "--hierarchy", arch_path, "--out", models["network"]) == 0
+    return data_dir, graph_path, models
+
+
+def _evaluate(model, data_dir, out_dir, *flags):
+    return _run("evaluate", "--model", model,
+                "--train-data", data_dir / "data.csv",
+                "--train-labels", data_dir / "labels.txt",
+                "--test-data", data_dir / "data.csv",
+                "--test-labels", data_dir / "labels.txt",
+                "--out-dir", out_dir, *flags)
+
+
+def test_evaluate_network_dir_scores_network_extract_features(tmp_path):
+    data_dir, graph_path, models = _flat_model_and_network(tmp_path)
+    assert _evaluate(models["network"], data_dir, tmp_path / "eval",
+                     "--estimators", "linear_scaling,linear_regression") == 0
+    data = gsfa.load_matrix(data_dir / "data.csv")
+    labels = np.loadtxt(data_dir / "labels.txt")
+    network = gsfa.load_network(models["network"])
+    feats = gsfa.network_extract(network, data.T.reshape(-1, 4, 4))
+    assert network.extract(data).tobytes() == feats.tobytes()
+    checksum = gsfa.load_graph(graph_path).fingerprint()["checksum"]
+    chance = repr(gsfa.chance_rmse(labels))
+    expected = []
+    for name, fit in [("linear_scaling", gsfa.fit_linear_scaling),
+                      ("linear_regression", gsfa.fit_linear_regression)]:
+        for d in (1, 2, 3):
+            error = repr(gsfa.rmse(fit(feats[:d], labels).predict(feats[:d]),
+                                   labels))
+            expected.append([checksum, name, str(d), error, error,
+                             chance, chance, "", ""])
+    with open(tmp_path / "eval" / "metrics.csv", newline="") as fh:
+        assert list(csv.reader(fh))[1:] == expected
+
+
+@pytest.mark.parametrize("flags", [
+    ["--pca", "3"], ["--features", "7"], ["--expansion", "polynomial"],
+    ["--degree", "5"],
+], ids=["pca", "features", "expansion", "degree"])
+def test_train_hierarchy_with_flat_model_flag_exit_1(tmp_path, capsys, flags):
+    data_dir, graph_path, _ = _flat_model_and_network(tmp_path)
+    capsys.readouterr()
+    assert _run("train", "--data", data_dir / "data.csv", "--graph", graph_path,
+                "--hierarchy", tmp_path / "arch.json", *flags,
+                "--out", tmp_path / "net2") == 1
+    _assert_error_line(capsys, "not used with --hierarchy, whose architecture "
+                       f"file sets the nodes: {flags[0]}\n")
+    assert not (tmp_path / "net2").exists()
+
+
+def test_train_hierarchy_top_layer_of_several_nodes_exit_1(tmp_path, capsys):
+    data_dir, graph_path, _ = _flat_model_and_network(tmp_path)
+    arch_path = tmp_path / "arch4.json"
+    write_architecture(
+        [gsfa.LayerSpec(grid=(2, 2), receptive_field=(2, 2), out_dims=2)],
+        arch_path)
+    capsys.readouterr()
+    assert _run("train", "--data", data_dir / "data.csv", "--graph", graph_path,
+                "--hierarchy", arch_path, "--out", tmp_path / "net2") == 1
+    _assert_error_line(capsys, "layer 0: a network's top layer must be one node")
+    assert not (tmp_path / "net2").exists()
+
+
+@pytest.mark.parametrize("kind", ["flat", "network"])
+@pytest.mark.parametrize("flags, match", [
+    (["--d-max", "0"], "--d-max 0 is below --d-min 1"),
+    (["--d-max", "-5"], "--d-max -5 is below --d-min 1"),
+    (["--d-min", "3", "--d-max", "1"], "--d-max 1 is below --d-min 3"),
+    (["--estimators", ","], "--estimators names no estimator: ','"),
+    (["--d-min", "4", "--d-max", "5"], "--d-min 4 is above the 3 features of"),
+], ids=["zero-d-max", "negative-d-max", "d-max-below-d-min", "no-estimator",
+        "d-min-above-features"])
+def test_evaluate_empty_sweep_exit_1(tmp_path, capsys, kind, flags, match):
+    data_dir, _, models = _flat_model_and_network(tmp_path)
+    capsys.readouterr()
+    assert _evaluate(models[kind], data_dir, tmp_path / "eval", *flags) == 1
+    _assert_error_line(capsys, match)
+    assert not (tmp_path / "eval").exists()
 
 
 @pytest.mark.parametrize("text, match", [
@@ -293,8 +395,7 @@ def test_train_hierarchy_malformed_architecture_exit_1(tmp_path, capsys, text,
     arch_path.write_text(text)
     capsys.readouterr()
     assert _run("train", "--data", data_path, "--graph", graph_path,
-                "--hierarchy", arch_path, "--image-shape", "4x4",
-                "--out", tmp_path / "net") == 1
+                "--hierarchy", arch_path, "--out", tmp_path / "net") == 1
     _assert_error_line(capsys, str(arch_path), match)
     assert not (tmp_path / "net").exists()
 
@@ -360,6 +461,16 @@ def test_evaluate_bad_flags_exit_1(tmp_path, capsys, flags, match):
                 "--out-dir", tmp_path / "eval", *flags) == 1
     _assert_error_line(capsys, match)
     assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize("kind", ["regression", "classification"])
+@pytest.mark.parametrize("noise", ["nan", "inf", "-1"])
+def test_gen_data_bad_noise_exit_1(tmp_path, capsys, kind, noise):
+    out_dir = tmp_path / "data"
+    assert _run("gen-data", "--kind", kind, "--out-dir", out_dir,
+                f"--noise={noise}") == 1
+    _assert_error_line(capsys, f"noise must be finite and >= 0, got {float(noise)!r}")
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("n", [0, -60])
@@ -568,15 +679,11 @@ def test_label_file_with_non_finite_value_exit_1(tmp_path, capsys, kind, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("shape, match", [
-    ("3x3", "--image-shape 3x3 has 9 pixels but the data has 8 rows"),
-    ("2x2", "--image-shape 2x2 has 4 pixels but the data has 8 rows"),
-    ("2xq", "must be HxW with positive integers, got '2xq'"),
-    ("2x4x1", "must be HxW"),
-    ("0x8", "must be HxW"),
-    ("8", "must be HxW"),
-])
-def test_train_hierarchy_bad_image_shape_exit_1(tmp_path, capsys, shape, match):
+@pytest.mark.parametrize("field, pixels", [((3, 3), 9), ((2, 2), 4)],
+                         ids=["3x3", "2x2"])
+def test_train_hierarchy_data_rows_other_than_layer_0_pixels_exit_1(
+        tmp_path, capsys, field, pixels):
+    # layer 0 of one node sets the image shape; the data has 8 rows
     data_path = tmp_path / "data.csv"
     gsfa.save_matrix_csv(np.random.default_rng(0).normal(size=(8, 10)),
                          data_path)
@@ -585,13 +692,13 @@ def test_train_hierarchy_bad_image_shape_exit_1(tmp_path, capsys, shape, match):
                 "--out", graph_path) == 0
     arch_path = tmp_path / "arch.json"
     write_architecture(
-        [gsfa.LayerSpec(grid=(1, 1), receptive_field=(2, 4), out_dims=2)],
+        [gsfa.LayerSpec(grid=(1, 1), receptive_field=field, out_dims=2)],
         arch_path)
     capsys.readouterr()
     assert _run("train", "--data", data_path, "--graph", graph_path,
-                "--hierarchy", arch_path, "--image-shape", shape,
-                "--out", tmp_path / "net") == 1
-    _assert_error_line(capsys, match)
+                "--hierarchy", arch_path, "--out", tmp_path / "net") == 1
+    _assert_error_line(capsys, f"layer 0 tiles {field[0]}x{field[1]} images",
+                       f"needs {pixels} rows; got shape (8, 10)")
     assert not (tmp_path / "net").exists()
 
 
@@ -610,8 +717,7 @@ def test_train_hierarchy_images_other_than_graph_exit_1(tmp_path, capsys):
         arch_path)
     capsys.readouterr()
     assert _run("train", "--data", data_path, "--graph", graph_path,
-                "--hierarchy", arch_path, "--image-shape", "2x4",
-                "--out", tmp_path / "net") == 1
+                "--hierarchy", arch_path, "--out", tmp_path / "net") == 1
     _assert_error_line(capsys, "10 images but graph has 20 vertices")
     assert not (tmp_path / "net").exists()
 
@@ -771,12 +877,13 @@ def _every_command(out, monkeypatch):
                     "--out", out / "model.json") == 0
         assert _run("train", "--data", data / "data.csv", "--graph",
                     out / "serial.json", "--hierarchy", arch,
-                    "--image-shape", "4x4", "--out", out / "net") == 0
-    assert _run("evaluate", "--model", out / "model.json",
-                "--train-data", data / "data.csv", "--train-labels", labels,
-                "--test-data", data / "data.csv", "--test-labels", labels,
-                "--estimators", "linear_scaling,linear_regression,soft_gc",
-                "--out-dir", out / "eval") == 0
+                    "--out", out / "net") == 0
+    for model, eval_dir in [("model.json", "eval"), ("net", "eval-net")]:
+        assert _run("evaluate", "--model", out / model,
+                    "--train-data", data / "data.csv", "--train-labels", labels,
+                    "--test-data", data / "data.csv", "--test-labels", labels,
+                    "--estimators", "linear_scaling,linear_regression,soft_gc",
+                    "--out-dir", out / eval_dir) == 0
 
 
 def _refuse_edge_matrix(*args):

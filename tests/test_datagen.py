@@ -134,3 +134,13 @@ def test_classification_gates():
         SyntheticClassificationSpec(n_classes=6)
     with pytest.raises(ParameterError):
         SyntheticClassificationSpec(per_class=1)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0])
+def test_specs_reject_bad_noise_and_spread(value):
+    with pytest.raises(ParameterError, match="noise must be finite and >= 0"):
+        SyntheticRegressionSpec(noise=value)
+    with pytest.raises(ParameterError, match="noise must be finite and >= 0"):
+        SyntheticClassificationSpec(noise=value)
+    with pytest.raises(ParameterError, match="spread must be finite and >= 0"):
+        SyntheticClassificationSpec(spread=value)

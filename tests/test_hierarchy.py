@@ -124,7 +124,34 @@ def test_two_layer_toy_network_trains(rng):
     network = train_hgsfa(images, graph, specs)
     top = network_extract(network, images)
     assert top.shape == (4, 60)
-    assert network.output_dim == 4
+    assert network.gsfa.n_features == 4
+
+
+def test_top_layer_of_several_nodes_rejected_before_training(rng, monkeypatch):
+    images, _, graph = _toy_dataset(rng)
+    specs = [LayerSpec(grid=(2, 2), receptive_field=(2, 2), out_dims=2)]
+    validate_architecture(specs, (4, 4))  # a valid partial stack
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a node was trained")
+
+    monkeypatch.setattr(gsfa.hierarchy, "train_node", refuse)
+    with pytest.raises(ArchitectureError,
+                       match="layer 0: a network's top layer must be one node"):
+        train_hgsfa(images, graph, specs)
+
+
+def test_network_extracts_from_the_data_matrix(rng):
+    images, _, graph = _toy_dataset(rng)
+    specs = [LayerSpec(grid=(2, 2), receptive_field=(2, 2), out_dims=2),
+             LayerSpec(grid=(1, 1), receptive_field=(2, 2), out_dims=2)]
+    network = train_hgsfa(images, graph, specs)
+    data = images.reshape(images.shape[0], -1).T  # one image a column
+    assert (network.extract(data).tobytes()
+            == network_extract(network, images).tobytes())
+    assert network.gsfa is network.layers[1][(0, 0)].gsfa
+    with pytest.raises(gsfa.DimensionError, match="layer 0 tiles 4x4 images"):
+        network.extract(data[:8])
 
 
 def test_top_output_constraints(rng):
@@ -239,13 +266,15 @@ def test_network_manifest_layout(tmp_path, rng):
     (lambda d: (d.update(input_shape=[8, 8]),
                 d["layers"][0].update(receptive_field=[4, 4])),
      "does not match layer 0"),
+    (lambda d: (d["layers"].pop(), d["nodes"].pop()),
+     "layer 0: a network's top layer must be one node"),
 ], ids=["bad-json", "wrong-kind", "no-layers", "layer-without-grid",
         "float-out-dims", "short-input-shape", "no-nodes", "node-without-file",
         "text-layer",
         "node-missing", "node-twice", "input-shape-not-tiled",
         "out-dims-above-expansion", "other-expansion",
         "other-expansion-of-same-size", "pca-without-node-pca",
-        "other-out-dims", "other-input-dim"])
+        "other-out-dims", "other-input-dim", "top-layer-of-four"])
 def test_load_network_rejects_malformed_manifest(tmp_path, rng, edit, match):
     _saved_toy_network(rng, tmp_path / "net")
     path = tmp_path / "net" / "manifest.json"
