@@ -149,9 +149,8 @@ def serial_groups(labels, k, policy="strict"):
     """Group assignment for the serial graph.
 
     Samples are stable-sorted by (label, original index) and split into
-    k equal groups. Returns (group_index, kept) where ``group_index``
-    maps each original sample to its group (-1 if dropped) and ``kept``
-    lists the retained sample indices in sorted-label order.
+    k equal groups. Returns the group index of each original sample (-1
+    if dropped).
 
     policy "strict" errors when k does not divide N; "truncate" drops
     the N mod k largest-label samples with a warning.
@@ -175,7 +174,7 @@ def serial_groups(labels, k, policy="strict"):
     size = (n - remainder) // k
     for g in range(k):
         group_index[kept[g * size:(g + 1) * size]] = g
-    return group_index, kept
+    return group_index
 
 
 def build_serial_graph(labels, k, policy="strict"):
@@ -186,7 +185,7 @@ def build_serial_graph(labels, k, policy="strict"):
     policy "truncate" the returned graph covers only the kept samples
     (N - N mod k of them, in original order).
     """
-    group_index, _ = serial_groups(labels, k, policy=policy)
+    group_index = serial_groups(labels, k, policy=policy)
     group_index = group_index[group_index >= 0]  # kept samples, original order
     n = group_index.shape[0]
     groups = tuple(np.flatnonzero(group_index == g) for g in range(k))

@@ -66,6 +66,14 @@ def _csv_writer(fh):
     return csv.writer(fh, lineterminator="\n")
 
 
+def _reject_unread(args, defaults, context):
+    """ParameterError naming each flag of ``defaults`` set away from its default."""
+    flags = [f"--{name.replace('_', '-')}" for name, default in defaults.items()
+             if getattr(args, name) != default]
+    if flags:
+        raise ParameterError(f"not used {context}: {', '.join(flags)}")
+
+
 # ---------------------------------------------------------------------------
 # build-graph
 
@@ -77,7 +85,24 @@ def _parse_float_list(text, flag):
             f"{flag} must be comma-separated numbers, got {text!r}") from None
 
 
-def _build_ell_from_flags(args):
+#: build-graph flags past --kind and --out, and their defaults
+_GRAPH_DEFAULTS = {"n": 30, "variant": "self_loop_extended", "class_sizes": "",
+                   "labels": None, "k": 10, "policy": "strict", "auxiliary": 1,
+                   "eigenvalues": None, "nonnegative": False, "label_set": None,
+                   "save_label_set": None}
+#: the flags each --kind reads; ell with --label-set takes its labels there
+_GRAPH_KIND_FLAGS = {
+    "linear": {"n", "variant"},
+    "clustered": {"class_sizes"},
+    "serial": {"labels", "k", "policy"},
+    "ell": {"labels", "auxiliary", "eigenvalues", "nonnegative", "label_set",
+            "save_label_set"},
+    "ell --label-set": {"label_set", "nonnegative", "save_label_set"},
+}
+
+
+def _ell_label_set_from_flags(args):
+    """The label set and vertex weights of an ell graph's flags."""
     if args.label_set:
         label_set, v = builders.load_labels(args.label_set)
     else:
@@ -106,10 +131,7 @@ def _build_ell_from_flags(args):
                 lams[1:] = np.arange(n_labels - 1, 0, -1) / n_labels
             lams = lams / lams.sum()
         label_set = label_set.with_eigenvalues(lams)
-    if args.save_label_set:
-        Path(args.save_label_set).parent.mkdir(parents=True, exist_ok=True)
-        builders.save_labels(label_set, v, args.save_label_set)
-    return builders.build_ell_graph(label_set, v, nonnegative=args.nonnegative)
+    return label_set, v
 
 
 def cmd_build_graph(args):
@@ -127,9 +149,18 @@ def cmd_build_graph(args):
         labels = _read_label_file(args.labels)
         graph = builders.build_serial_graph(labels, args.k, policy=args.policy)
     else:
-        graph = _build_ell_from_flags(args)
+        label_set, v = _ell_label_set_from_flags(args)
+        graph = builders.build_ell_graph(label_set, v, nonnegative=args.nonnegative)
+    # after the kind's own flags, so a malformed value of those is named first
+    kind = "ell --label-set" if args.kind == "ell" and args.label_set else args.kind
+    _reject_unread(args, {name: default for name, default in _GRAPH_DEFAULTS.items()
+                          if name not in _GRAPH_KIND_FLAGS[kind]},
+                   f"with --kind {kind}")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
+    if args.save_label_set:  # ell's alone
+        Path(args.save_label_set).parent.mkdir(parents=True, exist_ok=True)
+        builders.save_labels(label_set, v, args.save_label_set)
     save_graph(graph, out)
     report = builders.graph_consistency_report(graph)
     write_json(out.with_suffix(out.suffix + ".report.json"), report)
@@ -181,11 +212,8 @@ def cmd_train(args):
     out = Path(args.out)
 
     if args.hierarchy:
-        flat = [f"--{name}" for name, default in _FLAT_TRAIN_DEFAULTS.items()
-                if getattr(args, name) != default]
-        if flat:
-            raise ParameterError("not used with --hierarchy, whose architecture "
-                                 f"file sets the nodes: {', '.join(flat)}")
+        _reject_unread(args, _FLAT_TRAIN_DEFAULTS, "with --hierarchy, whose "
+                       "architecture file sets the nodes")
         specs = hierarchy.load_architecture(args.hierarchy)
         model = hierarchy.train_hgsfa(hierarchy.as_images(data, specs), graph,
                                       specs)
@@ -215,12 +243,37 @@ _REGRESSION_ESTIMATORS = {
     "soft_gc": estimators.fit_soft_gc,
 }
 _ESTIMATOR_NAMES = (*_REGRESSION_ESTIMATORS, "nearest_centroid")
+#: metrics.csv columns after graph, estimator and d; each row fills those
+#: of its estimator, and metrics_long.csv lists them in this order
+_METRICS = ("rmse_train", "rmse_test", "chance_rmse_train", "chance_rmse_test",
+            "error_rate_train", "error_rate_test")
 
 
-def _fit_and_score(name, feats_train, feats_test, labels_train, labels_test):
+def _features_and_labels(model, data_path, labels_path):
+    """The model's features of a data file and the labels of its samples."""
+    data = matrixio.load_matrix(data_path)
+    labels = _read_label_file(labels_path)
+    if labels.shape[0] != data.shape[1]:
+        raise ParameterError(f"{labels_path}: {labels.shape[0]} labels for the "
+                             f"{data.shape[1]} samples of {data_path}")
+    return model.extract(data), labels
+
+
+def _scores(name, feats_train, feats_test, labels_train, labels_test, chance):
+    """{metric: value} of estimator ``name`` fit on the training features.
+
+    ``chance`` holds the chance RMSEs a regression row reports too.
+    """
+    if name == "nearest_centroid":
+        clf = estimators.fit_nearest_centroid(feats_train, labels_train)
+        return {"error_rate_train": estimators.error_rate(
+                    estimators.classify(clf, feats_train), labels_train),
+                "error_rate_test": estimators.error_rate(
+                    estimators.classify(clf, feats_test), labels_test)}
     est = _REGRESSION_ESTIMATORS[name](feats_train, labels_train)
-    return (estimators.rmse(est.predict(feats_train), labels_train),
-            estimators.rmse(est.predict(feats_test), labels_test))
+    return {"rmse_train": estimators.rmse(est.predict(feats_train), labels_train),
+            "rmse_test": estimators.rmse(est.predict(feats_test), labels_test),
+            **chance}
 
 
 def cmd_evaluate(args):
@@ -241,48 +294,31 @@ def cmd_evaluate(args):
     if args.d_min > model.gsfa.n_features:
         raise ParameterError(f"--d-min {args.d_min} is above the "
                              f"{model.gsfa.n_features} features of {args.model}")
-    feats_train = model.extract(matrixio.load_matrix(args.train_data))
-    feats_test = model.extract(matrixio.load_matrix(args.test_data))
-    labels_train = _read_label_file(args.train_labels)
-    labels_test = _read_label_file(args.test_labels)
+    feats_train, labels_train = _features_and_labels(model, args.train_data,
+                                                     args.train_labels)
+    feats_test, labels_test = _features_and_labels(model, args.test_data,
+                                                   args.test_labels)
 
     d_max = min(args.d_max, model.gsfa.n_features)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     graph_id = model.gsfa.trained_on.get("checksum", "unknown")
-    chance_train = estimators.chance_rmse(labels_train)
-    chance_test = estimators.chance_rmse(labels_test)
+    chance = {"chance_rmse_train": estimators.chance_rmse(labels_train),
+              "chance_rmse_test": estimators.chance_rmse(labels_test)}
 
     rows = []
     long_rows = []
     for name in names:
         for d in range(args.d_min, d_max + 1):
-            if name == "nearest_centroid":
-                clf = estimators.fit_nearest_centroid(feats_train[:d], labels_train)
-                err_train = estimators.error_rate(
-                    estimators.classify(clf, feats_train[:d]), labels_train)
-                err_test = estimators.error_rate(
-                    estimators.classify(clf, feats_test[:d]), labels_test)
-                rows.append([graph_id, name, d, "", "", "", "",
-                             repr(err_train), repr(err_test)])
-                scores = [("error_rate_train", err_train),
-                          ("error_rate_test", err_test)]
-            else:
-                r_train, r_test = _fit_and_score(
-                    name, feats_train[:d], feats_test[:d],
-                    labels_train, labels_test)
-                rows.append([graph_id, name, d, repr(r_train), repr(r_test),
-                             repr(chance_train), repr(chance_test), "", ""])
-                scores = [("rmse_train", r_train), ("rmse_test", r_test),
-                          ("chance_rmse_train", chance_train),
-                          ("chance_rmse_test", chance_test)]
-            long_rows.extend([name, d, metric, repr(value)]
-                             for metric, value in scores)
+            scores = _scores(name, feats_train[:d], feats_test[:d],
+                             labels_train, labels_test, chance)
+            rows.append([graph_id, name, d, *(repr(scores[m]) if m in scores
+                                              else "" for m in _METRICS)])
+            long_rows.extend([name, d, m, repr(scores[m])]
+                             for m in _METRICS if m in scores)
     with open(out_dir / "metrics.csv", "w", newline="") as fh:
         writer = _csv_writer(fh)
-        writer.writerow(["graph", "estimator", "d", "rmse_train", "rmse_test",
-                         "chance_rmse_train", "chance_rmse_test",
-                         "error_rate_train", "error_rate_test"])
+        writer.writerow(["graph", "estimator", "d", *_METRICS])
         writer.writerows(rows)
     with open(out_dir / "metrics_long.csv", "w", newline="") as fh:
         writer = _csv_writer(fh)
@@ -514,25 +550,24 @@ def build_parser():
     p.add_argument("--kind", required=True,
                    choices=["linear", "clustered", "serial", "ell"])
     p.add_argument("--out", required=True)
-    p.add_argument("--n", type=int, default=30, help="linear graph size")
-    p.add_argument("--variant", default="self_loop_extended",
+    p.add_argument("--n", type=int, help="linear graph size")
+    p.add_argument("--variant",
                    choices=["self_loop_extended", "endpoint_halved_vertex_weights"])
-    p.add_argument("--class-sizes", default="", help="clustered: e.g. '4,4,4'")
-    p.add_argument("--labels", default=None,
+    p.add_argument("--class-sizes", help="clustered: e.g. '4,4,4'")
+    p.add_argument("--labels",
                    help="label file (one value per line) for serial/ell")
-    p.add_argument("--k", type=int, default=10, help="serial group count")
-    p.add_argument("--policy", default="strict", choices=["strict", "truncate"])
-    p.add_argument("--auxiliary", type=int, default=1,
+    p.add_argument("--k", type=int, help="serial group count")
+    p.add_argument("--policy", choices=["strict", "truncate"])
+    p.add_argument("--auxiliary", type=int,
                    help="ell: total labels incl. cosine auxiliaries")
-    p.add_argument("--eigenvalues", default=None,
-                   help="ell: comma-separated eigenvalue list")
+    p.add_argument("--eigenvalues", help="ell: comma-separated eigenvalue list")
     p.add_argument("--nonnegative", action="store_true",
                    help="ell: eliminate negative edge weights")
-    p.add_argument("--label-set", default=None,
+    p.add_argument("--label-set",
                    help="ell: load a prepared label-set container instead")
-    p.add_argument("--save-label-set", default=None,
+    p.add_argument("--save-label-set",
                    help="ell: also write the prepared label-set container")
-    p.set_defaults(func=cmd_build_graph)
+    p.set_defaults(func=cmd_build_graph, **_GRAPH_DEFAULTS)
 
     p = sub.add_parser("spectrum", help="free responses of a graph file")
     p.add_argument("--graph", required=True)

@@ -19,8 +19,8 @@ from .errors import ArchitectureError, DimensionError, FormatError, GsfaError
 from .serialize import entries_of, read_container, write_container
 from .solver import ExpansionSpec, load_model, save_model, train_node
 
-NETWORK_MANIFEST_KIND = "hgsfa-network"
-NETWORK_MANIFEST_VERSION = 1
+ARCHITECTURE_KIND = "hgsfa-architecture"
+ARCHITECTURE_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -62,24 +62,28 @@ def _int_pair(values):
 
 @dataclass
 class LayerReport:
-    layer: int
-    grid: tuple
-    receptive_field: tuple
+    """A node's input dimension and that of its expansion, for one layer."""
+
     input_dim: int
     expanded_dim: int
-    output_dim: int
 
 
-def validate_architecture(specs, input_shape):
-    """Check exact tiling and dimension chaining; list per-layer dims.
-
-    ``input_shape`` is the (rows, cols) pixel shape of the input
-    images. Returns a list of :class:`LayerReport`; raises
-    :class:`ArchitectureError` naming the first offending layer.
-    """
+def _image_shape(specs):
+    """(H, W) pixels of the images a network reads: layer 0's grid x field."""
     if not specs:
         raise ArchitectureError("network needs at least one layer")
-    rows, cols = input_shape
+    (grid_r, grid_c), (field_r, field_c) = specs[0].grid, specs[0].receptive_field
+    return grid_r * field_r, grid_c * field_c
+
+
+def validate_architecture(specs):
+    """Check exact tiling and dimension chaining; list per-layer dims.
+
+    Layer 0 tiles the images (:func:`_image_shape`), each later layer
+    the node grid below it. Returns a list of :class:`LayerReport`;
+    raises :class:`ArchitectureError` naming the first offending layer.
+    """
+    rows, cols = _image_shape(specs)
     unit_dim = 1  # values per input-grid cell (1 pixel, then node outputs)
     reports = []
     for k, spec in enumerate(specs):
@@ -102,8 +106,7 @@ def validate_architecture(specs, input_shape):
         if not 1 <= spec.out_dims <= expanded_dim:
             raise ArchitectureError(
                 f"layer {k}: out_dims {spec.out_dims} outside [1, {expanded_dim}]")
-        reports.append(LayerReport(k, (grid_r, grid_c), (field_r, field_c),
-                                   input_dim, expanded_dim, spec.out_dims))
+        reports.append(LayerReport(input_dim, expanded_dim))
         rows, cols = grid_r, grid_c
         unit_dim = spec.out_dims
     return reports
@@ -111,9 +114,7 @@ def validate_architecture(specs, input_shape):
 
 def as_images(data, specs):
     """(N, H, W) images of an I x N matrix; H x W are the pixels layer 0 tiles."""
-    if not specs:
-        raise ArchitectureError("network needs at least one layer")
-    height, width = np.multiply(specs[0].grid, specs[0].receptive_field)
+    height, width = _image_shape(specs)
     if data.ndim != 2 or data.shape[0] != height * width:
         raise DimensionError(f"layer 0 tiles {height}x{width} images, so the data "
                              f"needs {height * width} rows; got shape {data.shape}")
@@ -123,7 +124,6 @@ def as_images(data, specs):
 @dataclass
 class HgsfaNetwork:
     specs: list
-    input_shape: tuple
     layers: list  # one dict {(row, col): GsfaNode} per layer
 
     def __post_init__(self):
@@ -165,9 +165,10 @@ def _forward(network, images, node_output):
     node (row, col) of layer k for its input.
     """
     images = np.asarray(images, dtype=float)
-    if images.ndim != 3 or images.shape[1:] != tuple(network.input_shape):
+    shape = _image_shape(network.specs)
+    if images.ndim != 3 or images.shape[1:] != shape:
         raise DimensionError(f"expected (N, H, W) images with (H, W) = "
-                             f"{tuple(network.input_shape)}, got {images.shape}")
+                             f"{shape}, got {images.shape}")
     cells = images[..., None]
     for k, spec in enumerate(network.specs):
         outputs = np.empty((cells.shape[0], *spec.grid, spec.out_dims))
@@ -185,16 +186,13 @@ def train_hgsfa(images, graph, specs):
     graph. Solver errors are re-raised annotated with the node's layer
     and grid coordinates.
     """
-    shape = np.shape(images)
-    if len(shape) != 3:
-        raise DimensionError(f"expected (N, H, W) images, got {shape}")
-    if shape[0] != graph.n_samples:
-        raise DimensionError(
-            f"{shape[0]} images but graph has {graph.n_samples} vertices")
-    validate_architecture(specs, shape[1:])
-    network = HgsfaNetwork(list(specs), shape[1:], [{} for _ in specs])
+    validate_architecture(specs)
+    network = HgsfaNetwork(list(specs), [{} for _ in specs])
 
     def train(k, row, col, node_input):
+        if node_input.shape[1] != graph.n_samples:
+            raise DimensionError(f"{node_input.shape[1]} images but graph has "
+                                 f"{graph.n_samples} vertices")
         spec = network.specs[k]
         try:
             node, features = train_node(node_input, graph, spec.expansion,
@@ -216,68 +214,60 @@ def network_extract(network, images):
                     network.layers[k][(row, col)].extract(node_input))
 
 
+def _node_file(k, row, col):
+    """File name of node (row, col) of layer k in a network directory."""
+    return f"node_L{k}_r{row}_c{col}.json"
+
+
 def save_network(network, directory):
-    """Persist as a directory: manifest.json plus one model file per node."""
+    """Persist as a directory: the architecture file plus one model file per node."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    node_files = []
     for k, nodes in enumerate(network.layers):
-        for (row, col), node in sorted(nodes.items()):
-            name = f"node_L{k}_r{row}_c{col}.json"
-            save_model(node, directory / name)
-            node_files.append({"layer": k, "row": row, "col": col, "file": name})
-    write_container(directory / "manifest.json", NETWORK_MANIFEST_KIND,
-                    NETWORK_MANIFEST_VERSION,
-                    {"input_shape": list(network.input_shape),
-                     "layers": [spec.to_dict() for spec in network.specs],
-                     "nodes": node_files})
+        for (row, col), node in nodes.items():
+            save_model(node, directory / _node_file(k, row, col))
+    write_container(directory / "manifest.json", ARCHITECTURE_KIND,
+                    ARCHITECTURE_VERSION,
+                    {"layers": [spec.to_dict() for spec in network.specs]})
 
 
 def load_network(directory):
     """Read a network directory; checks the manifest and every node file.
 
-    The layers must tile ``input_shape`` (:func:`validate_architecture`)
-    up to one top node, and each node file must agree with its layer:
-    the same expansion, a PCA to ``pca_dims`` exactly when the layer has
-    one, and the layer's input and output dimensions. Any mismatch is a
-    FormatError naming the file.
+    The manifest is an architecture file (:func:`load_architecture`)
+    whose layers must chain (:func:`validate_architecture`) up to one
+    top node, and each node file must agree with its layer: the same
+    expansion, a PCA to ``pca_dims`` exactly when the layer has one,
+    and the layer's input and output dimensions. Any mismatch is a
+    FormatError naming the file; a missing node file is an OSError.
     """
     directory = Path(directory)
     path = directory / "manifest.json"
-    manifest = read_container(path, NETWORK_MANIFEST_KIND,
-                              {NETWORK_MANIFEST_VERSION})
-    with entries_of(path):
-        specs = [LayerSpec.from_dict(d) for d in manifest["layers"]]
-        input_shape = _int_pair(manifest["input_shape"])
-        files = {(e["layer"], e["row"], e["col"]): directory / e["file"]
-                 for e in manifest["nodes"]}
+    specs = load_architecture(path)
     try:
-        reports = validate_architecture(specs, input_shape)
-        network = HgsfaNetwork(specs, input_shape, [{} for _ in specs])
+        reports = validate_architecture(specs)
+        network = HgsfaNetwork(specs, [{} for _ in specs])
     except ArchitectureError as exc:
         raise FormatError(f"{path}: {exc}") from None
-    nodes = [(k, row, col) for k, spec in enumerate(specs)
-             for row in range(spec.grid[0]) for col in range(spec.grid[1])]
-    if len(files) != len(manifest["nodes"]) or set(files) != set(nodes):
-        raise FormatError(f"{path}: nodes must list every node of the layers once")
-    for k, row, col in nodes:
-        node = load_model(files[k, row, col])
-        spec, report = specs[k], reports[k]
-        pca_shape = None if node.pca is None else node.pca.components.shape
-        if (node.expansion != spec.expansion
-                or pca_shape != (None if spec.pca_dims is None
-                                 else (report.input_dim, spec.pca_dims))
-                or node.gsfa.projection.shape
-                != (report.expanded_dim, spec.out_dims)):
-            raise FormatError(
-                f"{files[k, row, col]}: node does not match layer {k} of "
-                f"{path} (expansion, pca_dims, input or output dimensions)")
-        network.layers[k][(row, col)] = node
+    for k, (spec, report) in enumerate(zip(specs, reports)):
+        for row, col in np.ndindex(*spec.grid):
+            node_path = directory / _node_file(k, row, col)
+            node = load_model(node_path)
+            pca_shape = None if node.pca is None else node.pca.components.shape
+            if (node.expansion != spec.expansion
+                    or pca_shape != (None if spec.pca_dims is None
+                                     else (report.input_dim, spec.pca_dims))
+                    or node.gsfa.projection.shape
+                    != (report.expanded_dim, spec.out_dims)):
+                raise FormatError(
+                    f"{node_path}: node does not match layer {k} of "
+                    f"{path} (expansion, pca_dims, input or output dimensions)")
+            network.layers[k][(row, col)] = node
     return network
 
 
 def load_architecture(path):
-    """Layer specs of a hand-written ``hgsfa-architecture`` config file."""
-    data = read_container(path, "hgsfa-architecture", {1})
+    """Layer specs of an ``hgsfa-architecture`` file (a config or a manifest)."""
+    data = read_container(path, ARCHITECTURE_KIND, {ARCHITECTURE_VERSION})
     with entries_of(path):
         return [LayerSpec.from_dict(d) for d in data["layers"]]

@@ -137,7 +137,7 @@ def test_serial_interior_weights_and_consistency():
 def test_serial_matches_pairwise_definition(n, k, rng):
     labels = rng.permutation(n).astype(float)
     graph = build_serial_graph(labels, k)
-    group_index, _ = serial_groups(labels, k)
+    group_index = serial_groups(labels, k)
     expected = np.zeros((n, n))
     for a in range(n):
         for b in range(n):
@@ -161,7 +161,7 @@ def test_clustered_matches_pairwise_definition(sizes):
 
 def test_serial_tie_break_is_stable():
     labels = np.array([1.0, 1.0, 0.0, 0.0])
-    group_index, _ = serial_groups(labels, 2)
+    group_index = serial_groups(labels, 2)
     np.testing.assert_array_equal(group_index, [1, 1, 0, 0])
 
 

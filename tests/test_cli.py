@@ -99,6 +99,53 @@ def test_build_graph_malformed_number_list_exit_1(tmp_path, capsys, flags, match
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, unread", [
+    (["--kind", "ell", "--label-set", "{ls}", "--labels", "/nonexistent",
+      "--eigenvalues", "0.9,0.1", "--auxiliary", "7"],
+     "with --kind ell --label-set: --labels, --auxiliary, --eigenvalues"),
+    (["--kind", "serial", "--labels", "{labels}", "--k", "4", "--n", "5",
+      "--variant", "endpoint_halved_vertex_weights", "--class-sizes", "1,2",
+      "--auxiliary", "9", "--nonnegative"],
+     "with --kind serial: --n, --variant, --class-sizes, --auxiliary, "
+     "--nonnegative"),
+    (["--kind", "linear", "--save-label-set", "{ls}"],
+     "with --kind linear: --save-label-set"),
+    (["--kind", "clustered", "--class-sizes", "3,3", "--k", "2",
+      "--policy", "truncate"], "with --kind clustered: --k, --policy"),
+], ids=["ell-label-set", "serial", "linear", "clustered"])
+def test_build_graph_flag_its_kind_does_not_read_exit_1(tmp_path, capsys,
+                                                       flags, unread):
+    labels = tmp_path / "labels.txt"
+    _write_labels(labels, np.linspace(-1, 1, 12))
+    ls_path = tmp_path / "ls.json"
+    assert _run("build-graph", "--kind", "ell", "--labels", labels,
+                "--save-label-set", ls_path, "--out", tmp_path / "g0.json") == 0
+    before = ls_path.read_bytes()
+    capsys.readouterr()
+    out = tmp_path / "g.json"
+    flags = [flag.format(ls=ls_path, labels=labels) for flag in flags]
+    assert _run("build-graph", *flags, "--out", out) == 1
+    _assert_error_line(capsys, f"error: not used {unread}\n")
+    assert not out.exists() and ls_path.read_bytes() == before
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "g0.json", "g0.json.config.json", "g0.json.report.json", "labels.txt",
+        "ls.json"]
+
+
+def test_build_graph_ell_accepts_every_flag_it_reads(tmp_path):
+    labels = tmp_path / "labels.txt"
+    _write_labels(labels, np.linspace(-1, 1, 12))
+    assert _run("build-graph", "--kind", "ell", "--labels", labels,
+                "--auxiliary", 4, "--nonnegative", "--eigenvalues",
+                "0.4,0.3,0.2,0.1", "--save-label-set", tmp_path / "ls.json",
+                "--out", tmp_path / "g.json") == 0
+    assert _run("build-graph", "--kind", "ell", "--label-set",
+                tmp_path / "ls.json", "--nonnegative",
+                "--out", tmp_path / "g2.json") == 0
+    assert ((tmp_path / "g.json").read_bytes()
+            == (tmp_path / "g2.json").read_bytes())
+
+
 # ---------------------------------------------------------------------------
 # spectrum
 
@@ -314,6 +361,113 @@ def test_evaluate_network_dir_scores_network_extract_features(tmp_path):
                              chance, chance, "", ""])
     with open(tmp_path / "eval" / "metrics.csv", newline="") as fh:
         assert list(csv.reader(fh))[1:] == expected
+
+
+def test_train_hierarchy_from_a_network_manifest_retrains_its_nodes(tmp_path):
+    data_dir, graph_path, models = _flat_model_and_network(tmp_path)
+    retrained = tmp_path / "net2"
+    assert _run("train", "--data", data_dir / "data.csv", "--graph", graph_path,
+                "--hierarchy", models["network"] / "manifest.json",
+                "--out", retrained) == 0
+    files = {path.name: path.read_bytes()
+             for path in models["network"].iterdir() if path.name != "config.json"}
+    assert len(files) == 7  # manifest, report and five nodes
+    assert {path.name: path.read_bytes() for path in retrained.iterdir()
+            if path.name != "config.json"} == files
+
+
+@pytest.mark.parametrize("kind", ["flat", "network"])
+@pytest.mark.parametrize("which", ["train", "test"])
+def test_evaluate_label_count_other_than_samples_exit_1(tmp_path, capsys, kind,
+                                                        which):
+    data_dir, _, models = _flat_model_and_network(tmp_path)
+    short = tmp_path / "short.txt"
+    _write_labels(short, np.arange(5.0))
+    labels = {"train": data_dir / "labels.txt", "test": data_dir / "labels.txt"}
+    labels[which] = short
+    capsys.readouterr()
+    assert _run("evaluate", "--model", models[kind],
+                "--train-data", data_dir / "data.csv",
+                "--train-labels", labels["train"],
+                "--test-data", data_dir / "data.csv",
+                "--test-labels", labels["test"],
+                "--estimators", "linear_scaling,nearest_centroid",
+                "--out-dir", tmp_path / "eval") == 1
+    _assert_error_line(capsys, f"error: {short}: 5 labels for the 60 samples "
+                       f"of {data_dir / 'data.csv'}\n")
+    assert not (tmp_path / "eval").exists()
+
+
+def test_evaluate_network_with_a_missing_node_file_exit_2(tmp_path, capsys):
+    data_dir, _, models = _flat_model_and_network(tmp_path)
+    missing = models["network"] / "node_L0_r0_c1.json"
+    missing.unlink()
+    capsys.readouterr()
+    assert _evaluate(models["network"], data_dir, tmp_path / "eval") == 2
+    _assert_error_line(capsys, f"error: {missing}: No such file or directory")
+    assert not (tmp_path / "eval").exists()
+
+
+def test_evaluate_network_with_an_old_manifest_exit_1(tmp_path, capsys):
+    data_dir, _, models = _flat_model_and_network(tmp_path)
+    manifest = models["network"] / "manifest.json"
+    _rewrite_json(manifest, lambda d: d.update(kind="hgsfa-network"))
+    capsys.readouterr()
+    assert _evaluate(models["network"], data_dir, tmp_path / "eval") == 1
+    _assert_error_line(capsys, f"error: {manifest}: expected kind "
+                       "'hgsfa-architecture', got 'hgsfa-network'")
+    assert not (tmp_path / "eval").exists()
+
+
+def test_evaluate_metric_columns_of_each_estimator(tmp_path):
+    # train and test split differ, so a train and a test column cannot swap
+    data_dir, _, models = _flat_model_and_network(tmp_path)
+    test_dir = tmp_path / "test"
+    assert _run("gen-data", "--kind", "regression", "--out-dir", test_dir,
+                "--n", 60, "--label-values", 10, "--input-dim", 16,
+                "--seed", 1) == 0
+    names = ["linear_scaling", "linear_regression", "soft_gc", "nearest_centroid"]
+    assert _run("evaluate", "--model", models["flat"],
+                "--train-data", data_dir / "data.csv",
+                "--train-labels", data_dir / "labels.txt",
+                "--test-data", test_dir / "data.csv",
+                "--test-labels", test_dir / "labels.txt",
+                "--estimators", ",".join(names), "--d-min", 2, "--d-max", 3,
+                "--out-dir", tmp_path / "eval") == 0
+    model = gsfa.load_model(models["flat"])
+    feats, labels = {}, {}
+    for split, directory in [("train", data_dir), ("test", test_dir)]:
+        feats[split] = model.extract(gsfa.load_matrix(directory / "data.csv"))
+        labels[split] = np.loadtxt(directory / "labels.txt")
+    expected = {}
+    for d in (2, 3):
+        clf = gsfa.fit_nearest_centroid(feats["train"][:d], labels["train"])
+        for split in ("train", "test"):
+            expected["nearest_centroid", d, f"error_rate_{split}"] = gsfa.error_rate(
+                gsfa.classify(clf, feats[split][:d]), labels[split])
+        for name in names[:3]:
+            fit = getattr(gsfa, f"fit_{name}")(feats["train"][:d], labels["train"])
+            for split in ("train", "test"):
+                expected[name, d, f"rmse_{split}"] = gsfa.rmse(
+                    fit.predict(feats[split][:d]), labels[split])
+                expected[name, d, f"chance_rmse_{split}"] = gsfa.chance_rmse(
+                    labels[split])
+    with open(tmp_path / "eval" / "metrics_long.csv", newline="") as fh:
+        long_rows = list(csv.DictReader(fh))
+    assert {(r["estimator"], int(r["features_used"]), r["metric"]): float(r["value"])
+            for r in long_rows} == pytest.approx(expected, rel=1e-12)
+    with open(tmp_path / "eval" / "metrics.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    metrics = ["rmse_train", "rmse_test", "chance_rmse_train",
+               "chance_rmse_test", "error_rate_train", "error_rate_test"]
+    assert header == ["graph", "estimator", "d", *metrics]
+    assert [r["metric"] for r in long_rows] == 6 * metrics[:4] + 2 * metrics[4:]
+    assert len(rows) == 8
+    for row in rows:
+        cells = dict(zip(header[3:], row[3:]))
+        assert {metric: float(value) for metric, value in cells.items() if value} \
+            == {metric: value for (name, d, metric), value in expected.items()
+                if (name, str(d)) == (row[1], row[2])}
 
 
 @pytest.mark.parametrize("flags", [
@@ -878,6 +1032,10 @@ def _every_command(out, monkeypatch):
         assert _run("train", "--data", data / "data.csv", "--graph",
                     out / "serial.json", "--hierarchy", arch,
                     "--out", out / "net") == 0
+        # a network's manifest is an architecture file
+        assert _run("train", "--data", data / "data.csv", "--graph",
+                    out / "serial.json", "--hierarchy", out / "net/manifest.json",
+                    "--out", out / "net-again") == 0
     for model, eval_dir in [("model.json", "eval"), ("net", "eval-net")]:
         assert _run("evaluate", "--model", out / model,
                     "--train-data", data / "data.csv", "--train-labels", labels,
@@ -902,6 +1060,10 @@ def test_every_command_reruns_byte_identical(tmp_path, monkeypatch):
     first = _outputs(out)
     _every_command(out, monkeypatch)
     assert _outputs(out) == first
+    assert {name: data for name, data in _outputs(out / "net-again").items()
+            if name.name != "config.json"} == {
+        name: data for name, data in _outputs(out / "net").items()
+        if name.name != "config.json"}
     assert {path.name for path in first} >= {
         "serial.json", "edges.csv", "responses.csv", "model.json",
         "manifest.json", "metrics.csv"}

@@ -17,7 +17,7 @@ from gsfa import (
     validate_architecture,
 )
 
-from conftest import json_by_dumps
+from conftest import json_by_dumps, write_architecture
 
 
 def _table_style_specs():
@@ -34,8 +34,8 @@ def _table_style_specs():
 
 
 def test_validate_table_style_dims():
-    reports = validate_architecture(_table_style_specs(), (64, 64))
-    assert reports[0].grid == (8, 8)
+    reports = validate_architecture(_table_style_specs())
+    assert len(reports) == 3
     assert reports[0].input_dim == 64
     assert reports[0].expanded_dim == 100  # PCA to 50, then doubled
     assert reports[1].input_dim == 80      # two nodes x 40 outputs
@@ -44,14 +44,20 @@ def test_validate_table_style_dims():
 
 def test_validate_toy_tiling():
     specs = [LayerSpec(grid=(2, 2), receptive_field=(2, 2), out_dims=1)]
-    reports = validate_architecture(specs, (4, 4))
+    reports = validate_architecture(specs)
     assert reports[0].input_dim == 4
 
 
 def test_validate_rejects_non_tiling():
-    specs = [LayerSpec(grid=(2, 2), receptive_field=(3, 3), out_dims=1)]
-    with pytest.raises(ArchitectureError, match="layer 0"):
-        validate_architecture(specs, (4, 4))
+    # layer 0 sets the 6x6 image; layer 1's 2x2 fields cannot tile its 3x3 grid
+    specs = [LayerSpec(grid=(3, 3), receptive_field=(2, 2), out_dims=1),
+             LayerSpec(grid=(1, 1), receptive_field=(2, 2), out_dims=1)]
+    with pytest.raises(ArchitectureError,
+                       match="layer 1: 1x1 nodes with 2x2 fields do not tile "
+                             "the 3x3 input grid"):
+        validate_architecture(specs)
+    with pytest.raises(ArchitectureError, match="at least one layer"):
+        validate_architecture([])
 
 
 def test_validate_rejects_dimension_chain_break():
@@ -60,13 +66,13 @@ def test_validate_rejects_dimension_chain_break():
         LayerSpec(grid=(1, 1), receptive_field=(2, 3), out_dims=1),
     ]
     with pytest.raises(ArchitectureError, match="layer 1"):
-        validate_architecture(specs, (4, 4))
+        validate_architecture(specs)
 
 
 def test_validate_rejects_excess_out_dims():
     specs = [LayerSpec(grid=(2, 2), receptive_field=(2, 2), out_dims=9)]
     with pytest.raises(ArchitectureError, match="out_dims"):
-        validate_architecture(specs, (4, 4))
+        validate_architecture(specs)
 
 
 def _toy_dataset(rng, n=40, shape=(4, 4)):
@@ -130,7 +136,7 @@ def test_two_layer_toy_network_trains(rng):
 def test_top_layer_of_several_nodes_rejected_before_training(rng, monkeypatch):
     images, _, graph = _toy_dataset(rng)
     specs = [LayerSpec(grid=(2, 2), receptive_field=(2, 2), out_dims=2)]
-    validate_architecture(specs, (4, 4))  # a valid partial stack
+    validate_architecture(specs)  # a valid partial stack
 
     def refuse(*args, **kwargs):
         raise AssertionError("a node was trained")
@@ -229,33 +235,48 @@ def _saved_toy_network(rng, directory):
     images, _, graph = _toy_dataset(rng, n=40)
     specs = [LayerSpec(grid=(2, 2), receptive_field=(2, 2), out_dims=2),
              LayerSpec(grid=(1, 1), receptive_field=(2, 2), out_dims=2)]
-    gsfa.save_network(train_hgsfa(images, graph, specs), directory)
-    return specs
+    network = train_hgsfa(images, graph, specs)
+    gsfa.save_network(network, directory)
+    return network
 
 
 def test_network_manifest_layout(tmp_path, rng):
-    specs = _saved_toy_network(rng, tmp_path / "net")
-    nodes = [{"layer": 0, "row": r, "col": c, "file": f"node_L0_r{r}_c{c}.json"}
-             for r in range(2) for c in range(2)]
-    nodes.append({"layer": 1, "row": 0, "col": 0, "file": "node_L1_r0_c0.json"})
-    assert (tmp_path / "net" / "manifest.json").read_text() == json_by_dumps({
-        "kind": "hgsfa-network", "format_version": 1, "input_shape": [4, 4],
-        "layers": [spec.to_dict() for spec in specs], "nodes": nodes})
+    # the manifest is the architecture file; node files are named by position
+    network = _saved_toy_network(rng, tmp_path / "net")
+    specs = network.specs
+    manifest = tmp_path / "net" / "manifest.json"
+    assert manifest.read_text() == json_by_dumps({
+        "kind": "hgsfa-architecture", "format_version": 1,
+        "layers": [spec.to_dict() for spec in specs]})
+    write_architecture(specs, tmp_path / "arch.json")
+    assert (gsfa.hierarchy.load_architecture(manifest)
+            == gsfa.hierarchy.load_architecture(tmp_path / "arch.json") == specs)
+    assert sorted(path.name for path in (tmp_path / "net").iterdir()) == [
+        "manifest.json", "node_L0_r0_c0.json", "node_L0_r0_c1.json",
+        "node_L0_r1_c0.json", "node_L0_r1_c1.json", "node_L1_r0_c0.json"]
+    for k, nodes in enumerate(network.layers):
+        for (row, col), node in nodes.items():
+            gsfa.save_model(node, tmp_path / "node.json")
+            assert ((tmp_path / "net" / f"node_L{k}_r{row}_c{col}.json").read_bytes()
+                    == (tmp_path / "node.json").read_bytes())
+
+
+def test_load_network_names_a_missing_node_file(tmp_path, rng):
+    _saved_toy_network(rng, tmp_path / "net")
+    missing = tmp_path / "net" / "node_L0_r1_c0.json"
+    missing.unlink()
+    with pytest.raises(FileNotFoundError) as exc:
+        gsfa.load_network(tmp_path / "net")
+    assert exc.value.filename == str(missing)
 
 
 @pytest.mark.parametrize("edit, match", [
     (None, "not valid JSON"),
-    (lambda d: d.update(kind="hgsfa-architecture"), "expected kind"),
+    (lambda d: d.update(kind="hgsfa-network"),
+     "expected kind 'hgsfa-architecture', got 'hgsfa-network'"),
     (lambda d: d.pop("layers"), "malformed entry"),
     (lambda d: d["layers"][0].pop("grid"), "malformed entry"),
     (lambda d: d["layers"][1].update(out_dims=2.0), "malformed entry"),
-    (lambda d: d.update(input_shape=[4]), "malformed entry"),
-    (lambda d: d.pop("nodes"), "malformed entry"),
-    (lambda d: d["nodes"][0].pop("file"), "malformed entry"),
-    (lambda d: d["nodes"][0].update(layer="0"), "every node of the layers once"),
-    (lambda d: d["nodes"].pop(), "every node of the layers once"),
-    (lambda d: d["nodes"][1].update(col=0), "every node of the layers once"),
-    (lambda d: d.update(input_shape=[6, 6]), "do not tile the 6x6 input grid"),
     (lambda d: d["layers"][1].update(out_dims=9), "out_dims 9 outside"),
     (lambda d: d["layers"][0].update(
         expansion={"kind": "quadratic", "degree": 2}), "does not match layer 0"),
@@ -263,16 +284,12 @@ def test_network_manifest_layout(tmp_path, rng):
         expansion={"kind": "polynomial", "degree": 1}), "does not match layer 1"),
     (lambda d: d["layers"][0].update(pca_dims=4), "does not match layer 0"),
     (lambda d: d["layers"][1].update(out_dims=1), "does not match layer 1"),
-    (lambda d: (d.update(input_shape=[8, 8]),
-                d["layers"][0].update(receptive_field=[4, 4])),
+    (lambda d: d["layers"][0].update(receptive_field=[4, 4]),
      "does not match layer 0"),
-    (lambda d: (d["layers"].pop(), d["nodes"].pop()),
+    (lambda d: d["layers"].pop(),
      "layer 0: a network's top layer must be one node"),
 ], ids=["bad-json", "wrong-kind", "no-layers", "layer-without-grid",
-        "float-out-dims", "short-input-shape", "no-nodes", "node-without-file",
-        "text-layer",
-        "node-missing", "node-twice", "input-shape-not-tiled",
-        "out-dims-above-expansion", "other-expansion",
+        "float-out-dims", "out-dims-above-expansion", "other-expansion",
         "other-expansion-of-same-size", "pca-without-node-pca",
         "other-out-dims", "other-input-dim", "top-layer-of-four"])
 def test_load_network_rejects_malformed_manifest(tmp_path, rng, edit, match):
@@ -405,4 +422,5 @@ def test_architecture_config_round_trip(tmp_path):
         {"grid": [1, 1], "receptive_field": [4, 4],
          "expansion": {"kind": "identity", "degree": 2},
          "out_dims": 2, "pca_dims": None}]
-    assert [r.output_dim for r in validate_architecture(loaded, (8, 8))] == [3, 2]
+    assert [(r.input_dim, r.expanded_dim) for r in validate_architecture(loaded)
+            ] == [(4, 14), (48, 48)]
