@@ -16,7 +16,7 @@ Eigenvalues translate to delta values via delta = 2 - (2Q/R) * lambda.
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,37 +51,18 @@ EQUIVALENCE_TOL = 1e-10
 
 @dataclass(frozen=True)
 class LabelSet:
-    """L target labels over N samples plus their eigenvalue weights.
-
-    ``label_stats`` records (mu, sigma) per label at normalization time
-    so estimates can be mapped back to the original label range.
-    ``mixing`` records the invertible transform applied by
-    :func:`decorrelate_labels` (decorrelated = mixing @ normalized).
-    """
+    """L target labels over N samples plus their eigenvalue weights."""
 
     labels: np.ndarray
     eigenvalues: np.ndarray
-    normalized: bool = False
-    decorrelated: bool = False
-    label_stats: np.ndarray = field(default=None)
-    mixing: np.ndarray = field(default=None)
 
     def __post_init__(self):
         labels = np.atleast_2d(np.asarray(self.labels, dtype=float))
         lams = np.asarray(self.eigenvalues, dtype=float).ravel()
         if lams.shape[0] != labels.shape[0]:
             raise DimensionError("need one eigenvalue per label")
-        if np.any(lams < 0):
-            warnings.warn("negative eigenvalues correspond to delta > 2 targets",
-                          NegativeEigenvalueWarning, stacklevel=2)
-        stats = self.label_stats
-        if stats is None:
-            stats = np.column_stack([np.zeros(labels.shape[0]),
-                                     np.ones(labels.shape[0])])
-        stats = np.asarray(stats, dtype=float)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "eigenvalues", lams)
-        object.__setattr__(self, "label_stats", stats)
 
     @property
     def n_labels(self):
@@ -202,8 +183,7 @@ def build_serial_graph(labels, k, policy="strict"):
 def normalize_labels(raw, vertex_weights):
     """Scale each label row to weighted zero mean and unit variance.
 
-    Records (mu, sigma) per label for the inverse mapping. Eigenvalues
-    default to the uniform schedule 1/L.
+    Eigenvalues default to the uniform schedule 1/L.
     """
     raw = np.atleast_2d(np.asarray(raw, dtype=float))
     v = np.asarray(vertex_weights, dtype=float)
@@ -211,7 +191,6 @@ def normalize_labels(raw, vertex_weights):
         raise DimensionError("labels and vertex weights differ in length")
     q = v.sum()
     out = np.empty_like(raw)
-    stats = np.empty((raw.shape[0], 2))
     for j, row in enumerate(raw):
         mu = float(v @ row) / q
         centered = row - mu
@@ -220,41 +199,29 @@ def normalize_labels(raw, vertex_weights):
             raise DegenerateLabelError(f"label {j} has zero weighted variance")
         sigma = math.sqrt(var)
         out[j] = centered / sigma
-        stats[j] = (mu, sigma)
-    n_labels = raw.shape[0]
-    return LabelSet(out, np.full(n_labels, 1.0 / n_labels),
-                    normalized=True, decorrelated=(n_labels == 1),
-                    label_stats=stats)
+    return LabelSet(out, np.full(raw.shape[0], 1.0 / raw.shape[0]))
 
 
 def decorrelate_labels(label_set, vertex_weights):
     """Project each label out of the later ones, then renormalize.
 
     Sequential weighted Gram-Schmidt under the (1/Q) Diag(v) inner
-    product. The applied transform is invertible and recorded in
-    ``mixing``. Labels that become (numerically) zero raise
-    :class:`DependentLabelError`.
+    product, on labels that :func:`normalize_labels` has scaled. Labels
+    that become (numerically) zero raise :class:`DependentLabelError`.
     """
-    if not label_set.normalized:
-        raise ContractError("labels must be normalized before decorrelation")
     v = np.asarray(vertex_weights, dtype=float)
     q = v.sum()
     labels = label_set.labels.copy()
-    n_labels = labels.shape[0]
-    mixing = np.eye(n_labels)
-    for jp in range(1, n_labels):
+    for jp in range(1, labels.shape[0]):
         for j in range(jp):
             coeff = float(labels[jp] @ (v * labels[j])) / q
             labels[jp] -= coeff * labels[j]
-            mixing[jp] -= coeff * mixing[j]
         var = float(labels[jp] @ (v * labels[jp])) / q
         if var < 1e-12:
             raise DependentLabelError(
                 f"label {jp} is weighted-linearly dependent on labels 0..{jp - 1}")
-        sigma = math.sqrt(var)
-        labels[jp] /= sigma
-        mixing[jp] /= sigma
-    return replace(label_set, labels=labels, decorrelated=True, mixing=mixing)
+        labels[jp] /= math.sqrt(var)
+    return replace(label_set, labels=labels)
 
 
 def _check_label_contracts(label_set, v, q):
@@ -279,8 +246,6 @@ def build_ell_graph(label_set, vertex_weights, nonnegative=False,
     With ``nonnegative=True`` the negative-weight elimination step is
     applied to the result.
     """
-    if not (label_set.normalized and label_set.decorrelated):
-        raise ContractError("exact-label graphs need normalized, decorrelated labels")
     v = np.asarray(vertex_weights, dtype=float)
     if v.shape[0] != label_set.n_samples:
         raise DimensionError("vertex weights and labels differ in length")
@@ -361,8 +326,7 @@ class CompactLabels:
         if np.unique(sizes).size != 1:
             raise ContractError("compact binary labels require balanced classes")
         labels = np.repeat(self.per_class, sizes[0], axis=1)
-        return LabelSet(labels, self.eigenvalues, normalized=True,
-                        decorrelated=True)
+        return LabelSet(labels, self.eigenvalues)
 
 
 def compact_binary_labels(n_classes, n_labels=None):
@@ -471,35 +435,24 @@ def clustered_equivalence_check(n_classes, per_class, eigenvalues=None):
 # label-set file format
 
 def save_labels(label_set, vertex_weights, path):
-    payload = {
+    write_container(path, LABELSET_FILE_KIND, LABELSET_FILE_VERSION, {
         "labels": np.asarray(label_set.labels),
         "eigenvalues": np.asarray(label_set.eigenvalues),
         "vertex_weights": np.asarray(vertex_weights, dtype=float),
-        "mu_sigma": np.asarray(label_set.label_stats),
-        "normalized": bool(label_set.normalized),
-        "decorrelated": bool(label_set.decorrelated),
-    }
-    if label_set.mixing is not None:
-        payload["mixing"] = np.asarray(label_set.mixing)
-    write_container(path, LABELSET_FILE_KIND, LABELSET_FILE_VERSION, payload)
+    })
 
 
 def load_labels(path):
-    """Read a label-set container; returns (LabelSet, vertex_weights)."""
+    """Read a label-set container; returns (LabelSet, vertex_weights).
+
+    Only ``labels``, ``eigenvalues`` and ``vertex_weights`` are read;
+    :func:`build_ell_graph` checks that the labels are normalized and
+    decorrelated.
+    """
     data = read_container(path, LABELSET_FILE_KIND, {LABELSET_FILE_VERSION})
     with entries_of(path):
-        if not all(type(data[key]) is bool
-                   for key in ("normalized", "decorrelated")):
-            raise TypeError("normalized and decorrelated must be true or false")
-        mixing = np.asarray(data["mixing"]) if "mixing" in data else None
-        label_set = LabelSet(
-            np.asarray(data["labels"], dtype=float),
-            np.asarray(data["eigenvalues"], dtype=float),
-            normalized=data["normalized"],
-            decorrelated=data["decorrelated"],
-            label_stats=np.asarray(data["mu_sigma"], dtype=float),
-            mixing=mixing,
-        )
+        label_set = LabelSet(np.asarray(data["labels"], dtype=float),
+                             np.asarray(data["eigenvalues"], dtype=float))
         return label_set, np.asarray(data["vertex_weights"], dtype=float)
 
 

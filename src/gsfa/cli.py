@@ -2,8 +2,9 @@
 
 Subcommands build graphs, export spectra, train and evaluate models,
 generate synthetic data, and run named end-to-end pipelines. Every
-command is deterministic given its flags and seed; reruns overwrite
-outputs byte-identically. The only volatile file is ``run_meta.json``
+command is deterministic given its flags and seed; for a fixed BLAS
+thread count, reruns overwrite outputs byte-identically. The only
+volatile file is ``run_meta.json``
 (wall-clock timestamp), written separately so artifact directories stay
 diffable.
 
@@ -173,6 +174,18 @@ def cmd_build_graph(args):
 
 # ---------------------------------------------------------------------------
 # spectrum
+
+def _edge_percentile(text):
+    """Value of --edge-percentile: a number in (0, 100]."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not 0 < value <= 100:
+        raise argparse.ArgumentTypeError(
+            f"must be a number in (0, 100], got {text!r}")
+    return value
+
 
 def cmd_spectrum(args):
     graph = load_graph(args.graph)
@@ -572,7 +585,7 @@ def build_parser():
     p = sub.add_parser("spectrum", help="free responses of a graph file")
     p.add_argument("--graph", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--edge-percentile", type=float, default=None,
+    p.add_argument("--edge-percentile", type=_edge_percentile, default=None,
                    help="also export the strongest X%% of edges")
     p.set_defaults(func=cmd_spectrum)
 

@@ -113,7 +113,12 @@ def validate_architecture(specs):
 
 
 def as_images(data, specs):
-    """(N, H, W) images of an I x N matrix; H x W are the pixels layer 0 tiles."""
+    """(N, H, W) images of an I x N matrix; H x W are the pixels layer 0 tiles.
+
+    The specs are validated first, so a malformed layer is named before
+    any mismatch of the data's shape.
+    """
+    validate_architecture(specs)
     height, width = _image_shape(specs)
     if data.ndim != 2 or data.shape[0] != height * width:
         raise DimensionError(f"layer 0 tiles {height}x{width} images, so the data "

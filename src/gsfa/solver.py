@@ -37,6 +37,15 @@ MODEL_FILE_VERSION = 1
 MAX_EXPANSION_DEGREE = 6
 
 
+def _as_matrix(data):
+    """``data`` as a 2-D float matrix in C order.
+
+    Every solver function reads its input through this, so a model's
+    bits follow the input values alone, not their memory layout.
+    """
+    return np.ascontiguousarray(np.atleast_2d(np.asarray(data, dtype=float)))
+
+
 # ---------------------------------------------------------------------------
 # expansions
 
@@ -86,7 +95,7 @@ class ExpansionSpec:
 
 def expand(data, spec):
     """Apply an expansion to an I x N matrix; returns I' x N."""
-    data = np.atleast_2d(np.asarray(data, dtype=float))
+    data = _as_matrix(data)
     if spec.kind == "identity":
         return data.copy()
     if spec.kind == "zero_eight_expo":
@@ -108,7 +117,7 @@ def expand(data, spec):
 
 def weighted_mean(data, vertex_weights):
     """(1/Q) * sum_n v_n x(n)."""
-    data = np.atleast_2d(np.asarray(data, dtype=float))
+    data = _as_matrix(data)
     v = np.asarray(vertex_weights, dtype=float)
     if data.shape[1] != v.shape[0]:
         raise DimensionError("data columns and vertex weights differ in length")
@@ -117,7 +126,7 @@ def weighted_mean(data, vertex_weights):
 
 def sample_covariance(data, vertex_weights):
     """Weighted sample covariance around the weighted mean."""
-    data = np.atleast_2d(np.asarray(data, dtype=float))
+    data = _as_matrix(data)
     v = np.asarray(vertex_weights, dtype=float)
     if data.shape[1] != v.shape[0]:
         raise DimensionError("data columns and vertex weights differ in length")
@@ -135,7 +144,7 @@ def derivative_covariance(data, graph):
     the weighted mean (the sum does not depend on the shift; centering
     keeps the subtraction accurate).
     """
-    data = np.atleast_2d(np.asarray(data, dtype=float))
+    data = _as_matrix(data)
     if data.shape[1] != graph.n_samples:
         raise DimensionError("data columns and graph size differ")
     centered = data - weighted_mean(data, graph.vertex_weights)[:, None]
@@ -195,7 +204,7 @@ def train_gsfa(data, graph, n_features=None):
     delta; the model deltas are the diagonal of the rotated sphered
     difference covariance.
     """
-    data = np.atleast_2d(np.asarray(data, dtype=float))
+    data = _as_matrix(data)
     n_in, n_samples = data.shape
     if n_samples != graph.n_samples:
         raise DimensionError(
@@ -246,7 +255,7 @@ def train_gsfa(data, graph, n_features=None):
 
 def extract_features(model, data):
     """y(n) = W^T (x(n) - mean); returns J x N."""
-    data = np.atleast_2d(np.asarray(data, dtype=float))
+    data = _as_matrix(data)
     if data.shape[0] != model.input_dim:
         raise DimensionError(
             f"data has {data.shape[0]} rows, model expects {model.input_dim}")
@@ -265,7 +274,7 @@ class PcaModel:
     variances: np.ndarray
 
     def transform(self, data):
-        data = np.atleast_2d(np.asarray(data, dtype=float))
+        data = _as_matrix(data)
         if data.shape[0] != self.mean.shape[0]:
             raise DimensionError(f"data has {data.shape[0]} rows, PCA "
                                  f"expects {self.mean.shape[0]}")
@@ -285,7 +294,7 @@ class PcaModel:
 
 def pca_reduce(data, vertex_weights, out_dims):
     """Weighted PCA; returns (PcaModel, reduced out_dims x N matrix)."""
-    data = np.atleast_2d(np.asarray(data, dtype=float))
+    data = _as_matrix(data)
     n_in, n_samples = data.shape
     if not 1 <= out_dims <= min(n_in, n_samples - 1):
         raise ParameterError(

@@ -189,10 +189,10 @@ def export_edges(graph, path, percentile=None):
     ``percentile`` keeps only the strongest edges by |gamma|: e.g. 30.0
     keeps the top 30 percent. All edges are written by default.
     """
+    if percentile is not None and not 0 < percentile <= 100:
+        raise ParameterError("percentile must be in (0, 100]")
     i, j, g = graph._triplet_arrays()
     if percentile is not None:
-        if not 0 < percentile <= 100:
-            raise ParameterError("percentile must be in (0, 100]")
         mags = np.abs(g)
         cutoff = np.quantile(mags, 1.0 - percentile / 100.0) if mags.size else 0.0
         keep = mags >= cutoff

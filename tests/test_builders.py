@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -190,8 +192,7 @@ def test_serial_parameter_gates():
 def test_normalize_labels_example():
     label_set = normalize_labels(np.array([[0.0, 2.0]]), np.ones(2))
     np.testing.assert_allclose(label_set.labels, [[-1.0, 1.0]])
-    np.testing.assert_allclose(label_set.label_stats, [[1.0, 1.0]])
-    assert label_set.normalized
+    np.testing.assert_allclose(label_set.eigenvalues, [1.0])
 
 
 def test_normalize_labels_idempotent():
@@ -199,7 +200,6 @@ def test_normalize_labels_idempotent():
     first = normalize_labels(np.array([[0.0, 1.0, 2.0, 3.0]]), v)
     second = normalize_labels(first.labels, v)
     np.testing.assert_allclose(second.labels, first.labels, atol=1e-12)
-    np.testing.assert_allclose(second.label_stats, [[0.0, 1.0]], atol=1e-12)
 
 
 def test_normalize_labels_rejects_constant():
@@ -212,7 +212,6 @@ def test_decorrelate_noop_when_already_orthogonal():
     raw = np.array([[-1.0, -1.0, 1.0, 1.0], [-1.0, 1.0, -1.0, 1.0]])
     label_set = decorrelate_labels(normalize_labels(raw, v), v)
     np.testing.assert_allclose(label_set.labels, raw, atol=1e-12)
-    np.testing.assert_allclose(label_set.mixing, np.eye(2), atol=1e-12)
 
 
 def test_decorrelate_detects_dependent_labels():
@@ -229,17 +228,6 @@ def test_decorrelate_output_is_orthonormal(rng):
     q = v.sum()
     gram = (label_set.labels * v) @ label_set.labels.T / q
     np.testing.assert_allclose(gram, np.eye(4), atol=1e-9)
-    # recorded transform reproduces the decorrelated rows
-    base = normalize_labels(raw, v).labels
-    np.testing.assert_allclose(label_set.mixing @ base, label_set.labels,
-                               atol=1e-10)
-
-
-def test_decorrelate_requires_normalized():
-    label_set = normalize_labels(np.array([[0.0, 1.0, 2.0]]), np.ones(3))
-    object.__setattr__(label_set, "normalized", False)
-    with pytest.raises(ContractError):
-        decorrelate_labels(label_set, np.ones(3))
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +274,8 @@ def test_ell_nonbinary_zero_delta_needs_negative_weights(rng):
 
 def test_ell_rejects_unnormalized_labels():
     v = np.ones(4)
-    label_set = gsfa.LabelSet(np.array([[0.0, 1.0, 2.0, 3.0]]), [1.0],
-                              normalized=True, decorrelated=True)
-    with pytest.raises(ContractError):
+    label_set = gsfa.LabelSet(np.array([[0.0, 1.0, 2.0, 3.0]]), [1.0])
+    with pytest.raises(ContractError, match="not weight-normalized"):
         build_ell_graph(label_set, v)
 
 
@@ -297,8 +284,25 @@ def test_ell_rejects_too_many_labels(rng):
     with pytest.raises(RankError):
         build_ell_graph(gsfa.LabelSet(np.vstack([label_set.labels,
                                                  label_set.labels[0:1]]),
-                                      np.ones(4) / 4, normalized=True,
-                                      decorrelated=True), v)
+                                      np.ones(4) / 4), v)
+
+
+def test_ell_negative_eigenvalue_warns_once(rng):
+    label_set, v = _random_label_set(rng, 10, 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        build_ell_graph(label_set.with_eigenvalues([1.0, -0.2]), v)
+    assert [w.category for w in caught] == [NegativeEigenvalueWarning]
+
+
+def test_ell_rejects_unnormalized_labels_after_decorrelation():
+    # decorrelation does not check its input; the build checks the values
+    v = np.ones(4)
+    label_set = decorrelate_labels(
+        gsfa.LabelSet(np.array([[0.0, 1.0, 2.0, 3.0], [1.0, -1.0, 1.0, -1.0]]),
+                      [0.5, 0.5]), v)
+    with pytest.raises(ContractError, match="not weight-normalized"):
+        build_ell_graph(label_set, v)
 
 
 def test_ell_respects_target_r_sum(rng):
@@ -452,8 +456,8 @@ def test_compact_expand_balanced_only():
     with pytest.raises(ContractError):
         compact.expand([2, 2, 2, 3])
     label_set = compact.expand([2, 2, 2, 2])
-    assert label_set.normalized and label_set.decorrelated
     assert label_set.n_samples == 8
+    build_ell_graph(label_set, np.ones(8))  # normalized and decorrelated
 
 
 def test_compact_parameter_gates():
@@ -521,6 +525,4 @@ def test_label_file_round_trip(tmp_path, rng):
     loaded, v2 = gsfa.load_labels(path)
     np.testing.assert_allclose(loaded.labels, label_set.labels)
     np.testing.assert_allclose(loaded.eigenvalues, label_set.eigenvalues)
-    np.testing.assert_allclose(loaded.mixing, label_set.mixing)
     np.testing.assert_allclose(v2, v)
-    assert loaded.normalized and loaded.decorrelated

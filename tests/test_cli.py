@@ -207,6 +207,20 @@ def test_train_and_evaluate_flow(tmp_path):
         "rmse_train", "rmse_test", "chance_rmse_train", "chance_rmse_test"}
 
 
+def test_train_on_csv_and_binary_data_writes_identical_models(tmp_path):
+    # the CSV reader returns the samples' rows transposed (F order)
+    data_dir = _make_dataset(tmp_path)
+    graph_path = tmp_path / "g.json"
+    assert _run("build-graph", "--kind", "serial", "--labels",
+                data_dir / "labels.txt", "--k", "12", "--out", graph_path) == 0
+    for name in ("data.csv", "data.bin"):
+        assert _run("train", "--data", data_dir / name, "--graph", graph_path,
+                    "--expansion", "quadratic", "--out",
+                    tmp_path / f"{name}.model.json") == 0
+    assert ((tmp_path / "data.csv.model.json").read_bytes()
+            == (tmp_path / "data.bin.model.json").read_bytes())
+
+
 def test_train_mismatched_sizes_exit_1(tmp_path):
     data_dir = _make_dataset(tmp_path)
     graph_path = tmp_path / "g.json"
@@ -767,12 +781,8 @@ def test_evaluate_reads_trained_on(tmp_path, kind, edit, graph_column):
 
 @pytest.mark.parametrize("edit, match", [
     (lambda d: d.pop("labels"), "(KeyError: 'labels')"),
-    (lambda d: d.update(normalized="yes"), "must be true or false"),
-    (lambda d: d.update(decorrelated=1), "must be true or false"),
-    (lambda d: d.pop("decorrelated"), "(KeyError: 'decorrelated')"),
     (lambda d: d.update(vertex_weights="ones"), "(ValueError"),
-], ids=["no-labels", "text-normalized", "integer-decorrelated",
-        "no-decorrelated", "text-vertex-weights"])
+], ids=["no-labels", "text-vertex-weights"])
 def test_build_graph_malformed_label_set_exit_1(tmp_path, capsys, edit, match):
     labels = tmp_path / "labels.txt"
     _write_labels(labels, np.linspace(-1, 1, 12))
@@ -788,6 +798,54 @@ def test_build_graph_malformed_label_set_exit_1(tmp_path, capsys, edit, match):
     assert not out.exists()
 
 
+def _write_label_set(path, labels, eigenvalues):
+    """A label-set file as one writes it by hand: its three entries."""
+    path.write_text(json.dumps({
+        "kind": "label-set", "format_version": 1, "labels": labels.tolist(),
+        "eigenvalues": eigenvalues, "vertex_weights": [1.0] * labels.shape[1]}))
+
+
+def test_build_graph_hand_written_label_set(tmp_path):
+    # two +-1 labels over 8 samples, exactly normalized and decorrelated
+    labels = np.array([[-1.0] * 4 + [1.0] * 4, [-1.0, -1.0, 1.0, 1.0] * 2])
+    ls_path = tmp_path / "ls.json"
+    _write_label_set(ls_path, labels, [0.6, 0.4])
+    out = tmp_path / "g.json"
+    assert _run("build-graph", "--kind", "ell", "--label-set", ls_path,
+                "--out", out) == 0
+    gsfa.save_graph(gsfa.build_ell_graph(gsfa.LabelSet(labels, [0.6, 0.4]),
+                                         np.ones(8)), tmp_path / "lib.json")
+    assert out.read_bytes() == (tmp_path / "lib.json").read_bytes()
+
+
+def test_build_graph_unnormalized_label_set_exit_1(tmp_path, capsys):
+    ls_path = tmp_path / "ls.json"
+    _write_label_set(ls_path, np.arange(8.0)[None, :], [1.0])
+    out = tmp_path / "g.json"
+    assert _run("build-graph", "--kind", "ell", "--label-set", ls_path,
+                "--out", out) == 1
+    _assert_error_line(capsys, "labels are not weight-normalized")
+    assert not out.exists()
+
+
+def test_build_graph_label_set_with_older_entries(tmp_path):
+    # earlier releases also wrote mu_sigma, normalized, decorrelated and
+    # mixing; the graph built from such a file is the same
+    labels = tmp_path / "labels.txt"
+    _write_labels(labels, np.linspace(-1, 1, 12))
+    ls_path = tmp_path / "ls.json"
+    assert _run("build-graph", "--kind", "ell", "--labels", labels,
+                "--auxiliary", "2", "--save-label-set", ls_path,
+                "--out", tmp_path / "g1.json") == 0
+    _rewrite_json(ls_path, lambda d: d.update(
+        mu_sigma=[[0.0, 1.0], [0.0, 1.0]], normalized=True, decorrelated=True,
+        mixing=np.eye(2).tolist()))
+    assert _run("build-graph", "--kind", "ell", "--label-set", ls_path,
+                "--out", tmp_path / "g2.json") == 0
+    assert ((tmp_path / "g1.json").read_bytes()
+            == (tmp_path / "g2.json").read_bytes())
+
+
 def test_spectrum_edge_percentile(tmp_path):
     labels = tmp_path / "labels.txt"
     _write_labels(labels, np.linspace(0, 1, 20))
@@ -797,6 +855,22 @@ def test_spectrum_edge_percentile(tmp_path):
     assert _run("spectrum", "--graph", out, "--out-dir", tmp_path / "s",
                 "--edge-percentile", "30") == 0
     assert (tmp_path / "s" / "edges.csv").exists()
+
+
+@pytest.mark.parametrize("percentile", ["0", "150"])
+def test_spectrum_edge_percentile_out_of_range_exit_2(tmp_path, capsys,
+                                                      percentile):
+    graph_path = tmp_path / "g.json"
+    assert _run("build-graph", "--kind", "linear", "--n", "8",
+                "--out", graph_path) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        _run("spectrum", "--graph", graph_path, "--out-dir", tmp_path / "s",
+             "--edge-percentile", percentile)
+    assert exc.value.code == 2
+    assert "--edge-percentile: must be a number in (0, 100]" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "s").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -853,6 +927,25 @@ def test_train_hierarchy_data_rows_other_than_layer_0_pixels_exit_1(
                 "--hierarchy", arch_path, "--out", tmp_path / "net") == 1
     _assert_error_line(capsys, f"layer 0 tiles {field[0]}x{field[1]} images",
                        f"needs {pixels} rows; got shape (8, 10)")
+    assert not (tmp_path / "net").exists()
+
+
+def test_train_hierarchy_grid_of_zero_exit_1(tmp_path, capsys):
+    # the layer is named before the data's shape is read from it
+    data_path = tmp_path / "data.csv"
+    gsfa.save_matrix_csv(np.random.default_rng(0).normal(size=(8, 20)),
+                         data_path)
+    graph_path = tmp_path / "g.json"
+    assert _run("build-graph", "--kind", "linear", "--n", "20",
+                "--out", graph_path) == 0
+    arch_path = tmp_path / "arch.json"
+    write_architecture(
+        [gsfa.LayerSpec(grid=(0, 1), receptive_field=(2, 2), out_dims=1)],
+        arch_path)
+    capsys.readouterr()
+    assert _run("train", "--data", data_path, "--graph", graph_path,
+                "--hierarchy", arch_path, "--out", tmp_path / "net") == 1
+    _assert_error_line(capsys, "layer 0: grid and field must be >= 1")
     assert not (tmp_path / "net").exists()
 
 

@@ -255,16 +255,11 @@ def test_label_set_file_matches_dumps(tmp_path, rng):
     v = rng.uniform(0.5, 1.5, 12)
     label_set = gsfa.decorrelate_labels(
         gsfa.normalize_labels(rng.normal(size=(3, 12)), v), v)
-    assert label_set.mixing is not None
     gsfa.save_labels(label_set, v, tmp_path / "labels.json")
     payload = {
         "labels": label_set.labels.tolist(),
         "eigenvalues": label_set.eigenvalues.tolist(),
         "vertex_weights": v.tolist(),
-        "mu_sigma": np.asarray(label_set.label_stats).tolist(),
-        "normalized": label_set.normalized,
-        "decorrelated": label_set.decorrelated,
-        "mixing": label_set.mixing.tolist(),
         "kind": "label-set",
         "format_version": 1,
     }

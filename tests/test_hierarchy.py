@@ -386,6 +386,25 @@ def test_non_square_net_equals_nodes_on_sliced_patches(rng):
                                rtol=0, atol=1e-12)
 
 
+def test_network_node_files_equal_flat_nodes_on_c_ordered_patches(tmp_path,
+                                                                  rng):
+    # a node's bits follow its input values, not the layout in which the
+    # network slices its receptive field
+    images, _, graph = _toy_dataset(rng, n=300)
+    specs = [LayerSpec(grid=(2, 2), receptive_field=(2, 2), out_dims=3,
+                       expansion=ExpansionSpec("quadratic")),
+             LayerSpec(grid=(1, 1), receptive_field=(2, 2), out_dims=2)]
+    gsfa.save_network(train_hgsfa(images, graph, specs), tmp_path / "net")
+    for row, col in np.ndindex(2, 2):
+        patch = np.vstack([images[:, 2 * row + dr, 2 * col + dc]
+                           for dr in range(2) for dc in range(2)])
+        node, _ = gsfa.train_node(patch, graph, specs[0].expansion,
+                                  n_features=3)
+        gsfa.save_model(node, tmp_path / "flat.json")
+        assert ((tmp_path / "flat.json").read_bytes() == (
+            tmp_path / "net" / f"node_L0_r{row}_c{col}.json").read_bytes())
+
+
 def test_network_features_drive_label_estimation(rng):
     images, labels, graph = _toy_dataset(rng, n=80)
     specs = [

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gsfa
 from gsfa import (
@@ -363,6 +365,33 @@ def test_train_node_features_equal_extract(rng):
     assert node.pca.components.shape == (5, 3)
     assert node.gsfa.projection.shape == (9, 4)
     np.testing.assert_allclose(features, node.extract(data), rtol=0, atol=1e-12)
+
+
+def _layouts(data):
+    """C-ordered, F-ordered and strided copies of a matrix's values."""
+    strided = np.zeros((2 * data.shape[0], 3 * data.shape[1]))
+    strided[::2, ::3] = data
+    return {"C": np.ascontiguousarray(data), "F": np.asfortranarray(data),
+            "strided": strided[::2, ::3]}
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10_000),
+       kind=st.sampled_from(["identity", "quadratic"]),
+       pca_dims=st.sampled_from([None, 4]))
+def test_train_node_model_bits_follow_values_not_layout(tmp_path_factory, seed,
+                                                        kind, pca_dims):
+    rng = np.random.default_rng(seed)
+    graph = gsfa.build_serial_graph(rng.normal(size=300), 10)
+    data = rng.normal(size=(6, 300))
+    directory = tmp_path_factory.mktemp("layouts")
+    files = set()
+    for name, copy in _layouts(data).items():
+        node, _ = gsfa.train_node(copy, graph, ExpansionSpec(kind),
+                                  n_features=3, pca_dims=pca_dims)
+        gsfa.save_model(node, directory / f"{name}.json")
+        files.add((directory / f"{name}.json").read_bytes())
+    assert len(files) == 1
 
 
 def test_model_file_with_null_expansion_reads_as_identity(tmp_path, rng):
