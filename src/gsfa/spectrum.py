@@ -8,6 +8,13 @@ so larger eigenvalues mean slower responses. The eigenvector aligned
 with v^{1/2} (eigenvalue R/Q on consistent graphs) corresponds to the
 constant pseudo-response, which violates the zero-mean constraint and
 is flagged infeasible.
+
+A graph with exact-label factors is solved on their span: M is zero
+outside span(v^{1/2}, U), so the eigenpairs are those of the small
+matrix S^T M S on an orthonormal basis S of that span (Rayleigh-Ritz,
+exact here), and the rest of R^N is a null block of eigenvalue exactly
+0, spanned by the deterministic Householder completion of S. Every
+other graph takes the dense eigendecomposition of M.
 """
 
 from dataclasses import dataclass
@@ -23,7 +30,9 @@ from .solver import _sign_fix_columns
 SLOW_COUNT_TOL = 1e-9
 #: Eigenvalues closer than this, relative to max(1, max |lambda|), are tied.
 TIE_RTOL = 1e-9
-#: Largest N whose dense M matrix :func:`optimal_free_responses` decomposes.
+#: Largest N for which :func:`optimal_free_responses` makes its N x N
+#: response matrix (and, for graphs without exact-label factors, the
+#: dense M it decomposes).
 MAX_DENSE_N = 4096
 
 
@@ -109,29 +118,71 @@ def _rotate_u0_into_block(u_block, u0):
     return u_block @ rot
 
 
+def _factor_span_eigenpairs(graph):
+    """Eigenpairs of M for a graph with exact-label factors, unsorted.
+
+    M = (U W U^T + c Q u0 u0^T) / scale lies in span(u0, U), with
+    u0 = v^{1/2} / Q^{1/2}, whether or not the graph was eliminated
+    (c = 0 if not). A complete Householder QR with column pivoting of
+    the unit-scaled columns [u0, U] gives an orthonormal basis S of
+    that span (its rank r counts the diagonal entries of R above
+    max(N, k+1) eps |R_00|) and, in its other N - r columns, a
+    deterministic basis of the complement. S^T M S is formed through
+    the graph's own edges, so elimination and its clamp at 0 need no
+    special case; its eigenpairs are those of M on the span, and the
+    complement gets eigenvalue exactly 0.
+    """
+    # imported on use: scipy.linalg adds ~0.1 s to every `import gsfa`
+    import scipy.linalg
+
+    v = graph.vertex_weights
+    sqrt_v = np.sqrt(v)
+    columns = np.column_stack([sqrt_v / np.sqrt(graph.q_sum), graph.ell.u])
+    norms = np.linalg.norm(columns, axis=0)
+    columns /= np.where(norms > 0, norms, 1.0)
+    basis, tri, _ = scipy.linalg.qr(columns, mode="full", pivoting=True)
+    diagonal = np.abs(np.diagonal(tri))
+    tol = max(columns.shape) * np.finfo(float).eps * diagonal[0]
+    rank = int(np.count_nonzero(diagonal > tol))
+    span = basis[:, :rank]
+    small = graph.gamma_quad((span / sqrt_v[:, None]).T)
+    theta, rotation = np.linalg.eigh((small + small.T) / 2.0)
+    basis[:, :rank] = span @ rotation
+    eigenvalues = np.concatenate([theta, np.zeros(graph.n_samples - rank)])
+    return eigenvalues, basis
+
+
 def optimal_free_responses(graph):
     """Full eigendecomposition of M, rescaled to response vectors.
 
     Requires a consistent graph (the analysis relies on v^{1/2} being an
-    eigenvector of M). Within the degenerate block containing that
-    direction, the basis is rotated so exactly one response is the
-    constant pseudo-response; it is flagged infeasible, everything else
-    feasible. Responses are sign-adjusted to be negative at their first
-    significantly nonzero sample.
+    eigenvector of M). A graph with exact-label factors is solved on
+    their span, its null block completed by Householder reflections
+    (:func:`_factor_span_eigenpairs`); any other graph by the dense
+    ``eigh`` of M. Eigenpairs are sorted by descending eigenvalue, the
+    reverse of a stable ascending sort. Within the degenerate block
+    containing the v^{1/2} direction, the basis is rotated so exactly
+    one response is the constant pseudo-response; it is flagged
+    infeasible, everything else feasible. Responses are sign-adjusted
+    to be negative at their first significantly nonzero sample.
     """
     n = graph.n_samples
     if n > MAX_DENSE_N:
         raise ParameterError(
-            f"dense spectrum capped at N={MAX_DENSE_N}; got N={n}")
+            f"free responses make an N x N response matrix, capped at "
+            f"N={MAX_DENSE_N}; got N={n}")
     report = check_consistency(graph)
     if not report.ok:
         raise ContractError(
             "free responses need a consistent graph "
             f"(max residual {report.max_residual:.3e})")
-    m = build_m_matrix(graph)
-    eigenvalues, u = np.linalg.eigh(m)
-    eigenvalues = eigenvalues[::-1].copy()
-    u = u[:, ::-1].copy()
+    if graph.ell is not None:
+        eigenvalues, u = _factor_span_eigenpairs(graph)
+    else:
+        eigenvalues, u = np.linalg.eigh(build_m_matrix(graph))
+    order = np.argsort(eigenvalues, kind="stable")[::-1]
+    eigenvalues = eigenvalues[order]
+    u = u.take(order, axis=1)
 
     v = graph.vertex_weights
     q = graph.q_sum

@@ -450,6 +450,27 @@ def ell_graph_from_seed(seed, n, n_labels, nonnegative, uniform=True,
                                 target_r_sum=target_r_sum)
 
 
+#: Every graph builder; the exact-label one with and without elimination.
+BUILDER_KINDS = ("linear", "linear-halved", "clustered", "serial", "ell",
+                 "ell-nonnegative")
+
+
+def graph_by_builder(kind, n, seed):
+    """A consistent graph over n samples (n >= 8, a multiple of 4) from one builder."""
+    rng = np.random.default_rng(seed)
+    if kind == "linear":
+        return gsfa.build_linear_graph(n)
+    if kind == "linear-halved":
+        return gsfa.build_linear_graph(n, "endpoint_halved_vertex_weights")
+    if kind == "clustered":
+        classes = int(rng.integers(2, 5))
+        sizes = [n // classes] * (classes - 1)
+        return gsfa.build_clustered_graph(sizes + [n - sum(sizes)])
+    if kind == "serial":
+        return gsfa.build_serial_graph(rng.normal(size=n), 4)
+    return ell_graph_from_seed(seed, n, 2, kind == "ell-nonnegative", uniform=False)
+
+
 def dense_graph(vertex_weights, gamma):
     return TrainingGraph(np.asarray(vertex_weights, dtype=float),
                          np.asarray(gamma, dtype=float))

@@ -25,7 +25,14 @@ from gsfa import (
     weighted_mean,
 )
 
-from conftest import chain_graph, dcov_by_edge_sum, dense_graph, normalize_feature
+from conftest import (
+    BUILDER_KINDS,
+    chain_graph,
+    dcov_by_edge_sum,
+    dense_graph,
+    graph_by_builder,
+    normalize_feature,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -180,18 +187,63 @@ def test_first_delta_minimal_over_random_linear_probes(rng):
         assert weighted_delta(graph, y) >= best - 1e-9
 
 
-def test_edge_scale_invariance(rng):
-    labels = rng.normal(size=20)
-    data = rng.normal(size=(4, 20))
-    graph = gsfa.build_serial_graph(labels, 5)
-    scaled = gsfa.TrainingGraph(graph.vertex_weights,
-                                3.7 * graph.gamma_dense())
-    w1 = train_gsfa(data, graph).projection
-    w2 = train_gsfa(data, scaled).projection
-    for j in range(w1.shape[1]):
-        err = min(np.max(np.abs(w1[:, j] - w2[:, j])),
-                  np.max(np.abs(w1[:, j] + w2[:, j])))
-        assert err < 1e-8
+def _features_and_deltas(data, graph):
+    model = train_gsfa(data, graph)
+    return extract_features(model, data), model.deltas
+
+
+def _assert_same_training(trained, expected, vertex_weights):
+    """Equal deltas; equal features, or equal spans where deltas tie.
+
+    ``trained`` and ``expected`` are (features, deltas) pairs over the
+    same sample order. Features whose deltas lie within 1e-6 of each
+    other (an exact-label graph's null block, for one) are defined only
+    up to a rotation of their block, so such a block is compared by the
+    cosines of its principal angles under Diag(v).
+    """
+    (features, deltas), (want, want_deltas) = trained, expected
+    np.testing.assert_allclose(deltas, want_deltas, rtol=0, atol=1e-10)
+    scale = np.sqrt(vertex_weights)[:, None]
+    cuts = np.flatnonzero(np.diff(want_deltas) > 1e-6) + 1
+    for block in np.split(np.arange(want_deltas.size), cuts):
+        if block.size == 1:
+            np.testing.assert_allclose(features[block], want[block], rtol=0,
+                                       atol=1e-8)
+        else:
+            span, want_span = (np.linalg.qr(f[block].T * scale)[0]
+                               for f in (features, want))
+            cosines = np.linalg.svd(span.T @ want_span, compute_uv=False)
+            assert cosines.min() >= 1.0 - 1e-8
+
+
+_builder_graphs = {"kind": st.sampled_from(BUILDER_KINDS),
+                   "n": st.integers(2, 15).map(lambda k: 4 * k),
+                   "seed": st.integers(0, 2**32 - 1)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(scale=st.sampled_from([1e-3, 0.37, 3.7, 1e3]), **_builder_graphs)
+def test_edge_scale_invariance(scale, kind, n, seed):
+    # gamma -> a gamma leaves trained features and deltas unchanged
+    graph = graph_by_builder(kind, n, seed)
+    data = np.random.default_rng(seed).normal(size=(4, n))
+    scaled = TrainingGraph(graph.vertex_weights, scale * graph.gamma_dense())
+    _assert_same_training(_features_and_deltas(data, scaled),
+                          _features_and_deltas(data, graph), graph.vertex_weights)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**_builder_graphs)
+def test_permuting_samples_and_graph_permutes_trained_features(kind, n, seed):
+    graph = graph_by_builder(kind, n, seed)
+    rng = np.random.default_rng(seed)
+    data = rng.normal(size=(4, n))
+    perm = rng.permutation(n)
+    permuted = TrainingGraph(graph.vertex_weights[perm],
+                             graph.gamma_dense()[np.ix_(perm, perm)])
+    features, deltas = _features_and_deltas(data, graph)
+    _assert_same_training(_features_and_deltas(data[:, perm], permuted),
+                          (features[:, perm], deltas), permuted.vertex_weights)
 
 
 def test_affine_input_shift_gives_identical_features(rng):

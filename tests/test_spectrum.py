@@ -1,22 +1,34 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gsfa
 from gsfa import (
     ContractError,
+    EllFactors,
+    ExpansionSpec,
+    NegativeEigenvalueWarning,
     ParameterError,
+    TrainingGraph,
     build_m_matrix,
+    expand,
     expected_noise_delta,
     optimal_free_responses,
+    sample_covariance,
+    train_node,
     weighted_delta,
 )
 
 from conftest import (
+    BUILDER_KINDS,
     chain_graph,
     dense_graph,
     ell_graph_from_seed,
+    graph_by_builder,
     m_matrix_by_expression,
     normalize_feature,
     symmetrize,
@@ -143,8 +155,10 @@ def test_inconsistent_graph_rejected():
 
 def test_dense_cap(monkeypatch):
     monkeypatch.setattr(gsfa.spectrum, "MAX_DENSE_N", 30)
-    with pytest.raises(ParameterError, match="capped at N=30"):
+    with pytest.raises(ParameterError, match="response matrix, capped at N=30"):
         optimal_free_responses(gsfa.build_linear_graph(40))
+    with pytest.raises(ParameterError, match="capped at N=30"):
+        optimal_free_responses(ell_graph_from_seed(1, 40, 2, nonnegative=False))
 
 
 def test_slow_count_threshold_excludes_exact_two():
@@ -156,6 +170,195 @@ def test_slow_count_threshold_excludes_exact_two():
     label_set = label_set.with_eigenvalues([0.6, 0.4])
     spec = optimal_free_responses(gsfa.build_ell_graph(label_set, v))
     assert spec.slow_count() == 2
+
+
+# ---------------------------------------------------------------------------
+# exact-label graphs: the factor span against the dense eigh oracle
+
+def _factor_span_problems(graph):
+    """Checks of a graph's factor-span spectrum against dense ``eigh``.
+
+    The oracle is the same edge matrix as a plain dense graph, which
+    takes the dense path. Returns the names of the checks that fail.
+    """
+    assert graph.ell is not None
+    spec = optimal_free_responses(graph)
+    oracle = optimal_free_responses(
+        TrainingGraph(graph.vertex_weights, graph.gamma_dense()))
+    v, q = graph.vertex_weights, graph.q_sum
+    problems = []
+    if not np.max(np.abs(spec.deltas - oracle.deltas)) <= 1e-10:
+        problems.append("deltas")
+    for start, stop in oracle.blocks:
+        cross = (spec.responses[:, start:stop].T * v) @ oracle.responses[:, start:stop]
+        if not np.linalg.svd(cross / q, compute_uv=False).min() >= 1.0 - 1e-8:
+            problems.append(f"canonical correlations in block {start}:{stop}")
+    if not np.array_equal(np.flatnonzero(~spec.feasible),
+                          np.flatnonzero(~oracle.feasible)):
+        problems.append("infeasible index")
+    if spec.slow_count() != oracle.slow_count():
+        problems.append("slow_count")
+    gram = (spec.responses.T * v) @ spec.responses / q
+    if not np.max(np.abs(gram - np.eye(graph.n_samples))) <= 1e-12:
+        problems.append("orthonormal basis")
+    return problems
+
+
+@st.composite
+def _label_graph_cases(draw):
+    """An exact-label graph: L 1-5 labels over N 8-200 samples.
+
+    Eigenvalues come from a small set, so ties, a label at 0 (in the
+    null block) and negative labels occur; with ``u0_tied`` the
+    consistency eigenvalue R/Q equals the first label's.
+    """
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(8, 200))
+    n_labels = draw(st.integers(1, 5))
+    values = st.one_of(st.sampled_from([-0.25, 0.0, 0.25, 0.5, 1.0]),
+                       st.floats(0.05, 1.0))
+    lams = draw(st.lists(values, min_size=n_labels, max_size=n_labels)
+                .filter(lambda lams: sum(lams) > 0))
+    uniform = draw(st.booleans())
+    nonnegative = draw(st.booleans())
+    u0_tied = lams[0] > 0 and draw(st.booleans())
+    r_scale = draw(st.one_of(st.none(), st.floats(0.2, 5.0)))
+    rng = np.random.default_rng(seed)
+    v = np.ones(n) if uniform else rng.uniform(0.5, 2.0, n)
+    label_set = gsfa.decorrelate_labels(
+        gsfa.normalize_labels(rng.normal(size=(n_labels, n)), v), v)
+    q = float(v.sum())
+    target = q * lams[0] if u0_tied else None if r_scale is None else q * r_scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NegativeEigenvalueWarning)
+        return gsfa.build_ell_graph(label_set.with_eigenvalues(lams), v,
+                                    nonnegative=nonnegative, target_r_sum=target)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph=_label_graph_cases())
+def test_factor_span_spectrum_matches_dense_eigh(graph):
+    problems = _factor_span_problems(graph)
+    assert not problems, problems
+
+
+def test_factor_span_u0_shares_its_block():
+    # R/Q = 1 = lambda_1 on a graph without elimination: u0 in a tied block
+    rng = np.random.default_rng(8)
+    v = rng.uniform(0.5, 2.0, 30)
+    label_set = gsfa.decorrelate_labels(
+        gsfa.normalize_labels(rng.normal(size=(3, 30)), v), v)
+    graph = gsfa.build_ell_graph(label_set.with_eigenvalues([1.0, 0.5, 0.5]), v,
+                                 target_r_sum=float(v.sum()))
+    spec = optimal_free_responses(graph)
+    assert spec.blocks[0] == (0, 2) and spec.blocks[1] == (2, 4)
+    problems = _factor_span_problems(graph)
+    assert not problems, problems
+
+
+def _file_factors(graph, layout, rng):
+    """(U, weights) a version-2 graph file may hold for the same edges.
+
+    "dependent" splits each label column into two equal halves and adds
+    a weightless combination of labels; "wide" appends N random
+    weightless columns (k >= N); "reversed" puts u_0 last and negated;
+    "scaled" multiplies the columns by 1e-8 and 1e8 in turn, and divides
+    their weights by the squares.
+    """
+    u, w = np.array(graph.ell.u), np.array(graph.ell.weights)
+    n, k = u.shape
+    if layout == "dependent":
+        u = np.column_stack([u[:, :1], u[:, 1:], u[:, 1:], u[:, 1:].sum(axis=1)])
+        w = np.concatenate([w[:1], w[1:] / 2, w[1:] / 2, [0.0]])
+    elif layout == "wide":
+        u = np.column_stack([u, rng.normal(size=(n, n))])
+        w = np.concatenate([w, np.zeros(n)])
+    elif layout == "reversed":
+        u = np.column_stack([u[:, 1:][:, ::-1], -u[:, 0]])
+        w = np.concatenate([w[1:][::-1], w[:1]])
+    else:
+        scales = np.where(np.arange(k) % 2 == 0, 1e-8, 1e8)
+        u, w = u * scales, w / scales**2
+    return u, w
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(8, 60),
+       n_labels=st.integers(1, 5), nonnegative=st.booleans(),
+       layout=st.sampled_from(["dependent", "wide", "reversed", "scaled"]))
+def test_factor_span_spectrum_of_file_factors(seed, n, n_labels, nonnegative,
+                                              layout):
+    built = ell_graph_from_seed(seed, n, n_labels, nonnegative=False,
+                                uniform=seed % 2 == 0)
+    u, w = _file_factors(built, layout, np.random.default_rng(seed))
+    graph = TrainingGraph(built.vertex_weights,
+                          ell=EllFactors(u, w, nonnegative))
+    problems = _factor_span_problems(graph)
+    assert not problems, problems
+
+
+def test_factor_span_null_block_is_exactly_two():
+    graph = ell_graph_from_seed(4, 40, 3, nonnegative=True, uniform=False)
+    spec = optimal_free_responses(graph)
+    assert np.sum(spec.deltas == 2.0) == 40 - 3 - 1
+    assert np.all(spec.eigenvalues[4:] == 0.0)
+
+
+def test_factor_span_never_builds_the_m_matrix(monkeypatch):
+    def refuse(graph):
+        raise AssertionError("dense M built for an exact-label graph")
+
+    monkeypatch.setattr(gsfa.spectrum, "build_m_matrix", refuse)
+    spec = optimal_free_responses(ell_graph_from_seed(2, 30, 2, nonnegative=True))
+    assert spec.slow_count() == 2
+
+
+# ---------------------------------------------------------------------------
+# the free-response bound on trained features
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(BUILDER_KINDS), n=st.integers(2, 15).map(lambda k: 4 * k),
+       seed=st.integers(0, 2**32 - 1),
+       expansion=st.sampled_from(["identity", "quadratic"]),
+       noise=st.sampled_from([0.0, 1e-3, 1.0]))
+def test_trained_deltas_respect_the_free_response_bound(kind, n, seed, expansion,
+                                                        noise):
+    """Trained delta_j >= feasible free-response delta_j - tol_j.
+
+    Trained features are feasible responses in the span of the expanded
+    inputs, so by Poincare separation the j-th delta of the unridged
+    problem is at least the j-th free-response delta. The tolerance is
+    derived from the solver's ridge eps = 1e-10 trace(C)/I, with sigma
+    the smallest covariance eigenvalue the solver keeps, less eps:
+    - the ridge scales the sphered difference covariance by a diagonal
+      congruence with factors in [sigma/(sigma + eps), 1], so by
+      Ostrowski's theorem it lowers delta_j by at most
+      max(delta_j, 0) eps/sigma;
+    - rounding in the sphered problem is at most N u times its
+      condition number trace(C)/sigma, on the scale of the largest
+      free-response |delta| (u the unit roundoff).
+    One input is the slowest free response plus noise, so the first
+    trained delta comes close to its bound.
+    """
+    graph = graph_by_builder(kind, n, seed)
+    spec = optimal_free_responses(graph)
+    responses, bound = spec.feasible_responses()
+    rng = np.random.default_rng(seed)
+    data = rng.normal(size=(3, n))
+    data[0] = responses[:, 0] + noise * data[0]
+    spec_e = ExpansionSpec(expansion)
+    node, _ = train_node(data, graph, spec_e)
+    deltas = node.gsfa.deltas
+    cov = sample_covariance(expand(data, spec_e), graph.vertex_weights)
+    trace = float(np.trace(cov))
+    ridge = 1e-10 * trace / cov.shape[0]
+    eigval = np.linalg.eigvalsh(cov + ridge * np.eye(cov.shape[0]))
+    floor = max(2.0 * ridge, 1e-12 * float(max(eigval[-1], 0.0)))
+    sigma = float(eigval[eigval > floor].min()) - ridge
+    rounding = n * np.finfo(float).eps * trace * float(np.max(np.abs(spec.deltas)))
+    tol = (np.maximum(deltas, 0.0) * ridge + rounding) / sigma
+    m = min(deltas.size, bound.size)
+    assert np.all(deltas[:m] >= bound[:m] - tol[:m])
 
 
 # ---------------------------------------------------------------------------
