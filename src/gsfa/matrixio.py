@@ -15,6 +15,7 @@ Binary layout (all little-endian):
 """
 
 import csv
+import io
 import struct
 
 import numpy as np
@@ -33,8 +34,10 @@ def write_csv(path, header, columns):
     bytes ``csv.writer`` gives for rows of such strings. ``columns`` lists
     1-D arrays, or is a 2-D float array of them as rows.
     """
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
+    head = io.StringIO()
+    csv.writer(head, lineterminator="\n").writerow(header)
+    with open(path, "wb") as fh:
+        fh.write(head.getvalue().encode())
         if len(columns) and len(columns[0]):
             fh.writelines(format_rows(columns, "", ",", "\n", "\n"))
 

@@ -176,17 +176,18 @@ class GsfaModel:
 
 
 def _sign_fix_columns(w):
-    """First coordinate above 1e-8 * max |column| of each column positive."""
-    w = w.copy()
-    for j in range(w.shape[1]):
-        col = w[:, j]
-        scale = np.max(np.abs(col))
-        if scale == 0:
-            continue
-        idx = np.flatnonzero(np.abs(col) > 1e-8 * scale)
-        if idx.size and col[idx[0]] < 0:
-            w[:, j] = -col
-    return w
+    """Negate, in place, each column of w whose first entry above
+    1e-8 * max |column| is negative; returns w.
+
+    A column with no such entry (all zeros, or a NaN or infinite
+    maximum) is left as it is.
+    """
+    size = np.abs(w)
+    above = size > 1e-8 * np.max(size, axis=0)
+    first = np.argmax(above, axis=0)
+    columns = np.arange(w.shape[1])
+    flip = above[first, columns] & (w[first, columns] < 0)
+    return np.negative(w, out=w, where=flip)
 
 
 def train_gsfa(data, graph, n_features=None):
@@ -303,7 +304,8 @@ def pca_reduce(data, vertex_weights, out_dims):
     cov = sample_covariance(data, vertex_weights)
     eigval, eigvec = np.linalg.eigh(cov)
     order = np.argsort(eigval, kind="stable")[::-1][:out_dims]
-    components = _sign_fix_columns(eigvec[:, order])
+    # take: a fresh C-ordered copy, which the sign fix negates in place
+    components = _sign_fix_columns(eigvec.take(order, axis=1))
     model = PcaModel(weighted_mean(data, vertex_weights), components,
                      np.maximum(eigval[order], 0.0))
     return model, model.transform(data)

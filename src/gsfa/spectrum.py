@@ -86,13 +86,9 @@ def build_m_matrix(graph):
 def _degenerate_blocks(eigenvalues):
     """(start, stop) ranges of eigenvalues closer than the tie threshold."""
     thresh = TIE_RTOL * max(1.0, float(np.max(np.abs(eigenvalues))))
-    blocks = []
-    start = 0
-    for i in range(1, eigenvalues.size + 1):
-        if i == eigenvalues.size or abs(eigenvalues[i] - eigenvalues[i - 1]) > thresh:
-            blocks.append((start, i))
-            start = i
-    return blocks
+    breaks = np.flatnonzero(np.abs(np.diff(eigenvalues)) > thresh) + 1
+    edges = [0, *breaks.tolist(), eigenvalues.size]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def _rotate_u0_into_block(u_block, u0):
@@ -118,6 +114,33 @@ def _rotate_u0_into_block(u_block, u0):
     return u_block @ rot
 
 
+def _pivoted_householder_qr(columns):
+    """Q and |diag R| of the complete column-pivoted QR of an N x k matrix.
+
+    LAPACK ``geqp3`` then ``orgqr``, in place on one Fortran-ordered
+    N x max(N, k) buffer whose first N columns end up holding Q: the
+    routines and workspace sizes of ``scipy.linalg.qr(mode="full",
+    pivoting=True)``, so the same bits, without its copies of the input
+    and of Q.
+    """
+    # imported on use: scipy.linalg adds ~0.1 s to every `import gsfa`
+    from scipy.linalg import lapack
+
+    n, k = columns.shape
+    buffer = np.empty((n, max(n, k)), order="F")
+    factored = buffer[:, :k]
+    factored[...] = columns
+    basis = buffer[:, :n]
+    geqp3, orgqr = lapack.get_lapack_funcs(("geqp3", "orgqr"), (buffer,))
+    # overwrite_a on the workspace queries too, or f2py copies the buffer
+    lwork = int(geqp3(factored, lwork=-1, overwrite_a=1)[-2][0])
+    tau = geqp3(factored, lwork=lwork, overwrite_a=1)[2]
+    diagonal = np.abs(np.diagonal(factored))
+    lwork = int(orgqr(basis, tau, lwork=-1, overwrite_a=1)[-2][0])
+    orgqr(basis, tau, lwork=lwork, overwrite_a=1)
+    return basis, diagonal
+
+
 def _factor_span_eigenpairs(graph):
     """Eigenpairs of M for a graph with exact-label factors, unsorted.
 
@@ -132,16 +155,12 @@ def _factor_span_eigenpairs(graph):
     special case; its eigenpairs are those of M on the span, and the
     complement gets eigenvalue exactly 0.
     """
-    # imported on use: scipy.linalg adds ~0.1 s to every `import gsfa`
-    import scipy.linalg
-
     v = graph.vertex_weights
     sqrt_v = np.sqrt(v)
     columns = np.column_stack([sqrt_v / np.sqrt(graph.q_sum), graph.ell.u])
     norms = np.linalg.norm(columns, axis=0)
     columns /= np.where(norms > 0, norms, 1.0)
-    basis, tri, _ = scipy.linalg.qr(columns, mode="full", pivoting=True)
-    diagonal = np.abs(np.diagonal(tri))
+    basis, diagonal = _pivoted_householder_qr(columns)
     tol = max(columns.shape) * np.finfo(float).eps * diagonal[0]
     rank = int(np.count_nonzero(diagonal > tol))
     span = basis[:, :rank]
@@ -182,11 +201,12 @@ def optimal_free_responses(graph):
         eigenvalues, u = np.linalg.eigh(build_m_matrix(graph))
     order = np.argsort(eigenvalues, kind="stable")[::-1]
     eigenvalues = eigenvalues[order]
+    # the one N x N buffer the responses are made in, in place
     u = u.take(order, axis=1)
 
-    v = graph.vertex_weights
+    sqrt_v = np.sqrt(graph.vertex_weights)
     q = graph.q_sum
-    u0 = np.sqrt(v) / np.sqrt(q)
+    u0 = sqrt_v / np.sqrt(q)
     blocks = _degenerate_blocks(eigenvalues)
 
     # locate the block holding the u0 direction and canonicalize it
@@ -204,7 +224,9 @@ def optimal_free_responses(graph):
 
     deltas = 2.0 - (2.0 * q / graph.r_sum) * eigenvalues
     # negative at the first significantly nonzero sample
-    responses = -_sign_fix_columns(-np.sqrt(q) * (u / np.sqrt(v)[:, None]))
+    u /= sqrt_v[:, None]
+    u *= -np.sqrt(q)
+    responses = np.negative(_sign_fix_columns(u), out=u)
     return FreeResponseSpectrum(eigenvalues, deltas, responses, feasible,
                                 blocks, q, graph.r_sum)
 

@@ -309,6 +309,33 @@ def m_matrix_by_expression(graph):
     return (m + m.T) / 2.0
 
 
+def sign_fix_columns_by_loop(w):
+    """Bit oracle of ``solver._sign_fix_columns``: the column loop, on a copy."""
+    w = w.copy()
+    for j in range(w.shape[1]):
+        col = w[:, j]
+        scale = np.max(np.abs(col))
+        if scale == 0:
+            continue
+        idx = np.flatnonzero(np.abs(col) > 1e-8 * scale)
+        if idx.size and col[idx[0]] < 0:
+            w[:, j] = -col
+    return w
+
+
+def degenerate_blocks_by_loop(eigenvalues):
+    """Oracle of ``spectrum._degenerate_blocks``: the loop over neighbours."""
+    thresh = (gsfa.spectrum.TIE_RTOL
+              * max(1.0, float(np.max(np.abs(eigenvalues)))))
+    blocks = []
+    start = 0
+    for i in range(1, eigenvalues.size + 1):
+        if i == eigenvalues.size or abs(eigenvalues[i] - eigenvalues[i - 1]) > thresh:
+            blocks.append((start, i))
+            start = i
+    return blocks
+
+
 def format_rows_by_repr(columns, prefix, sep, between, suffix):
     """Byte oracle of ``serialize.format_rows``: ``repr`` of every value.
 

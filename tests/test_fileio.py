@@ -77,7 +77,7 @@ BOUNDARY_FLOATS = sorted({
 def _assert_formats_as_repr(columns):
     for name, layout in LAYOUTS.items():
         cols = columns[:1] if name == "json-1d" else columns
-        assert "".join(format_rows(cols, *layout)) == format_rows_by_repr(
+        assert b"".join(format_rows(cols, *layout)).decode() == format_rows_by_repr(
             cols, *layout), name
 
 
@@ -102,7 +102,31 @@ def test_formatter_keeps_integers_exact():
 
 def test_formatter_rejects_columns_that_are_not_numbers():
     with pytest.raises(TypeError):
-        "".join(format_rows([np.array([True, False])], *LAYOUTS["csv"]))
+        b"".join(format_rows([np.array([True, False])], *LAYOUTS["csv"]))
+
+
+def _wide_table(n_rows, width, seed):
+    """A width x n_rows float table (rows of the array are its columns)
+    whose rows mix plain values with ones ``repr`` must write."""
+    rng = np.random.default_rng(seed)
+    table = rng.normal(size=(width, n_rows))
+    specials = [1e-5, -3e-7, 1e17, np.nan, np.inf, -np.inf, 5e-324, -0.0]
+    for row in range(0, n_rows, 3):  # every third row, the others plain
+        cols = rng.choice(width, size=min(width, 4), replace=False)
+        table[cols, row] = rng.choice(specials, size=cols.size)
+    return table
+
+
+@pytest.mark.parametrize("n_rows, width", [
+    (100, 1500),  # 43 rows a block: 43 + 43 + 14
+    (7, serialize._ROW_CALL_WIDTH), (50, serialize._ROW_CALL_WIDTH - 1),
+    (1, 1500), (1500, 1), (1, 1)])
+def test_formatter_matches_repr_on_wide_tables(n_rows, width):
+    table = _wide_table(n_rows, width, seed=n_rows + width)
+    for name in ("csv", "json-table"):
+        for columns in (table, list(table), table.astype(np.float32)):
+            assert b"".join(format_rows(columns, *LAYOUTS[name])).decode() \
+                == format_rows_by_repr(columns, *LAYOUTS[name]), name
 
 
 _FLOAT64 = st.one_of(st.sampled_from(BOUNDARY_FLOATS + EDGE_FLOATS),
@@ -158,7 +182,7 @@ def test_json_writer_matches_dumps_on_layouts():
         [[np.array([1, 2]), {"k": np.array([[1.5]])}], (3, 4)],
     ]
     for obj in cases:
-        assert "".join(iter_json(obj)) + "\n" == json_by_dumps(obj), obj
+        assert b"".join(iter_json(obj)).decode() + "\n" == json_by_dumps(obj), obj
 
 
 def test_json_writer_blocks_join_seamlessly(tmp_path):
@@ -172,7 +196,7 @@ def test_json_writer_blocks_join_seamlessly(tmp_path):
 
 def test_json_writer_rejects_non_string_keys():
     with pytest.raises(TypeError):
-        "".join(iter_json({1: np.zeros(2)}))
+        b"".join(iter_json({1: np.zeros(2)}))
 
 
 def _arrays(dtype, elements):
@@ -203,7 +227,7 @@ _payloads = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(_payloads)
 def test_json_writer_matches_dumps_property(obj):
-    assert "".join(iter_json(obj)) + "\n" == json_by_dumps(obj)
+    assert b"".join(iter_json(obj)).decode() + "\n" == json_by_dumps(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +326,17 @@ def test_spectrum_table_matches_writer(tmp_path):
     csv_by_writer(tmp_path / "old.csv", ["j", "lambda", "delta", "feasible"], rows)
     assert ((tmp_path / "spectrum.csv").read_bytes()
             == (tmp_path / "old.csv").read_bytes())
+
+
+def test_free_responses_csv_matches_writer(tmp_path):
+    graph = ell_graph_from_seed(5, 300, 3, nonnegative=True, uniform=False)
+    responses = gsfa.optimal_free_responses(graph).responses
+    size = np.abs(responses)
+    assert np.any((size < 1e-4) & (size > 0))  # rows that need repr
+    names = [f"resp_{j}" for j in range(responses.shape[1])]
+    gsfa.save_matrix_csv(responses.T, tmp_path / "new.csv", feature_names=names)
+    matrix_csv_by_writer(responses.T, tmp_path / "old.csv", names)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------

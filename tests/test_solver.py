@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import gsfa
 from gsfa import (
@@ -32,6 +33,7 @@ from conftest import (
     dense_graph,
     graph_by_builder,
     normalize_feature,
+    sign_fix_columns_by_loop,
 )
 
 
@@ -305,6 +307,58 @@ def test_dimension_gates(rng):
     model = train_gsfa(rng.normal(size=(2, 12)), graph)
     with pytest.raises(DimensionError):
         extract_features(model, rng.normal(size=(3, 5)))
+
+
+# ---------------------------------------------------------------------------
+# sign rule
+
+_SIGN_FIX_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-8, -1e-8, 2e-8, np.nan,
+                     np.inf, -np.inf, 5e-324, -5e-324]),
+    st.floats(-1e3, 1e3), st.floats())
+
+
+@st.composite
+def _sign_fix_matrices(draw):
+    """Matrices with zero, NaN and threshold columns among drawn ones."""
+    n, k = draw(st.integers(1, 6)), draw(st.integers(0, 6))
+    w = draw(hnp.arrays(np.float64, (n, k), elements=_SIGN_FIX_FLOATS))
+    for j in range(k):
+        kind = draw(st.sampled_from(["drawn", "zero", "nan", "threshold"]))
+        row = draw(st.integers(0, n - 1))
+        if kind == "zero":
+            w[:, j] = draw(hnp.arrays(np.float64, n,
+                                      elements=st.sampled_from([0.0, -0.0])))
+        elif kind == "nan":
+            w[row, j] = np.nan
+        elif kind == "threshold" and n > 1:
+            # an entry exactly at 1e-8 * max |column|, ahead of the maximum
+            w[0, j] = 0.0
+            scale = np.max(np.abs(w[:, j]))
+            w[0, j] = draw(st.sampled_from([1.0, -1.0])) * 1e-8 * scale
+    return w
+
+
+@settings(max_examples=400, deadline=None)
+@given(_sign_fix_matrices())
+def test_sign_fix_matches_the_column_loop(w):
+    expected = sign_fix_columns_by_loop(w)
+    fixed = w.copy()
+    assert gsfa.solver._sign_fix_columns(fixed) is fixed
+    assert fixed.tobytes() == expected.tobytes()
+
+
+def test_sign_fix_hand_cases():
+    w = np.array([[-1e-8, -0.0, 0.0, np.nan, -2.0],
+                  [1.0, -3.0, 0.0, -1.0, 1.0]])
+    fixed = gsfa.solver._sign_fix_columns(w.copy())
+    # at the threshold is not above it: the first significant entry is 1
+    assert fixed.tobytes() == np.array([[-1e-8, 0.0, 0.0, np.nan, 2.0],
+                                        [1.0, 3.0, 0.0, -1.0, -1.0]]).tobytes()
+    row = np.array([[-0.5, 0.0, -0.0, 2.0]])
+    assert gsfa.solver._sign_fix_columns(row.copy()).tobytes() == np.array(
+        [[0.5, 0.0, -0.0, 2.0]]).tobytes()
+    assert gsfa.solver._sign_fix_columns(np.zeros((3, 0))).shape == (3, 0)
 
 
 # ---------------------------------------------------------------------------

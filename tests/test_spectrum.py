@@ -1,10 +1,12 @@
 import csv
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import gsfa
 from gsfa import (
@@ -26,6 +28,7 @@ from gsfa import (
 from conftest import (
     BUILDER_KINDS,
     chain_graph,
+    degenerate_blocks_by_loop,
     dense_graph,
     ell_graph_from_seed,
     graph_by_builder,
@@ -146,6 +149,63 @@ def test_degenerate_blocks_reported():
     sizes = sorted(e - s for s, e in spec.blocks)
     # eigenvalue 1 has multiplicity C=3; eigenvalue -1/2 multiplicity 6
     assert sizes == [3, 6]
+
+
+_TIE = gsfa.spectrum.TIE_RTOL
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(1, 12), elements=st.one_of(
+    st.sampled_from([0.0, -0.0, _TIE, -_TIE, 1.0, 1.0 + _TIE, 1.0 + 2 * _TIE,
+                     1.0 - _TIE, -0.5, -0.5 + 0.5 * _TIE, 4.0, 4.0 + 4 * _TIE]),
+    st.floats(-10, 10))))
+def test_degenerate_blocks_match_the_loop(values):
+    eigenvalues = np.sort(values)[::-1]
+    assert gsfa.spectrum._degenerate_blocks(eigenvalues) == \
+        degenerate_blocks_by_loop(eigenvalues)
+
+
+@pytest.mark.parametrize("eigenvalues, blocks", [
+    ([0.25], [(0, 1)]),
+    ([0.0, -_TIE], [(0, 2)]),  # a gap of exactly the threshold is a tie
+    ([2.0, 2.0, 2.0], [(0, 3)]),
+    ([1.0, 1.0 - 0.5 * _TIE, 0.5, 0.5, 0.0], [(0, 2), (2, 4), (4, 5)]),
+    ([3.0, 1.0, -1.0], [(0, 1), (1, 2), (2, 3)]),
+])
+def test_degenerate_blocks_on_ties(eigenvalues, blocks):
+    eigenvalues = np.array(eigenvalues)
+    assert gsfa.spectrum._degenerate_blocks(eigenvalues) == blocks
+    assert degenerate_blocks_by_loop(eigenvalues) == blocks
+
+
+@pytest.mark.parametrize("n, k, rank", [
+    (40, 4, 4), (40, 6, 3), (5, 9, 5), (1, 1, 1), (1, 3, 1), (300, 6, 6),
+    (600, 200, 200), (90, 80, 40)])  # blocked LAPACK code at 200 columns
+def test_pivoted_qr_equals_scipy_bit_for_bit(n, k, rank):
+    import scipy.linalg
+
+    rng = np.random.default_rng(n + k)
+    columns = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, k))
+    columns /= np.linalg.norm(columns, axis=0)
+    basis, diagonal = gsfa.spectrum._pivoted_householder_qr(columns)
+    q, r, _ = scipy.linalg.qr(columns, mode="full", pivoting=True)
+    assert basis.shape == (n, n)
+    assert basis.tobytes() == q.tobytes()
+    assert diagonal.tobytes() == np.abs(np.diagonal(r)).tobytes()
+
+
+def test_pivoted_qr_holds_one_n_by_n_buffer():
+    n = 400
+    columns = np.random.default_rng(3).normal(size=(n, 6))
+    gsfa.spectrum._pivoted_householder_qr(columns)  # load LAPACK first
+    tracemalloc.start()
+    try:
+        gsfa.spectrum._pivoted_householder_qr(columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # scipy.linalg.qr(mode="full") peaks at about three n x n arrays
+    assert peak < 1.25 * n * n * 8
 
 
 def test_inconsistent_graph_rejected():
