@@ -39,6 +39,7 @@ from .graph import (
     eliminate_negative_weights,
 )
 from .serialize import entries_of, read_container, write_container
+from .solver import sample_covariance, weighted_mean
 
 LABELSET_FILE_KIND = "label-set"
 LABELSET_FILE_VERSION = 1
@@ -186,52 +187,52 @@ def normalize_labels(raw, vertex_weights):
     Eigenvalues default to the uniform schedule 1/L.
     """
     raw = np.atleast_2d(np.asarray(raw, dtype=float))
-    v = np.asarray(vertex_weights, dtype=float)
-    if raw.shape[1] != v.shape[0]:
-        raise DimensionError("labels and vertex weights differ in length")
-    q = v.sum()
-    out = np.empty_like(raw)
-    for j, row in enumerate(raw):
-        mu = float(v @ row) / q
-        centered = row - mu
-        var = float(centered @ (v * centered)) / q
-        if var <= 0 or not np.isfinite(var):
-            raise DegenerateLabelError(f"label {j} has zero weighted variance")
-        sigma = math.sqrt(var)
-        out[j] = centered / sigma
-    return LabelSet(out, np.full(raw.shape[0], 1.0 / raw.shape[0]))
+    centered = raw - weighted_mean(raw, vertex_weights)[:, None]
+    var = weighted_mean(centered ** 2, vertex_weights)
+    bad = np.flatnonzero(~((var > 0) & np.isfinite(var)))
+    if bad.size:
+        raise DegenerateLabelError(f"label {bad[0]} has zero weighted variance")
+    return LabelSet(centered / np.sqrt(var)[:, None],
+                    np.full(raw.shape[0], 1.0 / raw.shape[0]))
 
 
 def decorrelate_labels(label_set, vertex_weights):
-    """Project each label out of the later ones, then renormalize.
+    """Orthonormalize the labels in order under (1/Q) Diag(v).
 
-    Sequential weighted Gram-Schmidt under the (1/Q) Diag(v) inner
-    product, on labels that :func:`normalize_labels` has scaled. Labels
-    that become (numerically) zero raise :class:`DependentLabelError`.
+    One Householder QR of the rows scaled by sqrt(v/Q); each label keeps
+    its sign. Means stay: :func:`normalize_labels` removes them first.
+    A label whose remainder has squared norm below 1e-12, or one past
+    the N-th, raises :class:`DependentLabelError`; label 0 raises
+    :class:`DegenerateLabelError`.
     """
     v = np.asarray(vertex_weights, dtype=float)
-    q = v.sum()
-    labels = label_set.labels.copy()
-    for jp in range(1, labels.shape[0]):
-        for j in range(jp):
-            coeff = float(labels[jp] @ (v * labels[j])) / q
-            labels[jp] -= coeff * labels[j]
-        var = float(labels[jp] @ (v * labels[jp])) / q
-        if var < 1e-12:
-            raise DependentLabelError(
-                f"label {jp} is weighted-linearly dependent on labels 0..{jp - 1}")
-        labels[jp] /= math.sqrt(var)
-    return replace(label_set, labels=labels)
-
-
-def _check_label_contracts(label_set, v, q):
     labels = label_set.labels
-    means = (labels @ v) / q
-    if np.max(np.abs(means)) > LABEL_CONTRACT_TOL:
+    if v.shape != (labels.shape[1],):
+        raise DimensionError("labels and vertex weights differ in length")
+    if not np.all(v > 0):
+        raise ParameterError("vertex weights must be > 0")
+    scale = np.sqrt(v / v.sum())
+    basis, r = np.linalg.qr((labels * scale).T)
+    diag = np.diagonal(r)
+    small = np.flatnonzero(diag ** 2 < 1e-12)
+    # past N labels, R has no diagonal entry: label N is dependent
+    jp = small[0] if small.size else diag.size
+    if jp == 0:
+        raise DegenerateLabelError("label 0 has zero weighted norm")
+    if jp < labels.shape[0]:
+        raise DependentLabelError(
+            f"label {jp} is weighted-linearly dependent on labels 0..{jp - 1}")
+    return replace(label_set, labels=(basis * np.sign(diag)).T / scale)
+
+
+def _check_label_contracts(label_set, v):
+    labels = label_set.labels
+    worst_mean = np.max(np.abs(weighted_mean(labels, v)))
+    if not worst_mean <= LABEL_CONTRACT_TOL:
         raise ContractError(
-            f"labels are not weight-normalized (max mean {np.max(np.abs(means)):.2e})")
-    gram = (labels * v) @ labels.T / q
-    if np.max(np.abs(gram - np.eye(labels.shape[0]))) > LABEL_CONTRACT_TOL:
+            f"labels are not weight-normalized (max mean {worst_mean:.2e})")
+    gram = sample_covariance(labels, v)
+    if not np.max(np.abs(gram - np.eye(labels.shape[0]))) <= LABEL_CONTRACT_TOL:
         raise ContractError("labels are not weighted-decorrelated/unit-variance")
 
 
@@ -253,13 +254,15 @@ def build_ell_graph(label_set, vertex_weights, nonnegative=False,
     if label_set.n_labels > n - 1:
         raise RankError(f"at most N-1={n - 1} labels fit, got {label_set.n_labels}")
     lams = label_set.eigenvalues
+    if not np.all(np.isfinite(lams)):
+        raise ContractError("eigenvalues must be finite")
     if np.sum(lams) <= 0:
         raise ContractError("eigenvalues must have positive sum")
     if np.any(lams < 0):
         warnings.warn("building with negative eigenvalues (delta > 2 targets)",
                       NegativeEigenvalueWarning, stacklevel=2)
     q = float(v.sum())
-    _check_label_contracts(label_set, v, q)
+    _check_label_contracts(label_set, v)
     r = q if target_r_sum is None else float(target_r_sum)
     if r <= 0:
         raise ParameterError("target edge-weight sum must be > 0")
@@ -445,7 +448,8 @@ def save_labels(label_set, vertex_weights, path):
 def load_labels(path):
     """Read a label-set container; returns (LabelSet, vertex_weights).
 
-    Only ``labels``, ``eigenvalues`` and ``vertex_weights`` are read;
+    Only ``labels``, ``eigenvalues`` and ``vertex_weights`` are read,
+    and all three must be finite, the vertex weights > 0;
     :func:`build_ell_graph` checks that the labels are normalized and
     decorrelated.
     """
@@ -453,7 +457,15 @@ def load_labels(path):
     with entries_of(path):
         label_set = LabelSet(np.asarray(data["labels"], dtype=float),
                              np.asarray(data["eigenvalues"], dtype=float))
-        return label_set, np.asarray(data["vertex_weights"], dtype=float)
+        v = np.asarray(data["vertex_weights"], dtype=float)
+        for name, values in (("labels", label_set.labels),
+                             ("eigenvalues", label_set.eigenvalues),
+                             ("vertex_weights", v)):
+            if not np.all(np.isfinite(values)):
+                raise ParameterError(f"{name} must be finite")
+        if not np.all(v > 0):
+            raise ParameterError("vertex_weights must be > 0")
+        return label_set, v
 
 
 def graph_consistency_report(graph):

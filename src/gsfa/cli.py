@@ -80,10 +80,13 @@ def _reject_unread(args, defaults, context):
 
 def _parse_float_list(text, flag):
     try:
-        return [float(x) for x in text.replace(",", " ").split()]
+        values = [float(x) for x in text.replace(",", " ").split()]
     except ValueError:
         raise ParameterError(
             f"{flag} must be comma-separated numbers, got {text!r}") from None
+    if not np.all(np.isfinite(values)):
+        raise ParameterError(f"{flag} must be finite numbers, got {text!r}")
+    return values
 
 
 #: build-graph flags past --kind and --out, and their defaults

@@ -118,15 +118,11 @@ def fit_linear_scaling(features, labels):
     labels = np.asarray(labels, dtype=float).ravel()
     if y.shape != labels.shape:
         raise DimensionError("feature and labels differ in length")
-    v = np.ones_like(labels)
-    q = v.sum()
-    mu = float(v @ labels) / q
-    centered = labels - mu
-    var = float(centered @ (v * centered)) / q
-    if var <= 0:
-        raise DegenerateLabelError("labels are constant")
-    sigma = float(np.sqrt(var))
     clip_range = (float(labels.min()), float(labels.max()))
+    if not clip_range[1] > clip_range[0]:
+        raise DegenerateLabelError("labels are constant")
+    mu = float(np.mean(labels))
+    sigma = float(np.std(labels))
     best = None
     for sign in (1.0, -1.0):
         pred = _clip(sign * y * sigma + mu, clip_range)
@@ -278,8 +274,7 @@ def rmse(predicted, truth):
 def chance_rmse(truth):
     """RMSE of the constant mean predictor."""
     truth = np.asarray(truth, dtype=float).ravel()
-    mean = float(np.ones_like(truth) @ truth / truth.size)
-    return rmse(np.full_like(truth, mean), truth)
+    return rmse(np.full_like(truth, np.mean(truth)), truth)
 
 
 def error_rate(predicted_ids, true_ids):

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import struct
 import warnings
 from fractions import Fraction
@@ -14,6 +15,8 @@ import scipy.sparse as sp
 import gsfa
 from gsfa import (
     ContractError,
+    DegenerateLabelError,
+    DependentLabelError,
     DimensionError,
     FormatError,
     NegativeEigenvalueWarning,
@@ -334,6 +337,42 @@ def degenerate_blocks_by_loop(eigenvalues):
             blocks.append((start, i))
             start = i
     return blocks
+
+
+def normalize_labels_by_loop(raw, vertex_weights):
+    """Oracle of :func:`gsfa.normalize_labels`: one label row at a time."""
+    raw = np.atleast_2d(np.asarray(raw, dtype=float))
+    v = np.asarray(vertex_weights, dtype=float)
+    q = v.sum()
+    out = np.empty_like(raw)
+    for j, row in enumerate(raw):
+        mu = float(v @ row) / q
+        centered = row - mu
+        var = float(centered @ (v * centered)) / q
+        if var <= 0 or not np.isfinite(var):
+            raise DegenerateLabelError(f"label {j} has zero weighted variance")
+        out[j] = centered / math.sqrt(var)
+    return gsfa.LabelSet(out, np.full(raw.shape[0], 1.0 / raw.shape[0]))
+
+
+def decorrelate_labels_by_loop(label_set, vertex_weights):
+    """Oracle of :func:`gsfa.decorrelate_labels`: modified weighted Gram-Schmidt.
+
+    Label 0 is taken as already normalized and kept as it is.
+    """
+    v = np.asarray(vertex_weights, dtype=float)
+    q = v.sum()
+    labels = label_set.labels.copy()
+    for jp in range(1, labels.shape[0]):
+        for j in range(jp):
+            coeff = float(labels[jp] @ (v * labels[j])) / q
+            labels[jp] -= coeff * labels[j]
+        var = float(labels[jp] @ (v * labels[jp])) / q
+        if var < 1e-12:
+            raise DependentLabelError(
+                f"label {jp} is weighted-linearly dependent on labels 0..{jp - 1}")
+        labels[jp] /= math.sqrt(var)
+    return gsfa.LabelSet(labels, label_set.eigenvalues)
 
 
 def format_rows_by_repr(columns, prefix, sep, between, suffix):

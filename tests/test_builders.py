@@ -1,10 +1,11 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gsfa
@@ -12,6 +13,7 @@ from gsfa import (
     ContractError,
     DegenerateLabelError,
     DependentLabelError,
+    DimensionError,
     NegativeEigenvalueWarning,
     ParameterError,
     RankError,
@@ -31,7 +33,11 @@ from gsfa import (
     serial_groups,
 )
 
-from conftest import eigenvalues_from_deltas
+from conftest import (
+    decorrelate_labels_by_loop,
+    eigenvalues_from_deltas,
+    normalize_labels_by_loop,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +236,132 @@ def test_decorrelate_output_is_orthonormal(rng):
     np.testing.assert_allclose(gram, np.eye(4), atol=1e-9)
 
 
+def _gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff of float64."""
+    u = np.finfo(float).eps / 2
+    return k * u / (1 - k * u)
+
+
+def _gram_residual(labels, v):
+    gram = (labels * v) @ labels.T / v.sum()
+    return np.max(np.abs(gram - np.eye(labels.shape[0])))
+
+
+@st.composite
+def _raw_labels(draw):
+    """L x N raw labels with random offsets and scales, and their weights."""
+    n_labels = draw(st.integers(1, 8))
+    n = draw(st.integers(n_labels + 2, 3000))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    raw = (rng.normal(size=(n_labels, n)) * 10.0 ** rng.uniform(-3, 3, (n_labels, 1))
+           + rng.uniform(-100, 100, (n_labels, 1)))
+    v = np.ones(n) if draw(st.booleans()) else rng.uniform(0.1, 10.0, n)
+    return raw, v
+
+
+@settings(max_examples=60, deadline=None)
+@given(_raw_labels())
+def test_label_pipeline_matches_the_loops(case):
+    raw, v = case
+    n_labels, n = raw.shape
+    # Normalization: each weighted sum of N terms is within gamma_N of its
+    # value in any summation order, so mu moves by <= gamma_{2N+1} max|x|
+    # (numerator and Q), sigma by <= gamma_{2N+5} relatively, and
+    # z = (x - mu) / sigma by <= that times (max|x| / sigma + max|z|),
+    # on each of the two sides.
+    loop = normalize_labels_by_loop(raw, v)
+    new = normalize_labels(raw, v)
+    mu = raw @ v / v.sum()
+    sigma = np.sqrt((raw - mu[:, None]) ** 2 @ v / v.sum())
+    bound = 2 * _gamma(2 * n + 5) * (np.abs(raw).max(axis=1) / sigma
+                                     + np.abs(loop.labels).max(axis=1))
+    assert np.all(np.abs(new.labels - loop.labels).max(axis=1) <= bound)
+    np.testing.assert_array_equal(new.eigenvalues, loop.eigenvalues)
+
+    # Decorrelation of the same normalized input A (rows scaled by
+    # sqrt(v/Q), unit columns): both factorizations are backward stable
+    # with column errors <= gamma_{NL}; to first order that moves the
+    # orthonormal factor by <= kappa(A)^2 sqrt(L) gamma_{NL} in the 2-norm
+    # (kappa^2 covers Gram-Schmidt's R^-1), and dividing by sqrt(v_n/Q)
+    # scales an entry by at most sqrt(Q / min v).
+    scaled = (new.labels * np.sqrt(v / v.sum())).T
+    kappa = np.linalg.cond(scaled)
+    assume(kappa < 1e3)  # well-conditioned: the loop keeps every label
+    loop = decorrelate_labels_by_loop(new, v)
+    out = decorrelate_labels(new, v)
+    bound = (2 * kappa ** 2 * math.sqrt(n_labels) * _gamma(n * n_labels)
+             * math.sqrt(v.sum() / v.min()))
+    assert np.max(np.abs(out.labels - loop.labels)) <= bound
+    assert _gram_residual(out.labels, v) <= 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_labels=st.integers(2, 6), n=st.integers(10, 300),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_dependent_label_raises_at_the_loops_index(n_labels, n, seed, data):
+    jp = data.draw(st.integers(1, n_labels - 1))
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(0.1, 10.0, n)
+    raw = rng.normal(size=(n_labels, n))
+    raw[jp] = rng.normal(size=jp) @ raw[:jp] + rng.normal()
+    match = f"label {jp} is weighted-linearly dependent"
+    with pytest.raises(DependentLabelError, match=match):
+        decorrelate_labels_by_loop(normalize_labels_by_loop(raw, v), v)
+    with pytest.raises(DependentLabelError, match=match):
+        decorrelate_labels(normalize_labels(raw, v), v)
+
+
+@pytest.mark.parametrize("eps, dependent", [(1e-7, True), (1e-5, False)])
+def test_dependence_threshold_matches_the_loop(eps, dependent):
+    # label 1 keeps eps^2 / (1 + eps^2) of its squared norm outside label 0;
+    # below 1e-12 it is dependent
+    v = np.ones(4)
+    first = np.array([-1.0, -1.0, 1.0, 1.0])
+    raw = np.vstack([first, first + eps * np.array([-1.0, 1.0, -1.0, 1.0])])
+    label_set = normalize_labels(raw, v)
+    for decorrelate in (decorrelate_labels, decorrelate_labels_by_loop):
+        if dependent:
+            with pytest.raises(DependentLabelError, match="label 1 is"):
+                decorrelate(label_set, v)
+        else:
+            assert _gram_residual(decorrelate(label_set, v).labels, v) <= 1e-9
+
+
+def test_decorrelate_rejects_wrong_length_weights():
+    for n_labels in (1, 2):
+        label_set = gsfa.LabelSet(np.eye(n_labels, 5), np.ones(n_labels))
+        with pytest.raises(DimensionError):
+            decorrelate_labels(label_set, np.ones(4))
+
+
+def test_decorrelate_rejects_nonpositive_weights():
+    label_set = normalize_labels(np.arange(4.0), np.ones(4))
+    with pytest.raises(ParameterError):
+        decorrelate_labels(label_set, np.array([1.0, 0.0, 1.0, 1.0]))
+
+
+def test_decorrelate_rejects_zero_first_label():
+    label_set = gsfa.LabelSet(np.vstack([np.zeros(5), np.arange(5.0)]), [0.5, 0.5])
+    with pytest.raises(DegenerateLabelError, match="label 0"):
+        decorrelate_labels(label_set, np.ones(5))
+
+
+def test_decorrelate_label_past_the_sample_count_is_dependent(rng):
+    label_set = gsfa.LabelSet(rng.normal(size=(5, 4)), np.full(5, 0.2))
+    with pytest.raises(DependentLabelError, match="label 4 is"):
+        decorrelate_labels(label_set, rng.uniform(0.5, 2.0, 4))
+
+
+def test_twelve_cosine_labels_pass_the_contract():
+    first = np.linspace(0.0, 1.0, 2000)
+    v = np.ones(2000)
+    raw = np.vstack([first, *auxiliary_labels(first, 12)])
+    label_set = decorrelate_labels(normalize_labels(raw, v), v)
+    assert _gram_residual(label_set.labels, v) <= 1e-13
+    graph = build_ell_graph(label_set.with_eigenvalues(np.full(12, 1 / 12)), v)
+    assert graph.n_samples == 2000
+
+
 # ---------------------------------------------------------------------------
 # exact-label graphs
 
@@ -277,6 +409,20 @@ def test_ell_rejects_unnormalized_labels():
     label_set = gsfa.LabelSet(np.array([[0.0, 1.0, 2.0, 3.0]]), [1.0])
     with pytest.raises(ContractError, match="not weight-normalized"):
         build_ell_graph(label_set, v)
+
+
+def test_ell_rejects_nan_labels():
+    labels = np.array([[-1.0] * 4 + [1.0] * 4])
+    labels[0, 2] = np.nan
+    with pytest.raises(ContractError, match="not weight-normalized"):
+        build_ell_graph(gsfa.LabelSet(labels, [1.0]), np.ones(8))
+
+
+@pytest.mark.parametrize("eigenvalues", [[np.nan, 0.5], [np.inf, 0.5]])
+def test_ell_rejects_non_finite_eigenvalues(eigenvalues):
+    labels = np.array([[-1.0] * 4 + [1.0] * 4, [-1.0, -1.0, 1.0, 1.0] * 2])
+    with pytest.raises(ContractError, match="eigenvalues must be finite"):
+        build_ell_graph(gsfa.LabelSet(labels, eigenvalues), np.ones(8))
 
 
 def test_ell_rejects_too_many_labels(rng):

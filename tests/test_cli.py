@@ -89,7 +89,13 @@ def test_build_graph_domain_error_exit_1(tmp_path):
      "--class-sizes must be whole numbers, got '2.5,3'"),
     (["--kind", "ell", "--auxiliary", "2", "--eigenvalues", "0.5,x"],
      "--eigenvalues must be comma-separated numbers, got '0.5,x'"),
-], ids=["size-not-a-number", "size-not-whole", "eigenvalue-not-a-number"])
+    (["--kind", "ell", "--auxiliary", "2", "--eigenvalues", "nan,1"],
+     "--eigenvalues must be finite numbers, got 'nan,1'"),
+    (["--kind", "ell", "--auxiliary", "2", "--eigenvalues", "inf,1"],
+     "--eigenvalues must be finite numbers, got 'inf,1'"),
+], ids=["size-not-a-number", "size-not-whole", "eigenvalue-not-a-number",
+        "eigenvalue-nan", "eigenvalue-inf"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_build_graph_malformed_number_list_exit_1(tmp_path, capsys, flags, match):
     labels = tmp_path / "labels.txt"
     _write_labels(labels, np.linspace(-1, 1, 12))
@@ -782,7 +788,17 @@ def test_evaluate_reads_trained_on(tmp_path, kind, edit, graph_column):
 @pytest.mark.parametrize("edit, match", [
     (lambda d: d.pop("labels"), "(KeyError: 'labels')"),
     (lambda d: d.update(vertex_weights="ones"), "(ValueError"),
-], ids=["no-labels", "text-vertex-weights"])
+    (lambda d: d["labels"][0].__setitem__(3, float("nan")),
+     "(ParameterError: labels must be finite)"),
+    (lambda d: d.update(eigenvalues=[float("inf")]),
+     "(ParameterError: eigenvalues must be finite)"),
+    (lambda d: d.update(vertex_weights=[1.0, -1.0] * 6),
+     "(ParameterError: vertex_weights must be > 0)"),
+    (lambda d: d["vertex_weights"].__setitem__(0, float("-inf")),
+     "(ParameterError: vertex_weights must be finite)"),
+], ids=["no-labels", "text-vertex-weights", "nan-label", "inf-eigenvalue",
+        "negative-vertex-weights", "infinite-vertex-weight"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_build_graph_malformed_label_set_exit_1(tmp_path, capsys, edit, match):
     labels = tmp_path / "labels.txt"
     _write_labels(labels, np.linspace(-1, 1, 12))

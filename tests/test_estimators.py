@@ -50,6 +50,9 @@ def test_scaling_clips_to_range():
 def test_scaling_rejects_constant_labels():
     with pytest.raises(gsfa.DegenerateLabelError):
         fit_linear_scaling(np.array([0.0, 1.0]), np.array([2.0, 2.0]))
+    # the mean of three 0.1s rounds away from 0.1, leaving a variance of 2e-34
+    with pytest.raises(gsfa.DegenerateLabelError):
+        fit_linear_scaling(np.array([0.0, 0.5, 1.0]), np.full(3, 0.1))
 
 
 def test_scaling_uses_first_row_of_features(rng):

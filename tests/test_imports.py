@@ -10,7 +10,9 @@ the standard library must be listed in ``pyproject.toml``'s
 """
 
 import ast
+import os
 import re
+import subprocess
 import sys
 import tomllib
 from pathlib import Path
@@ -139,3 +141,15 @@ def test_undeclared_import_is_reported():
     without = re.sub(r'\n\s*"orjson[^"]*",', "", text)
     assert without != text
     assert undeclared_imports(PACKAGE, without) == ["orjson"]
+
+
+def test_import_loads_no_scipy_linalg():
+    # scipy.linalg takes tens of milliseconds to import, which every
+    # fresh import of the package would pay; modules needing LAPACK
+    # import it on use
+    code = ("import sys, gsfa; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True)
+    assert result.stdout.strip() == "[]"
