@@ -181,14 +181,28 @@ def build_serial_graph(labels, k, policy="strict"):
 # ---------------------------------------------------------------------------
 # label pipeline
 
+def _label_weights(vertex_weights, n):
+    v = np.asarray(vertex_weights, dtype=float)
+    if v.shape != (n,):
+        raise DimensionError("labels and vertex weights differ in length")
+    if not (np.all(v > 0) and np.all(np.isfinite(v))):
+        raise ParameterError("vertex weights must be finite and > 0")
+    return v
+
+
 def normalize_labels(raw, vertex_weights):
     """Scale each label row to weighted zero mean and unit variance.
 
-    Eigenvalues default to the uniform schedule 1/L.
+    Eigenvalues default to the uniform schedule 1/L. Labels must be
+    finite and vertex weights finite and > 0 (:class:`ParameterError`).
     """
     raw = np.atleast_2d(np.asarray(raw, dtype=float))
-    centered = raw - weighted_mean(raw, vertex_weights)[:, None]
-    var = weighted_mean(centered ** 2, vertex_weights)
+    v = _label_weights(vertex_weights, raw.shape[1])
+    bad = np.flatnonzero(~np.all(np.isfinite(raw), axis=1))
+    if bad.size:
+        raise ParameterError(f"label {bad[0]} is not finite")
+    centered = raw - weighted_mean(raw, v)[:, None]
+    var = weighted_mean(centered ** 2, v)
     bad = np.flatnonzero(~((var > 0) & np.isfinite(var)))
     if bad.size:
         raise DegenerateLabelError(f"label {bad[0]} has zero weighted variance")
@@ -205,12 +219,8 @@ def decorrelate_labels(label_set, vertex_weights):
     the N-th, raises :class:`DependentLabelError`; label 0 raises
     :class:`DegenerateLabelError`.
     """
-    v = np.asarray(vertex_weights, dtype=float)
     labels = label_set.labels
-    if v.shape != (labels.shape[1],):
-        raise DimensionError("labels and vertex weights differ in length")
-    if not np.all(v > 0):
-        raise ParameterError("vertex weights must be > 0")
+    v = _label_weights(vertex_weights, labels.shape[1])
     scale = np.sqrt(v / v.sum())
     basis, r = np.linalg.qr((labels * scale).T)
     diag = np.diagonal(r)
@@ -247,9 +257,7 @@ def build_ell_graph(label_set, vertex_weights, nonnegative=False,
     With ``nonnegative=True`` the negative-weight elimination step is
     applied to the result.
     """
-    v = np.asarray(vertex_weights, dtype=float)
-    if v.shape[0] != label_set.n_samples:
-        raise DimensionError("vertex weights and labels differ in length")
+    v = _label_weights(vertex_weights, label_set.n_samples)
     n = v.shape[0]
     if label_set.n_labels > n - 1:
         raise RankError(f"at most N-1={n - 1} labels fit, got {label_set.n_labels}")

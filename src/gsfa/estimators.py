@@ -222,8 +222,6 @@ def fit_soft_gc(features, labels, n_classes=None):
         centered = block - means[c][:, None]
         cov = centered @ centered.T / members.size
         cov += 1e-6 * max(float(np.trace(cov)) / d, 1e-300) * np.eye(d)
-        if float(np.trace(cov)) <= 0:
-            cov = np.eye(d) * 1e-12
         covs[c] = cov
         class_labels[c] = labels[members].mean()
     return SoftGcEstimator(means, covs, class_labels,

@@ -210,8 +210,9 @@ def _description_bytes(graph):
 # ``diagonal()``, ``min()``, ``quad(C)`` = C gamma C^T,
 # ``triplet_blocks()`` (the nonzero upper-triangle triplets in
 # row-major order, as :data:`_TRIPLET_DTYPE` records) and
-# ``difference_sum(y)`` (the literal edge sum of (y_n' - y_n)^2), both
-# in blocks: of about :data:`_TRIPLET_BLOCK` entries, or dense rows.
+# ``edge_blocks()`` (indices i, j and weights g that broadcast together:
+# :func:`weighted_delta` sums g (y_j - y_i)^2 over them), both in blocks
+# of about :data:`_TRIPLET_BLOCK` entries, or dense rows.
 
 class _MatrixEdges:
     """Edges stored as a matrix, dense ndarray or canonical CSR."""
@@ -261,13 +262,10 @@ class _DenseEdges(_MatrixEdges):
                 block = _packed(i, j + i, upper[j])
             yield block
 
-    def difference_sum(self, y):
-        total = 0.0
-        for rows in row_slices(self.matrix.shape[0]):
-            diff = y[None, :] - y[rows, None]
-            diff *= diff
-            total += float(np.vdot(self.matrix[rows], diff))
-        return total
+    def edge_blocks(self):
+        idx = np.arange(self.matrix.shape[0])
+        for rows in row_slices(idx.size):
+            yield idx[rows, None], idx, self.matrix[rows]
 
 
 class _CsrEdges(_MatrixEdges):
@@ -277,7 +275,7 @@ class _CsrEdges(_MatrixEdges):
     def __init__(self, matrix):
         super().__init__(matrix, matrix.data)
 
-    def _entry_blocks(self):
+    def edge_blocks(self):
         m = self.matrix
         size = _TRIPLET_BLOCK
         for start in range(0, m.nnz, size):
@@ -286,16 +284,9 @@ class _CsrEdges(_MatrixEdges):
             yield rows, m.indices[start:stop], m.data[start:stop]
 
     def triplet_blocks(self):
-        for i, j, g in self._entry_blocks():
+        for i, j, g in self.edge_blocks():
             keep = (i <= j) & (g != 0)
             yield _packed(i[keep], j[keep], g[keep])
-
-    def difference_sum(self, y):
-        total = 0.0
-        for i, j, g in self._entry_blocks():
-            diff = y[j] - y[i]
-            total += float(np.sum(g * diff * diff))
-        return total
 
 
 class _GroupEdges:
@@ -306,8 +297,8 @@ class _GroupEdges:
     neighbours in group h, each at weight A[g, h]: its row sum is
     sum_h A[g, h] (s_h - [g = h]), and R is the correctly rounded sum
     over groups of s_g times that, both O(K^2) closed forms. Only
-    :meth:`view`, :meth:`triplet_blocks` and :meth:`difference_sum`
-    touch the edges themselves.
+    :meth:`view`, :meth:`triplet_blocks` and :meth:`edge_blocks` touch
+    the edges themselves.
     """
 
     is_sparse = True
@@ -352,18 +343,14 @@ class _GroupEdges:
     def triplet_blocks(self):
         return _CsrEdges(self.view()).triplet_blocks()
 
-    def difference_sum(self, y):
-        """Group pair by group pair; a pair's own sample contributes 0."""
+    def edge_blocks(self):
+        """Rows of group g against group h at A[g, h] != 0; a self-pair adds 0."""
         groups = self.structure.groups
-        size = _TRIPLET_BLOCK
-        total = 0.0
         for g, h in zip(*np.nonzero(self.weights)):
-            ya, yb = y[groups[g]], y[groups[h]]
-            step = max(1, size // max(yb.size, 1))
-            for start in range(0, ya.size, step):
-                diff = yb[None, :] - ya[start:start + step, None]
-                total += self.weights[g, h] * float(np.sum(diff * diff))
-        return total
+            rows, cols = groups[g], groups[h]
+            step = max(1, _TRIPLET_BLOCK // max(cols.size, 1))
+            for start in range(0, rows.size, step):
+                yield rows[start:start + step, None], cols, self.weights[g, h]
 
 
 class TrainingGraph:
@@ -426,17 +413,17 @@ class TrainingGraph:
         self._settle(v, edges, structure, ell)
 
     @classmethod
-    def _derived(cls, vertex_weights, gamma):
+    def _derived(cls, vertex_weights, gamma, ell=None):
         """Graph of a fresh dense ``gamma`` that a transform made symmetric.
 
         Like edges the graph derives itself, ``gamma`` is kept uncopied
         and checked for finiteness only; ``vertex_weights`` are those of
-        an existing graph.
+        an existing graph, ``ell`` (if any) the factors ``gamma`` came from.
         """
         graph = cls.__new__(cls)
         graph._settle(vertex_weights,
                       _matrix_edges(gamma, vertex_weights.shape[0], derived=True),
-                      None, None)
+                      None, ell)
         return graph
 
     def _settle(self, v, edges, structure, ell):
@@ -609,15 +596,20 @@ def weighted_delta(graph, y):
     """Delta value by direct summation over all edges.
 
     This is the definition; it needs neither consistency nor feature
-    normalization. The sum runs over the graph's own edges in blocks
-    (dense rows, CSR entries, or pairs of groups), with no N x N
-    temporary.
+    normalization. The sum runs over the edge blocks of the graph's own
+    storage (dense rows, CSR entries, or rows of one group against
+    another), with no N x N temporary.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (graph.n_samples,):
         raise DimensionError(
             f"feature length {y.shape} does not match N={graph.n_samples}")
-    return graph._edges.difference_sum(y) / graph.r_sum
+    total = 0.0
+    for i, j, g in graph._edges.edge_blocks():
+        diff = y[j] - y[i]
+        diff *= diff
+        total += float(np.vdot(np.broadcast_to(g, diff.shape), diff))
+    return total / graph.r_sum
 
 
 def eliminate_negative_weights(graph):
@@ -628,17 +620,18 @@ def eliminate_negative_weights(graph):
     are preserved; every delta value maps affinely through
     delta' = (delta + 2cQ^2/R) / (1 + cQ^2/R), keeping order and the
     fixed point delta = 2. Graphs without negative weights are returned
-    unchanged, with no dense copy made. An exact-label graph is rebuilt
-    from its factors, marked ``nonnegative``.
+    unchanged, with no dense copy made; any other graph gets a shifted
+    dense copy of its edges. An exact-label graph keeps its factors,
+    marked ``nonnegative``.
     """
-    v = graph.vertex_weights
-    if graph.ell is not None and not graph.ell.nonnegative:
-        shifted = TrainingGraph(v, ell=replace(graph.ell, nonnegative=True))
-        return shifted if shifted.ell.nonnegative else graph
     if graph.gamma_min() >= 0:
         return graph
+    v = graph.vertex_weights
     gamma = graph.gamma_dense()
-    return TrainingGraph._derived(v, gamma) if _shift_nonnegative(v, gamma) else graph
+    if not _shift_nonnegative(v, gamma):
+        return graph
+    ell = None if graph.ell is None else replace(graph.ell, nonnegative=True)
+    return TrainingGraph._derived(v, gamma, ell)
 
 
 def elimination_constant(v, gamma):

@@ -25,6 +25,12 @@ from gsfa import (
 from gsfa.serialize import Columns, read_container
 
 
+def rounding_gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff of float64."""
+    u = np.finfo(float).eps / 2
+    return k * u / (1 - k * u)
+
+
 def symmetrize(gamma_raw):
     """(gamma + gamma^T) / 2 of a square matrix: random symmetric edges."""
     if sp.issparse(gamma_raw):

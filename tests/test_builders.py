@@ -37,6 +37,7 @@ from conftest import (
     decorrelate_labels_by_loop,
     eigenvalues_from_deltas,
     normalize_labels_by_loop,
+    rounding_gamma,
 )
 
 
@@ -236,12 +237,6 @@ def test_decorrelate_output_is_orthonormal(rng):
     np.testing.assert_allclose(gram, np.eye(4), atol=1e-9)
 
 
-def _gamma(k):
-    """Higham's gamma_k = k u / (1 - k u), u the unit roundoff of float64."""
-    u = np.finfo(float).eps / 2
-    return k * u / (1 - k * u)
-
-
 def _gram_residual(labels, v):
     gram = (labels * v) @ labels.T / v.sum()
     return np.max(np.abs(gram - np.eye(labels.shape[0])))
@@ -273,8 +268,8 @@ def test_label_pipeline_matches_the_loops(case):
     new = normalize_labels(raw, v)
     mu = raw @ v / v.sum()
     sigma = np.sqrt((raw - mu[:, None]) ** 2 @ v / v.sum())
-    bound = 2 * _gamma(2 * n + 5) * (np.abs(raw).max(axis=1) / sigma
-                                     + np.abs(loop.labels).max(axis=1))
+    bound = 2 * rounding_gamma(2 * n + 5) * (np.abs(raw).max(axis=1) / sigma
+                                             + np.abs(loop.labels).max(axis=1))
     assert np.all(np.abs(new.labels - loop.labels).max(axis=1) <= bound)
     np.testing.assert_array_equal(new.eigenvalues, loop.eigenvalues)
 
@@ -289,7 +284,7 @@ def test_label_pipeline_matches_the_loops(case):
     assume(kappa < 1e3)  # well-conditioned: the loop keeps every label
     loop = decorrelate_labels_by_loop(new, v)
     out = decorrelate_labels(new, v)
-    bound = (2 * kappa ** 2 * math.sqrt(n_labels) * _gamma(n * n_labels)
+    bound = (2 * kappa ** 2 * math.sqrt(n_labels) * rounding_gamma(n * n_labels)
              * math.sqrt(v.sum() / v.min()))
     assert np.max(np.abs(out.labels - loop.labels)) <= bound
     assert _gram_residual(out.labels, v) <= 1e-13
@@ -338,6 +333,33 @@ def test_decorrelate_rejects_nonpositive_weights():
     label_set = normalize_labels(np.arange(4.0), np.ones(4))
     with pytest.raises(ParameterError):
         decorrelate_labels(label_set, np.array([1.0, 0.0, 1.0, 1.0]))
+
+
+@pytest.mark.parametrize("v", [[1.0, -1.0, 1.0, -1.0], [1.0, 0.0, 1.0, 1.0],
+                               [1.0, np.nan, 1.0, 1.0], [1.0, 1.0, np.inf, 1.0]],
+                         ids=["alternating-sign", "zero", "nan", "inf"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_label_pipeline_rejects_bad_vertex_weights(v):
+    raw = np.array([[0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 1.0, 0.0]])
+    label_set = decorrelate_labels(normalize_labels(raw, np.ones(4)), np.ones(4))
+    for step in (normalize_labels, decorrelate_labels, build_ell_graph):
+        with pytest.raises(ParameterError,
+                           match="vertex weights must be finite and > 0"):
+            step(raw if step is normalize_labels else label_set, v)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_normalize_labels_names_a_non_finite_label(bad):
+    raw = np.array([[0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 1.0, 0.0],
+                    [2.0, 1.0, bad, 0.0]])
+    with pytest.raises(ParameterError, match="label 2 is not finite"):
+        normalize_labels(raw, np.ones(4))
+
+
+def test_normalize_labels_rejects_wrong_length_weights():
+    with pytest.raises(DimensionError):
+        normalize_labels(np.arange(4.0), np.ones(5))
 
 
 def test_decorrelate_rejects_zero_first_label():

@@ -40,6 +40,7 @@ from conftest import (
     group_sums_by_loop,
     normalize_feature,
     remove_self_loops,
+    rounding_gamma,
     shift_by_expression,
     structure_edges,
     symmetrize,
@@ -818,6 +819,35 @@ def test_weighted_delta_equals_whole_matrix_sum(rng, monkeypatch, block):
             expected = weighted_delta_by_matrix(graph, y)
             assert weighted_delta(graph, y) == pytest.approx(
                 expected, rel=1e-12, abs=1e-300), name
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["clustered", "serial"]), n=st.integers(2, 40),
+       k=st.integers(2, 9), in_groups=st.floats(0.3, 1.0),
+       seed=st.integers(0, 2**32 - 1), block=st.integers(2, 64))
+def test_group_delta_equals_its_csr_delta(kind, n, k, in_groups, seed, block):
+    # Both sides sum the same m >= nnz nonnegative terms g (y_j - y_i)^2,
+    # each rounded at most 4 times, in at most m - 1 additions, and divide
+    # by their own R: the groups' closed form (gamma_{K+2}) or the CSR's
+    # sum (gamma_{nnz-1}). Each is within gamma_{m+nnz+K+6} of the exact
+    # S/R of the same rounded weights.
+    structure = _group_structure(kind, n, k, in_groups, seed)
+    rng = np.random.default_rng(seed)
+    graph = TrainingGraph(rng.uniform(0.5, 2.0, n), structure=structure)
+    csr = TrainingGraph(graph.vertex_weights, graph.edge_weights)
+    membership, weights = group_weights(structure, n)
+    sizes = np.asarray(membership.sum(axis=0)).ravel()
+    terms = float(sizes @ (weights != 0) @ sizes)
+    bound = rounding_gamma(terms + csr.edge_weights.nnz + sizes.size + 6)
+    y = rng.normal(size=n)
+    # block 1 splits every group of two or more members
+    for size in (1, block, None):
+        with pytest.MonkeyPatch.context() as mp:
+            if size is not None:
+                mp.setattr(gsfa.graph, "_TRIPLET_BLOCK", size)
+            expected = weighted_delta(csr, y)
+            assert abs(weighted_delta(graph, y) - expected) <= (
+                2 * bound / (1 - bound) * expected)
 
 
 def test_weighted_delta_dimension_mismatch():
