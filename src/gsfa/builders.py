@@ -457,7 +457,7 @@ def load_labels(path):
     """Read a label-set container; returns (LabelSet, vertex_weights).
 
     Only ``labels``, ``eigenvalues`` and ``vertex_weights`` are read,
-    and all three must be finite, the vertex weights > 0;
+    and all three must be finite, with one vertex weight > 0 per sample;
     :func:`build_ell_graph` checks that the labels are normalized and
     decorrelated.
     """
@@ -466,6 +466,9 @@ def load_labels(path):
         label_set = LabelSet(np.asarray(data["labels"], dtype=float),
                              np.asarray(data["eigenvalues"], dtype=float))
         v = np.asarray(data["vertex_weights"], dtype=float)
+        if v.shape != (label_set.n_samples,):
+            raise ParameterError(f"vertex_weights must list one number per "
+                                 f"sample ({label_set.n_samples}), got shape {v.shape}")
         for name, values in (("labels", label_set.labels),
                              ("eigenvalues", label_set.eigenvalues),
                              ("vertex_weights", v)):

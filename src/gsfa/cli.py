@@ -22,7 +22,7 @@ import numpy as np
 
 from . import builders, datagen, estimators, hierarchy, matrixio, solver, spectrum
 from .errors import GsfaError, ParameterError
-from .graph import elimination_constant, load_graph, save_graph
+from .graph import ell_elimination_constant, load_graph, save_graph
 from .serialize import write_json
 
 # ---------------------------------------------------------------------------
@@ -441,7 +441,7 @@ def _roundtrip_trial(label_set, v):
     # ordering: response j of the shifted graph must match label j
     order_ok = True
     affine_err = 0.0
-    c = max(0.0, elimination_constant(v, graph.edge_weights))
+    c = max(0.0, ell_elimination_constant(v, graph.ell))
     k = c * graph.q_sum ** 2 / graph.r_sum
     for j in range(n_labels):
         err = min(float(np.max(np.abs(responses2[:, j] - label_set.labels[j]))),

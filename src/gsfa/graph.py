@@ -101,8 +101,10 @@ class EllFactors:
     gamma = Diag(sqrt v) U Diag(weights) U^T Diag(sqrt v), symmetrized
     (:func:`ell_gamma`); U is N x k with columns u_0, u_1..u_L and
     ``weights`` is [R/Q, lambda_1..lambda_L]. ``nonnegative`` marks a
-    graph whose negative weights were then eliminated by
-    :func:`eliminate_negative_weights`. Both arrays are copied and made
+    graph whose negative weights were then eliminated in the factors
+    (:func:`eliminate_negative_weights`): c v v^T is one more column
+    sqrt(v / Q) at weight cQ, all weights are divided by 1 + cQ^2/R, and
+    the result is clamped at 0. Both arrays are copied and made
     read-only.
     """
 
@@ -143,6 +145,45 @@ def ell_gamma(vertex_weights, factors):
             gamma[rows, cols] = tile
             gamma[cols, rows] = tile.T
     return gamma
+
+
+def ell_elimination_constant(vertex_weights, factors):
+    """c = max(-gamma_{n,n'} / (v_n v_n')) of exact-label factors.
+
+    gamma / (v v^T) is l Diag(weights) l^T with l = U / sqrt(v), so c is
+    minus its minimum, taken over row blocks (:func:`row_slices`) with
+    no N x N array. c <= 0 means no weight is negative.
+    """
+    scaled = factors.u / np.sqrt(vertex_weights)[:, None]
+    weighted = scaled * factors.weights
+    return -min(float(np.min(weighted[rows] @ scaled.T))
+                for rows in row_slices(scaled.shape[0]))
+
+
+def _ell_edges(vertex_weights, factors):
+    """The edge matrix of exact-label factors, and the factors as kept.
+
+    Factors marked ``nonnegative`` are eliminated (:class:`EllFactors`)
+    with R = sum_k weights_k (sqrt(v)^T u_k)^2 in closed form, or lose
+    the mark if no weight is negative.
+    """
+    if factors.nonnegative:
+        c = ell_elimination_constant(vertex_weights, factors)
+        if c > 0:
+            sqrt_v = np.sqrt(vertex_weights)
+            q = float(vertex_weights.sum())
+            r = float(factors.weights @ (sqrt_v @ factors.u) ** 2)
+            if r <= 0:
+                raise DegenerateGraphError(
+                    f"sum of edge weights must be > 0, got {r}")
+            shifted = EllFactors(
+                np.column_stack([factors.u, sqrt_v / math.sqrt(q)]),
+                np.append(factors.weights, c * q) / (1.0 + c * q ** 2 / r))
+            gamma = ell_gamma(vertex_weights, shifted)
+            np.maximum(gamma, 0.0, out=gamma)  # rounding at the arg min
+            return gamma, factors
+        factors = replace(factors, nonnegative=False)
+    return ell_gamma(vertex_weights, factors), factors
 
 
 @dataclass(frozen=True)
@@ -365,10 +406,10 @@ class TrainingGraph:
         first); absent edges are zeros. A
         :class:`GraphStructure` is kept as its groups, whose edges are
         those :func:`group_weights` describes; :class:`EllFactors` give the
-        dense :func:`ell_gamma`, eliminated
-        (:func:`eliminate_negative_weights`) if marked ``nonnegative``
-        (unmarked if no weight was negative). Transforms other than
-        elimination drop structure and factors.
+        dense :func:`ell_gamma`, eliminated in the factors if marked
+        ``nonnegative`` (unmarked if the factors show no negative
+        weight, c <= 0 by :func:`ell_elimination_constant`). Transforms
+        other than elimination drop structure and factors.
 
     The edges live in one of three backends, dense, CSR or groups, which
     compute the row sums and R once, here. Stored matrices are read-only,
@@ -376,8 +417,8 @@ class TrainingGraph:
     is copied first, derived edges are fresh arrays the graph owns. Edges
     a caller passes are checked for shape, finiteness and exact symmetry;
     derived edges, symmetric by construction, for finiteness only. So is
-    the dense copy that :func:`eliminate_negative_weights` makes and hands
-    over.
+    the dense copy that :func:`eliminate_negative_weights` makes of a
+    graph without factors and hands over.
     """
 
     __slots__ = ("vertex_weights", "_edges", "n_samples", "q_sum", "r_sum",
@@ -404,26 +445,24 @@ class TrainingGraph:
             if ell.u.shape[0] != n:
                 raise DimensionError(
                     f"ELL factors have {ell.u.shape[0]} rows, graph has N={n}")
-            gamma = ell_gamma(v, ell)
-            if ell.nonnegative and not _shift_nonnegative(v, gamma):
-                ell = replace(ell, nonnegative=False)
+            gamma, ell = _ell_edges(v, ell)
             edges = _matrix_edges(gamma, n, derived=True)
         else:
             edges = _matrix_edges(edge_weights, n, derived=False)
         self._settle(v, edges, structure, ell)
 
     @classmethod
-    def _derived(cls, vertex_weights, gamma, ell=None):
+    def _derived(cls, vertex_weights, gamma):
         """Graph of a fresh dense ``gamma`` that a transform made symmetric.
 
         Like edges the graph derives itself, ``gamma`` is kept uncopied
         and checked for finiteness only; ``vertex_weights`` are those of
-        an existing graph, ``ell`` (if any) the factors ``gamma`` came from.
+        an existing graph.
         """
         graph = cls.__new__(cls)
         graph._settle(vertex_weights,
                       _matrix_edges(gamma, vertex_weights.shape[0], derived=True),
-                      None, ell)
+                      None, None)
         return graph
 
     def _settle(self, v, edges, structure, ell):
@@ -620,18 +659,25 @@ def eliminate_negative_weights(graph):
     are preserved; every delta value maps affinely through
     delta' = (delta + 2cQ^2/R) / (1 + cQ^2/R), keeping order and the
     fixed point delta = 2. Graphs without negative weights are returned
-    unchanged, with no dense copy made; any other graph gets a shifted
-    dense copy of its edges. An exact-label graph keeps its factors,
-    marked ``nonnegative``.
+    unchanged, with no dense copy made. An exact-label graph is rebuilt
+    from its factors marked ``nonnegative``, which eliminate in the
+    factors (:class:`EllFactors`); any other graph gets a shifted dense
+    copy of its edges, divided and clamped at 0 row block by row block.
     """
     if graph.gamma_min() >= 0:
         return graph
     v = graph.vertex_weights
+    if graph.ell is not None:
+        return TrainingGraph(v, ell=replace(graph.ell, nonnegative=True))
     gamma = graph.gamma_dense()
-    if not _shift_nonnegative(v, gamma):
-        return graph
-    ell = None if graph.ell is None else replace(graph.ell, nonnegative=True)
-    return TrainingGraph._derived(v, gamma, ell)
+    c = elimination_constant(v, gamma)
+    scale = 1.0 + c * graph.q_sum ** 2 / graph.r_sum
+    for rows in row_slices(gamma.shape[0]):
+        block = gamma[rows]
+        block += c * np.outer(v[rows], v)
+        block /= scale
+        np.maximum(block, 0.0, out=block)  # clamp -0.0/rounding at the arg max
+    return TrainingGraph._derived(v, gamma)
 
 
 def elimination_constant(v, gamma):
@@ -639,31 +685,11 @@ def elimination_constant(v, gamma):
 
     The constant of :func:`eliminate_negative_weights`, taken over row
     blocks (:func:`row_slices`); c <= 0 means no weight is negative.
+    Exact-label factors give it without the matrix
+    (:func:`ell_elimination_constant`).
     """
     return float(np.max([np.max(-gamma[rows] / np.outer(v[rows], v))
                          for rows in row_slices(gamma.shape[0])]))
-
-
-def _shift_nonnegative(v, gamma):
-    """Shift the dense ``gamma`` in place as :func:`eliminate_negative_weights`.
-
-    Returns whether it did: not when no weight is negative. Row block by
-    row block, gamma + c v v^T is divided by the scale and clamped at 0.
-    A symmetric gamma stays exactly symmetric, as v_n v_n' = v_n' v_n.
-    """
-    c = elimination_constant(v, gamma)
-    if c <= 0:
-        return False
-    r = _edge_sum(gamma.ravel())
-    if r <= 0:
-        raise DegenerateGraphError(f"sum of edge weights must be > 0, got {r}")
-    scale = 1.0 + c * float(v.sum()) ** 2 / r
-    for rows in row_slices(gamma.shape[0]):
-        block = gamma[rows]
-        block += c * np.outer(v[rows], v)
-        block /= scale
-        np.maximum(block, 0.0, out=block)  # clamp -0.0/rounding at the arg max
-    return True
 
 
 def save_graph(graph, path):

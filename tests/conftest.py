@@ -311,6 +311,23 @@ def shift_by_expression(v, gamma):
     return (shifted + shifted.T) / 2.0
 
 
+def eliminated_ell_gamma_by_expression(vertex_weights, factors, c):
+    """Bit oracle of exact-label factors eliminated with a given c > 0.
+
+    Whole-matrix expressions of the factor form: the edges of the factors
+    [U, sqrt(v / Q)] at weights [weights, cQ] / (1 + cQ^2/R), with
+    R = sum_k weights_k (sqrt(v)^T u_k)^2, clamped at 0.
+    """
+    sqrt_v = np.sqrt(vertex_weights)
+    q = float(vertex_weights.sum())
+    r = float(factors.weights @ (sqrt_v @ factors.u) ** 2)
+    if r <= 0:
+        raise gsfa.DegenerateGraphError(f"sum of edge weights must be > 0, got {r}")
+    shifted = gsfa.EllFactors(np.column_stack([factors.u, sqrt_v / math.sqrt(q)]),
+                              np.append(factors.weights, c * q) / (1.0 + c * q ** 2 / r))
+    return np.maximum(ell_gamma_by_expression(vertex_weights, shifted), 0.0)
+
+
 def m_matrix_by_expression(graph):
     """Bit oracle of :func:`gsfa.build_m_matrix`."""
     inv_sqrt = 1.0 / np.sqrt(graph.vertex_weights)

@@ -1,6 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,6 +46,28 @@ def test_build_graph_ell_nonnegative(tmp_path):
                 "--auxiliary", "4", "--nonnegative", "--out", out) == 0
     graph = gsfa.load_graph(out)
     assert graph.gamma_min() >= -1e-15
+
+
+def test_build_graph_ell_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the elimination constant's row blocks, the factor product and the
+    # row sums at N=2000 give the same graph file and report under one
+    # and two OpenBLAS threads
+    labels = tmp_path / "labels.txt"
+    _write_labels(labels, np.random.default_rng(7).uniform(-1.0, 1.0, 2000))
+    src = Path(gsfa.__file__).resolve().parents[1]
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"ell-{threads}.json"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": str(src)}
+        subprocess.run([sys.executable, "-m", "gsfa.cli", "build-graph",
+                        "--kind", "ell", "--labels", str(labels),
+                        "--auxiliary", "4", "--nonnegative", "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        report = out.with_suffix(".json.report.json")
+        outputs.append((out.read_bytes(), report.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0][1])["min_edge_weight"] >= 0
 
 
 def test_build_graph_ell_label_set_round_trip(tmp_path):
@@ -796,8 +822,12 @@ def test_evaluate_reads_trained_on(tmp_path, kind, edit, graph_column):
      "(ParameterError: vertex_weights must be > 0)"),
     (lambda d: d["vertex_weights"].__setitem__(0, float("-inf")),
      "(ParameterError: vertex_weights must be finite)"),
+    (lambda d: d["vertex_weights"].pop(),
+     "(ParameterError: vertex_weights must list one number per sample (12), "
+     "got shape (11,))"),
 ], ids=["no-labels", "text-vertex-weights", "nan-label", "inf-eigenvalue",
-        "negative-vertex-weights", "infinite-vertex-weight"])
+        "negative-vertex-weights", "infinite-vertex-weight",
+        "short-vertex-weights"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_build_graph_malformed_label_set_exit_1(tmp_path, capsys, edit, match):
     labels = tmp_path / "labels.txt"

@@ -22,8 +22,8 @@ from gsfa import (
     weighted_delta,
 )
 from gsfa.graph import (
-    _shift_nonnegative,
     elimination_constant,
+    ell_elimination_constant,
     group_weights,
 )
 
@@ -32,6 +32,7 @@ from conftest import (
     checksum_by_one_buffer,
     delta_by_loop,
     dense_graph,
+    eliminated_ell_gamma_by_expression,
     ell_gamma_by_expression,
     ell_graph_from_seed,
     fingerprint_by_description,
@@ -109,19 +110,21 @@ def test_graph_derives_edges_from_its_description(rng):
 
 
 def test_ell_description_eliminates_like_the_edges(rng):
-    # the nonnegative flag applies the shift eliminate_negative_weights
-    # applies to the same edges given directly, bit for bit
+    # the nonnegative flag eliminates in the factors, and
+    # eliminate_negative_weights on the unmarked graph gives the same bits
     for v in (np.ones(14), rng.uniform(0.5, 2.0, 14)):
         label_set = gsfa.decorrelate_labels(
             gsfa.normalize_labels(rng.normal(size=(3, 14)), v), v)
         factors = gsfa.build_ell_graph(
             label_set.with_eigenvalues([0.5, 0.3, 0.2]), v).ell
         marked = TrainingGraph(v, ell=replace(factors, nonnegative=True))
-        edges = gsfa.eliminate_negative_weights(
-            TrainingGraph(v, gsfa.ell_gamma(v, factors)))
-        assert marked.ell.nonnegative and marked.gamma_min() >= 0
-        np.testing.assert_array_equal(marked.gamma_dense(), edges.gamma_dense())
-        assert (marked.q_sum, marked.r_sum) == (edges.q_sum, edges.r_sum)
+        c = ell_elimination_constant(v, factors)
+        assert c > 0 and marked.ell.nonnegative and marked.gamma_min() >= 0
+        assert _same_bits(marked.edge_weights,
+                          eliminated_ell_gamma_by_expression(v, factors, c))
+        edges = gsfa.eliminate_negative_weights(TrainingGraph(v, ell=factors))
+        assert _same_bits(marked.edge_weights, edges.edge_weights)
+        assert marked.fingerprint() == edges.fingerprint()
 
 
 def test_ell_description_without_negative_weights_stays_unmarked():
@@ -149,29 +152,125 @@ def test_in_place_ell_edges_keep_the_expression_bits(n, k, rows, nonnegative,
     expected = ell_gamma_by_expression(v, factors)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(gsfa.graph, "DENSE_BLOCK_ROWS", rows)
-        gamma = gsfa.ell_gamma(v, factors)
-        assert _same_bits(gamma, expected)
+        assert _same_bits(gsfa.ell_gamma(v, factors), expected)
         c = float(np.max(-expected / np.outer(v, v)))
-        found = elimination_constant(v, gamma)
+        found = elimination_constant(v, expected)
         assert found == c or max(found, c) <= 0  # a zero's sign may differ
-        edges = expected
-        if nonnegative:
-            try:
-                edges = shift_by_expression(v, expected)
-            except DegenerateGraphError:
-                with pytest.raises(DegenerateGraphError):
-                    TrainingGraph(v, ell=factors)
-                return
-            assert _shift_nonnegative(v, gamma) == (edges is not expected)
-        assert _same_bits(gamma, edges)
-        assert _same_bits(gamma, gamma.T)
-        if edges[edges != 0].sum() <= 0:
+        c = ell_elimination_constant(v, factors)
+        shifted = nonnegative and c > 0
+        try:
+            edges = (eliminated_ell_gamma_by_expression(v, factors, c)
+                     if shifted else expected)
+            degenerate = edges[edges != 0].sum() <= 0
+        except DegenerateGraphError:
+            degenerate = True
+        if degenerate:
             with pytest.raises(DegenerateGraphError):
                 TrainingGraph(v, ell=factors)
             return
         graph = TrainingGraph(v, ell=factors)
     assert _same_bits(graph.edge_weights, edges)
-    assert graph.ell.nonnegative == (nonnegative and edges is not expected)
+    assert _same_bits(edges, edges.T)
+    assert graph.ell.nonnegative == shifted
+
+
+def _dense_shift_deviation_bound(v, factors, c):
+    """Entrywise bound on |gamma - shift_by_expression(v, dense)| and on
+    |c - dense c|, where dense = ell_gamma_by_expression(v, factors).
+
+    Relative to A = |D U| |W| |D U|^T (D = Diag(sqrt v)), the dense
+    entries carry gamma_{k+6} A of rounding and the dense c gamma_{k+8}
+    A/(v v^T); the factor c gamma_{k+5} A/(v v^T). Given its c and R,
+    each side's shifted entry is a sum of terms of size
+    G = (A + c v v^T)/s with at most 2N + k + 20 roundings each (Q's sum
+    twice, squared). The two sides' c and R differ: with
+    T(c, R) = (gamma_0 + c v v^T)/(1 + cQ^2/R), |dT/dc| <=
+    (v v^T + G Q^2/R)/s and |dT/dR| <= G/R, to first order. Clamping at
+    0 never widens a gap to a nonnegative value.
+    """
+    n, k = factors.u.shape
+    dense = ell_gamma_by_expression(v, factors)
+    dense_c = float(np.max(-dense / np.outer(v, v)))
+    sqrt_v = np.sqrt(v)
+    vv = np.outer(v, v)
+    au = np.abs(factors.u) * sqrt_v[:, None]
+    a = (au * np.abs(factors.weights)) @ au.T / (1 - rounding_gamma(k + 6))
+    c_bound = (rounding_gamma(k + 5) + rounding_gamma(k + 8)) * float(np.max(a / vv))
+    old = shift_by_expression(v, dense)
+    q = float(v.sum())
+    r0 = float(factors.weights @ (sqrt_v @ factors.u) ** 2)
+    r_dense = float(dense[dense != 0].sum())
+    r_lo = min(r0, r_dense)
+    new_c, old_c = max(c, 0.0), max(dense_c, 0.0)
+    s_lo = 1.0 + min(new_c * q ** 2 / r0, old_c * q ** 2 / r_dense)
+    size = (a + max(new_c, old_c) * vv) / s_lo
+    bound = (2 * rounding_gamma(2 * n + k + 20) * size
+             + (vv + size * q ** 2 / r_lo) / s_lo * abs(new_c - old_c)
+             + size * abs(r0 - r_dense) / r_lo)
+    return old, bound, dense_c, c_bound
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(2, 40), n_labels=st.integers(1, 4), rows=st.integers(1, 16),
+       dependent=st.booleans(), uniform=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_factor_elimination_matches_the_dense_shift(n, n_labels, rows,
+                                                    dependent, uniform, seed):
+    # factors as a version-2 file may hold them: u_0 not first, columns
+    # scaled, a dependent column, negative weights; row blocks straddle N
+    rng = np.random.default_rng(seed)
+    v = np.ones(n) if uniform else rng.uniform(0.2, 3.0, n)
+    q = v.sum()
+    sqrt_v = np.sqrt(v)
+    labels = rng.normal(size=(n_labels, n))
+    labels -= (labels @ v)[:, None] / q
+    cols = [sqrt_v / np.sqrt(q)] + [sqrt_v * label / np.sqrt(q) for label in labels]
+    weights = [rng.uniform(0.5, 2.0)] + list(rng.uniform(-1.0, 1.0, n_labels))
+    if dependent:
+        a, b = rng.integers(len(cols), size=2)
+        cols.append(rng.normal() * cols[a] + rng.normal() * cols[b])
+        weights.append(rng.uniform(-1.0, 1.0))
+    scale = 2.0 ** rng.integers(-3, 4, len(cols)) * rng.uniform(0.5, 1.0, len(cols))
+    order = rng.permutation(len(cols))
+    factors = gsfa.EllFactors(np.column_stack(cols)[:, order] * scale[order],
+                              np.array(weights)[order] / scale[order] ** 2,
+                              nonnegative=True)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gsfa.graph, "DENSE_BLOCK_ROWS", rows)
+        c = ell_elimination_constant(v, factors)
+        try:
+            graph = TrainingGraph(v, ell=factors)
+        except DegenerateGraphError:
+            r0 = float(factors.weights @ (sqrt_v @ factors.u) ** 2)
+            assert r0 <= 0 if c > 0 else c <= 0
+            return
+    gamma = graph.edge_weights
+    assert graph.ell.nonnegative == (c > 0)
+    assert _same_bits(gamma, gamma.T)
+    if c > 0:
+        assert gamma.min() >= 0
+    try:
+        old, bound, dense_c, c_bound = _dense_shift_deviation_bound(v, factors, c)
+    except DegenerateGraphError:
+        return  # the dense R rounds to <= 0: there is no dense shift
+    assert abs(c - dense_c) <= c_bound
+    assert np.all(np.abs(gamma - old) <= bound)
+
+
+def test_factor_elimination_matches_the_dense_shift_at_n_2000():
+    # the benchmark's shape: a label and three cosines, uniform weights
+    n = 2000
+    y = np.random.default_rng(3).uniform(0.0, 1.0, n)
+    v = np.ones(n)
+    raw = np.vstack([y, gsfa.auxiliary_labels(y, 4)])
+    label_set = gsfa.decorrelate_labels(gsfa.normalize_labels(raw, v), v)
+    graph = gsfa.build_ell_graph(label_set.with_eigenvalues([0.4, 0.3, 0.2, 0.1]),
+                                 v, nonnegative=True)
+    c = ell_elimination_constant(v, graph.ell)
+    factors = replace(graph.ell, nonnegative=False)
+    old, bound, dense_c, c_bound = _dense_shift_deviation_bound(v, factors, c)
+    assert c > 0 and abs(c - dense_c) <= c_bound
+    assert np.all(np.abs(graph.edge_weights - old) <= bound)
 
 
 def test_structure_index_outside_graph_rejected():
