@@ -205,6 +205,7 @@ def cmd_spectrum(args):
         "q_sum": graph.q_sum,
         "r_sum": graph.r_sum,
         "slow_count": spec.slow_count(),
+        "null_dim": spec.null_dim,
         "expected_noise_delta": spectrum.expected_noise_delta(graph),
     }
     write_json(out_dir / "summary.json", summary)
@@ -395,7 +396,7 @@ def _reproduce_fig6(out_dir, seed):
     graphs["ell4"] = builders.build_ell_graph(label_set, v)
 
     expected = {"reordering": 14, "serial": 6, "ell4": 4}
-    counts = {}
+    counts, null_dims = {}, {}
     for name, graph in graphs.items():
         sub = out_dir / name
         sub.mkdir(parents=True, exist_ok=True)
@@ -404,9 +405,10 @@ def _reproduce_fig6(out_dir, seed):
         spectrum.export_spectrum(spec, sub / "spectrum.csv", sub / "responses.csv")
         spectrum.export_edges(graph, sub / "edges.csv")
         counts[name] = spec.slow_count()
+        null_dims[name] = spec.null_dim
     checks = {name: counts[name] == expected[name] for name in expected}
     return {"counts": counts, "expected": expected, "checks": checks,
-            "passed": all(checks.values())}
+            "null_dims": null_dims, "passed": all(checks.values())}
 
 
 def _random_label_set(seed, trial, n, n_labels):

@@ -20,11 +20,11 @@ consistent graphs and normalized features it reduces to
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass, replace
 from operator import itemgetter
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import (
     ContractError,
@@ -47,8 +47,9 @@ _SCHEME_2_TAG = b"gsfa-graph-checksum-2\0"
 #: One hashed upper-triangle edge of checksum scheme 1: row, column, weight.
 _TRIPLET_DTYPE = np.dtype([("i", "<i8"), ("j", "<i8"), ("g", "<f8")])
 #: Triplets (or entries) per block of the sparse checksum, edge files
-#: and literal delta sum; bounds their memory.
-_TRIPLET_BLOCK = 1 << 14
+#: and literal delta sum; bounds their memory, and keeps a block of the
+#: delta sum in cache.
+_TRIPLET_BLOCK = 1 << 17
 #: Rows per block, and the side of a tile, of the work done in place on a
 #: dense N x N edge matrix; its temporaries stay this many rows of N.
 DENSE_BLOCK_ROWS = 256
@@ -77,6 +78,9 @@ def group_weights(structure, n):
     B A B^T without its diagonal. A sample belongs to one group at most;
     samples in none have no edges.
     """
+    # imported on use, here and below: scipy.sparse adds ~0.1 s to `import gsfa`
+    import scipy.sparse as sp
+
     sizes = np.array([grp.size for grp in structure.groups], dtype=int)
     members = np.concatenate([np.zeros(0, dtype=int), *structure.groups])
     outside = members[(members < 0) | (members >= n)]
@@ -251,9 +255,12 @@ def _description_bytes(graph):
 # ``diagonal()``, ``min()``, ``quad(C)`` = C gamma C^T,
 # ``triplet_blocks()`` (the nonzero upper-triangle triplets in
 # row-major order, as :data:`_TRIPLET_DTYPE` records) and
-# ``edge_blocks()`` (indices i, j and weights g that broadcast together:
-# :func:`weighted_delta` sums g (y_j - y_i)^2 over them), both in blocks
-# of about :data:`_TRIPLET_BLOCK` entries, or dense rows.
+# ``edge_blocks()`` (indices i, j and weights g that broadcast together,
+# and a count: :func:`weighted_delta` sums count * g (y_j - y_i)^2 over
+# them), both in blocks of about :data:`_TRIPLET_BLOCK` entries, or
+# dense rows. The edges are exactly symmetric and (y_n - y_n)^2 is
+# exactly 0, so an edge block lists each pair {n, n'} once at count 2,
+# or both ways at count 1 (a block of samples against themselves).
 
 class _MatrixEdges:
     """Edges stored as a matrix, dense ndarray or canonical CSR."""
@@ -304,9 +311,16 @@ class _DenseEdges(_MatrixEdges):
             yield block
 
     def edge_blocks(self):
-        idx = np.arange(self.matrix.shape[0])
-        for rows in row_slices(idx.size):
-            yield idx[rows, None], idx, self.matrix[rows]
+        """A block of rows against itself, then against the columns after it."""
+        n = self.matrix.shape[0]
+        idx = np.arange(n)
+        step = max(1, _TRIPLET_BLOCK // n)
+        for start in range(0, n, step):
+            rows = slice(start, start + step)
+            stop = min(start + step, n)
+            yield idx[rows, None], idx[rows], self.matrix[rows, rows], 1.0
+            if stop < n:
+                yield idx[rows, None], idx[stop:], self.matrix[rows, stop:], 2.0
 
 
 class _CsrEdges(_MatrixEdges):
@@ -316,7 +330,8 @@ class _CsrEdges(_MatrixEdges):
     def __init__(self, matrix):
         super().__init__(matrix, matrix.data)
 
-    def edge_blocks(self):
+    def _entries(self):
+        """Rows, columns and values of the stored entries, block by block."""
         m = self.matrix
         size = _TRIPLET_BLOCK
         for start in range(0, m.nnz, size):
@@ -324,8 +339,13 @@ class _CsrEdges(_MatrixEdges):
             rows = np.searchsorted(m.indptr, np.arange(start, stop), side="right") - 1
             yield rows, m.indices[start:stop], m.data[start:stop]
 
+    def edge_blocks(self):
+        for i, j, g in self._entries():
+            upper = i < j
+            yield i[upper], j[upper], g[upper], 2.0
+
     def triplet_blocks(self):
-        for i, j, g in self.edge_blocks():
+        for i, j, g in self._entries():
             keep = (i <= j) & (g != 0)
             yield _packed(i[keep], j[keep], g[keep])
 
@@ -360,6 +380,8 @@ class _GroupEdges:
 
         Each entry is the one product 1 * A[g, h] * 1: exact.
         """
+        import scipy.sparse as sp
+
         b = self.membership
         links = (b @ sp.csr_array(self.weights) @ b.T).tocoo()
         off = links.row != links.col
@@ -385,13 +407,18 @@ class _GroupEdges:
         return _CsrEdges(self.view()).triplet_blocks()
 
     def edge_blocks(self):
-        """Rows of group g against group h at A[g, h] != 0; a self-pair adds 0."""
+        """Rows of group g against group h >= g at A[g, h] != 0.
+
+        A group against itself lists its pairs both ways; a self-pair adds 0.
+        """
         groups = self.structure.groups
-        for g, h in zip(*np.nonzero(self.weights)):
+        for g, h in zip(*np.nonzero(np.triu(self.weights))):
             rows, cols = groups[g], groups[h]
             step = max(1, _TRIPLET_BLOCK // max(cols.size, 1))
+            count = 1.0 if g == h else 2.0
             for start in range(0, rows.size, step):
-                yield rows[start:start + step, None], cols, self.weights[g, h]
+                yield (rows[start:start + step, None], cols, self.weights[g, h],
+                       count)
 
 
 class TrainingGraph:
@@ -578,8 +605,10 @@ def _matrix_edges(edge_weights, n, derived):
     ``derived`` edges, a fresh float ndarray symmetric by construction,
     are neither: the graph owns them.
     """
-    sparse = sp.issparse(edge_weights)
+    sparse = _issparse(edge_weights)
     if sparse:
+        import scipy.sparse as sp
+
         g = sp.csr_array(edge_weights, dtype=float, copy=True)
         # Canonical form: nothing sorts the frozen arrays later, and
         # no edge is listed twice in triplets or graph files.
@@ -603,9 +632,18 @@ def _matrix_edges(edge_weights, n, derived):
     return _CsrEdges(g) if sparse else _DenseEdges(g)
 
 
+def _issparse(matrix):
+    """Whether ``matrix`` is scipy-sparse, without importing scipy.sparse.
+
+    A matrix cannot be scipy-sparse unless scipy.sparse is loaded.
+    """
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(matrix)
+
+
 def _is_symmetric(g):
     """g == g^T exactly; a dense g is compared tile by tile (:func:`row_slices`)."""
-    if sp.issparse(g):
+    if _issparse(g):
         return not (g != g.T).sum()
     tiles = row_slices(g.shape[0])
     return not any((g[rows, cols] != g[cols, rows].T).any()
@@ -637,17 +675,18 @@ def weighted_delta(graph, y):
     This is the definition; it needs neither consistency nor feature
     normalization. The sum runs over the edge blocks of the graph's own
     storage (dense rows, CSR entries, or rows of one group against
-    another), with no N x N temporary.
+    another), each pair {n, n'} once, doubled, with no N x N temporary.
     """
     y = np.asarray(y, dtype=float)
     if y.shape != (graph.n_samples,):
         raise DimensionError(
             f"feature length {y.shape} does not match N={graph.n_samples}")
     total = 0.0
-    for i, j, g in graph._edges.edge_blocks():
+    for i, j, g, count in graph._edges.edge_blocks():
         diff = y[j] - y[i]
         diff *= diff
-        total += float(np.vdot(np.broadcast_to(g, diff.shape), diff))
+        diff *= g
+        total += count * float(diff.sum())
     return total / graph.r_sum
 
 
@@ -759,6 +798,8 @@ def _edge_columns(edges, n):
 
 def _sorted_csr(i, j, g, n):
     """CSR of the n x n entries (i, j, g), listed in row-major order."""
+    import scipy.sparse as sp
+
     indptr = np.concatenate(([0], np.cumsum(np.bincount(i, minlength=n))))
     return sp.csr_array((g, j, indptr), shape=(n, n))
 

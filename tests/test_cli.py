@@ -190,8 +190,26 @@ def test_spectrum_counts(tmp_path, kind, flags, expected):
     assert _run("spectrum", "--graph", out, "--out-dir", tmp_path / "spec") == 0
     summary = json.loads((tmp_path / "spec" / "summary.json").read_text())
     assert summary["slow_count"] == expected
+    assert summary["null_dim"] == 0
     assert (tmp_path / "spec" / "spectrum.csv").exists()
     assert (tmp_path / "spec" / "responses.csv").exists()
+
+
+def test_spectrum_of_an_ell_graph_writes_the_resolved_rows(tmp_path):
+    labels = tmp_path / "labels.txt"
+    np.savetxt(labels, np.arange(40.0) + np.sin(np.arange(40.0)))
+    graph = tmp_path / "graph.json"
+    assert _run("build-graph", "--kind", "ell", "--labels", labels,
+                "--auxiliary", "2", "--nonnegative", "--out", graph) == 0
+    assert _run("spectrum", "--graph", graph, "--out-dir", tmp_path / "spec") == 0
+    summary = json.loads((tmp_path / "spec" / "summary.json").read_text())
+    assert summary["slow_count"] == 2 and summary["null_dim"] == 40 - 3
+    table = np.loadtxt(tmp_path / "spec" / "spectrum.csv", delimiter=",",
+                       skiprows=1, ndmin=2)
+    responses, names = gsfa.load_matrix_csv(tmp_path / "spec" / "responses.csv")
+    # j indexes the columns of responses.csv: u0 and the two labels
+    assert table[:, 0].tolist() == [0, 1, 2]
+    assert names == ["resp_0", "resp_1", "resp_2"] and responses.shape == (3, 40)
 
 
 # ---------------------------------------------------------------------------

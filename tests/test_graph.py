@@ -904,8 +904,11 @@ def test_weighted_delta_matches_loop_oracle(rng):
             delta_by_loop(graph, y), rel=1e-12)
 
 
-@pytest.mark.parametrize("block", [5, None], ids=["block-5", "default"])
+@pytest.mark.parametrize("block", [5, 13, 40, 5000, None],
+                         ids=["block-5", "block-13", "block-40", "block-5000",
+                              "default"])
 def test_weighted_delta_equals_whole_matrix_sum(rng, monkeypatch, block):
+    # each pair once, doubled: blocks below N hold one dense row, above it several
     if block is not None:
         monkeypatch.setattr(gsfa.graph, "_TRIPLET_BLOCK", block)
         monkeypatch.setattr(gsfa.graph, "DENSE_BLOCK_ROWS", block)

@@ -144,12 +144,31 @@ def test_undeclared_import_is_reported():
 
 
 def test_import_loads_no_scipy_linalg():
-    # scipy.linalg takes tens of milliseconds to import, which every
-    # fresh import of the package would pay; modules needing LAPACK
-    # import it on use
-    code = ("import sys, gsfa; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.linalg')))")
+    # scipy.linalg and scipy.sparse take tens of milliseconds to import,
+    # which every fresh import of the package would pay; modules needing
+    # LAPACK import it on use, and an exact-label graph never needs
+    # scipy.sparse: building, training and its spectrum leave it unloaded
+    code = """if True:
+        import sys
+        import numpy as np
+        import gsfa
+
+        def loaded(prefix):
+            return sorted(m for m in sys.modules if m.startswith(prefix))
+
+        print(loaded("scipy.linalg"), loaded("scipy.sparse"))
+        v = np.ones(40)
+        raw = np.random.default_rng(0).normal(size=(2, 40))
+        labels = gsfa.decorrelate_labels(gsfa.normalize_labels(raw, v), v)
+        graph = gsfa.build_ell_graph(labels.with_eigenvalues([0.6, 0.4]), v,
+                                     nonnegative=True)
+        gsfa.train_gsfa(raw, graph, n_features=2)
+        gsfa.optimal_free_responses(graph).slow_count()
+        print(loaded("scipy.sparse"))
+        gsfa.build_linear_graph(5)
+        print("scipy.sparse" in sys.modules)
+    """
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     result = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                             capture_output=True, text=True)
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.splitlines() == ["[] []", "[]", "True"]

@@ -187,20 +187,21 @@ def test_pivoted_qr_equals_scipy_bit_for_bit(n, k, rank):
     rng = np.random.default_rng(n + k)
     columns = rng.normal(size=(n, rank)) @ rng.normal(size=(rank, k))
     columns /= np.linalg.norm(columns, axis=0)
-    basis, diagonal = gsfa.spectrum._pivoted_householder_qr(columns)
-    q, r, _ = scipy.linalg.qr(columns, mode="full", pivoting=True)
-    assert basis.shape == (n, n)
-    assert basis.tobytes() == q.tobytes()
-    assert diagonal.tobytes() == np.abs(np.diagonal(r)).tobytes()
+    for mode, n_basis in (("full", n), ("economic", min(n, k))):
+        basis, diagonal = gsfa.spectrum._pivoted_householder_qr(columns, n_basis)
+        q, r, _ = scipy.linalg.qr(columns, mode=mode, pivoting=True)
+        assert basis.shape == (n, n_basis), mode
+        assert basis.tobytes() == q.tobytes(), mode
+        assert diagonal.tobytes() == np.abs(np.diagonal(r)).tobytes(), mode
 
 
 def test_pivoted_qr_holds_one_n_by_n_buffer():
     n = 400
     columns = np.random.default_rng(3).normal(size=(n, 6))
-    gsfa.spectrum._pivoted_householder_qr(columns)  # load LAPACK first
+    gsfa.spectrum._pivoted_householder_qr(columns, n)  # load LAPACK first
     tracemalloc.start()
     try:
-        gsfa.spectrum._pivoted_householder_qr(columns)
+        gsfa.spectrum._pivoted_householder_qr(columns, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -214,11 +215,14 @@ def test_inconsistent_graph_rejected():
 
 
 def test_dense_cap(monkeypatch):
+    # the dense M and the completed null block are capped; the factor span is not
     monkeypatch.setattr(gsfa.spectrum, "MAX_DENSE_N", 30)
-    with pytest.raises(ParameterError, match="response matrix, capped at N=30"):
+    with pytest.raises(ParameterError, match="dense N x N M, capped at N=30"):
         optimal_free_responses(gsfa.build_linear_graph(40))
-    with pytest.raises(ParameterError, match="capped at N=30"):
-        optimal_free_responses(ell_graph_from_seed(1, 40, 2, nonnegative=False))
+    spec = optimal_free_responses(ell_graph_from_seed(1, 40, 2, nonnegative=False))
+    assert spec.slow_count() == 2 and spec.null_dim == 37
+    with pytest.raises(ParameterError, match="null block .* capped at N=30"):
+        spec.feasible_responses()
 
 
 def test_slow_count_threshold_excludes_exact_two():
@@ -236,31 +240,62 @@ def test_slow_count_threshold_excludes_exact_two():
 # exact-label graphs: the factor span against the dense eigh oracle
 
 def _factor_span_problems(graph):
-    """Checks of a graph's factor-span spectrum against dense ``eigh``.
+    """Checks of a graph's thin factor-span spectrum against dense ``eigh``.
 
     The oracle is the same edge matrix as a plain dense graph, which
-    takes the dense path. Returns the names of the checks that fail.
+    takes the dense path and holds all N responses. The thin spectrum's
+    eigenvalues, with ``null_dim`` zeros, must be the oracle's; each held
+    response must lie in its oracle block; the completed feasible
+    responses must be orthonormal, and the completed null block must lie
+    in the oracle's block at eigenvalue 0. Returns the names of the
+    checks that fail.
     """
     assert graph.ell is not None
     spec = optimal_free_responses(graph)
     oracle = optimal_free_responses(
         TrainingGraph(graph.vertex_weights, graph.gamma_dense()))
-    v, q = graph.vertex_weights, graph.q_sum
+    n, v, q = graph.n_samples, graph.vertex_weights, graph.q_sum
+    held = spec.eigenvalues.size
+
+    def inside(responses, start, stop):
+        """Canonical correlations of responses with oracle block start:stop."""
+        cross = (responses.T * v) @ oracle.responses[:, start:stop] / q
+        return np.linalg.svd(cross, compute_uv=False)
+
     problems = []
-    if not np.max(np.abs(spec.deltas - oracle.deltas)) <= 1e-10:
+    if spec.null_dim != n - held:
+        problems.append("null_dim")
+    # the null block's zeros sort in at their place among the held ones
+    merged = np.concatenate([spec.eigenvalues, np.zeros(spec.null_dim)])
+    order = np.argsort(-merged, kind="stable")
+    deltas = 2.0 - (2.0 * q / graph.r_sum) * merged[order]
+    if not np.max(np.abs(deltas - oracle.deltas)) <= 1e-10:
         problems.append("deltas")
+    position = np.argsort(order, kind="stable")[:held]
     for start, stop in oracle.blocks:
-        cross = (spec.responses[:, start:stop].T * v) @ oracle.responses[:, start:stop]
-        if not np.linalg.svd(cross / q, compute_uv=False).min() >= 1.0 - 1e-8:
+        mine = (start <= position) & (position < stop)
+        if mine.any() and not inside(spec.responses[:, mine], start,
+                                     stop).min() >= 1.0 - 1e-8:
             problems.append(f"canonical correlations in block {start}:{stop}")
-    if not np.array_equal(np.flatnonzero(~spec.feasible),
-                          np.flatnonzero(~oracle.feasible)):
-        problems.append("infeasible index")
+    # any rotation within a block is equivalent: u0's block must hold the oracle's
+    infeasible = position[~spec.feasible]
+    if infeasible.size != 1 or not any(
+            start <= infeasible[0] < stop and not oracle.feasible[start:stop].all()
+            for start, stop in oracle.blocks):
+        problems.append("infeasible response")
     if spec.slow_count() != oracle.slow_count():
         problems.append("slow_count")
-    gram = (spec.responses.T * v) @ spec.responses / q
-    if not np.max(np.abs(gram - np.eye(graph.n_samples))) <= 1e-12:
-        problems.append("orthonormal basis")
+    responses, _ = spec.feasible_responses()
+    gram = (responses.T * v) @ responses / q
+    if not np.max(np.abs(gram - np.eye(n - 1))) <= 1e-12:
+        problems.append("orthonormal feasible responses")
+    if not np.max(np.abs(v @ responses)) <= 1e-10 * q:
+        problems.append("feasible responses have weighted mean 0")
+    zero = [(start, stop) for start, stop in oracle.blocks
+            if abs(oracle.eigenvalues[start]) <= 1e-10]
+    if spec.null_dim and not (len(zero) == 1 and inside(
+            spec.null_block(), *zero[0]).min() >= 1.0 - 1e-8):
+        problems.append("null block spans the oracle's")
     return problems
 
 
@@ -360,8 +395,28 @@ def test_factor_span_spectrum_of_file_factors(seed, n, n_labels, nonnegative,
 def test_factor_span_null_block_is_exactly_two():
     graph = ell_graph_from_seed(4, 40, 3, nonnegative=True, uniform=False)
     spec = optimal_free_responses(graph)
-    assert np.sum(spec.deltas == 2.0) == 40 - 3 - 1
-    assert np.all(spec.eigenvalues[4:] == 0.0)
+    assert spec.eigenvalues.size == 4 and spec.null_dim == 40 - 3 - 1
+    responses, deltas = spec.feasible_responses()
+    assert responses.shape == (40, 39)
+    assert np.sum(deltas == 2.0) == 40 - 3 - 1
+    assert np.all(deltas[3:] == 2.0)
+
+
+def test_thin_spectrum_allocates_no_n_by_n_array(tmp_path):
+    n = 3000
+    graph = ell_graph_from_seed(6, n, 4, nonnegative=True, uniform=False)
+    optimal_free_responses(graph)  # load LAPACK first
+    tracemalloc.start()
+    try:
+        spec = optimal_free_responses(graph)
+        gsfa.export_spectrum(spec, tmp_path / "spectrum.csv",
+                             tmp_path / "responses.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.responses.shape == (n, 5) and spec.null_dim == n - 5
+    # an N x N float64 array is 8 N^2 bytes (72 MB here)
+    assert peak < 0.05 * 8 * n * n
 
 
 def test_factor_span_never_builds_the_m_matrix(monkeypatch):
